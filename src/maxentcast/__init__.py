@@ -23,7 +23,7 @@ from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        ProtocolConfig, WindowBuckets, YearBuckets,
                        baseline_error, error_by_period, relative_mse,
                        run_protocol)
-from .ingest import GAP_POLICIES, TimeSeries, business_days, clean, load_csv
+from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
 from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
                     forecast_series, lstsq_min_norm, pinv, predict)
 from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
@@ -50,7 +50,7 @@ __all__ = [
     "ErrorWindow", "ForecastTrack", "PredictabilityReport", "ProtocolConfig",
     "WindowBuckets", "YearBuckets", "baseline_error", "error_by_period",
     "relative_mse", "run_protocol",
-    "GAP_POLICIES", "TimeSeries", "business_days", "clean", "load_csv",
+    "GAP_POLICIES", "TimeSeries", "clean", "load_csv",
     "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "forecast_series",
     "lstsq_min_norm", "pinv", "predict",
     "REPORT_SCHEMA_VERSION", "TRUTH_SCHEMA_VERSION", "RunConfig", "RunResult",

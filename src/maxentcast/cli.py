@@ -30,8 +30,9 @@ from .errors import (DegenerateMatrixError, DegenerateWindowError,
                      SchemaMismatchError)
 from .ingest import GAP_POLICIES
 from .report import (RunConfig, TRUTH_SCHEMA_VERSION, dumps_canonical,
-                     load_report, load_truth, run_from_config,
-                     verify_detection, write_json_atomic, write_text_atomic)
+                     format_csv_rows, load_report, load_truth,
+                     run_from_config, verify_detection, write_json_atomic,
+                     write_text_atomic)
 from .synth import (PolyMapSpec, RandomWalkSpec, gen_spliced, generate,
                     logistic_map_coefficients, rescale_map_coefficients)
 from .synth import _walk_values as _raw_walk_values
@@ -182,13 +183,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _series_csv_text(series) -> str:
-    lines = ["date,value"]
-    for d, v in zip(series.dates, series.values):
-        lines.append(f"{d.isoformat()},{format(float(v), '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_synth(args: argparse.Namespace) -> int:
     name = args.name or args.kind
     truth: dict = {"schema_version": TRUTH_SCHEMA_VERSION, "kind": args.kind,
@@ -248,7 +242,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     series_path = out_dir / "series.csv"
     truth_path = out_dir / "truth.json"
-    write_text_atomic(series_path, _series_csv_text(series))
+    write_text_atomic(series_path, format_csv_rows(
+        "date,value", [d.isoformat() for d in series.dates], series.values))
     write_json_atomic(truth_path, truth)
     print(f"wrote {series_path}")
     print(f"wrote {truth_path}")

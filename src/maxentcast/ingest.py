@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,16 @@ class TimeSeries:
         return int(np.isnan(self.values).sum())
 
 
+# The fields date.fromisoformat may parse in place of strptime("%Y-%m-%d").
+# On others the two differ: fromisoformat takes "20000103" and refuses
+# "2000-1-3".
+_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII).fullmatch
+
+
+def _ordinals(dates) -> np.ndarray:
+    return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
+
+
 def load_csv(path, date_col: str = "date", value_col: str = "value",
              date_format: str = "%Y-%m-%d", on_bad_value: str = "error",
              name: str | None = None) -> TimeSeries:
@@ -80,63 +91,74 @@ def load_csv(path, date_col: str = "date", value_col: str = "value",
     float: "error" raises ParseError naming the line, "nan" records the
     observation as missing so that :func:`clean` decides its fate.  Rows
     whose date does not parse always raise, since they cannot be placed.
-    Duplicate dates raise ParseError.
+    Duplicate dates raise ParseError.  Rows are read as ``csv.DictReader``
+    reads them: blank lines are skipped, missing trailing fields read as
+    empty, and a repeated header name refers to its last column.
     """
     if on_bad_value not in ("error", "nan"):
         raise ValueError(f"on_bad_value must be 'error' or 'nan', got {on_bad_value!r}")
     path = Path(path)
-    rows: list[tuple[date, float, int]] = []
+    # date.fromisoformat is about 30 times faster than strptime; any field it
+    # refuses goes to strptime, which then gives the error message.
+    iso = date_format == "%Y-%m-%d"
+    dates: list[date] = []
+    values: list[float] = []
+    line_nos: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptySeriesError(f"{path}: empty file")
         for col in (date_col, value_col):
-            if col not in reader.fieldnames:
-                raise ParseError(1, f"missing column {col!r} (header: {reader.fieldnames})")
-        for record in reader:
+            if col not in header:
+                raise ParseError(1, f"missing column {col!r} (header: {header})")
+        date_i = len(header) - 1 - header[::-1].index(date_col)
+        value_i = len(header) - 1 - header[::-1].index(value_col)
+        width = max(date_i, value_i) + 1
+        for row in reader:
+            if not row:
+                continue
             line_no = reader.line_num
-            raw_date = (record.get(date_col) or "").strip()
-            raw_value = (record.get(value_col) or "").strip()
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            raw_date = row[date_i].strip()
+            when = None
+            if iso and _ISO_DATE(raw_date):
+                try:
+                    when = date.fromisoformat(raw_date)
+                except ValueError:
+                    pass
+            if when is None:
+                try:
+                    when = datetime.strptime(raw_date, date_format).date()
+                except ValueError as exc:
+                    raise ParseError(line_no, f"bad date {raw_date!r}: {exc}") from exc
+            raw_value = row[value_i].strip()
             try:
-                when = datetime.strptime(raw_date, date_format).date()
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad date {raw_date!r}: {exc}") from exc
-            rows.append((when, _parse_value(raw_value, line_no, on_bad_value), line_no))
-    if not rows or all(math.isnan(v) for _, v, _ in rows):
+                value = float(raw_value)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                if on_bad_value == "error":
+                    raise ParseError(line_no, f"bad value {raw_value!r}")
+                value = math.nan
+            dates.append(when)
+            values.append(value)
+            line_nos.append(line_no)
+    values = np.array(values)
+    if np.isnan(values).all():
         raise EmptySeriesError(f"{path}: no usable rows")
-    rows.sort(key=lambda r: r[0])
-    for (d1, _, _), (d2, _, line_no) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise ParseError(line_no, f"duplicate date {d2}")
-    return TimeSeries(
-        name=name if name is not None else path.stem,
-        dates=tuple(r[0] for r in rows),
-        values=np.array([r[1] for r in rows]),
-    )
-
-
-def _parse_value(raw: str, line_no: int, on_bad_value: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if math.isfinite(value):
-        return value
-    if on_bad_value == "error":
-        raise ParseError(line_no, f"bad value {raw!r}")
-    return math.nan
-
-
-def business_days(first: date, last: date) -> list[date]:
-    """Every Monday-Friday date from first to last inclusive."""
-    out = []
-    d = first
-    one = timedelta(days=1)
-    while d <= last:
-        if d.weekday() < 5:
-            out.append(d)
-        d += one
-    return out
+    ordinals = _ordinals(dates)
+    order = np.argsort(ordinals, kind="stable")
+    repeated = np.flatnonzero(np.diff(ordinals[order]) == 0)
+    if repeated.size:
+        k = int(order[repeated[0] + 1])
+        raise ParseError(line_nos[k], f"duplicate date {dates[k]}")
+    if (np.diff(order) != 1).any():
+        dates = [dates[k] for k in order.tolist()]
+        values = values[order]
+    return TimeSeries(name=name if name is not None else path.stem,
+                      dates=tuple(dates), values=values)
 
 
 def clean(series: TimeSeries, policy: str = "ffill") -> TimeSeries:
@@ -150,37 +172,35 @@ def clean(series: TimeSeries, policy: str = "ffill") -> TimeSeries:
     """
     if policy not in GAP_POLICIES:
         raise ValueError(f"unknown gap policy {policy!r}; expected one of {GAP_POLICIES}")
-    observed = dict(zip(series.dates, series.values.tolist()))
-    grid = sorted(set(series.dates) | set(business_days(series.dates[0], series.dates[-1])))
+    # The grid: every business day from the first date to the last, plus the
+    # weekend days the series has.  date(1, 1, 1), ordinal 1, was a Monday.
+    ordinals = _ordinals(series.dates)
+    days = np.arange(ordinals[0], ordinals[-1] + 1)
+    on_grid = (days - 1) % 7 < 5
+    on_grid[ordinals - ordinals[0]] = True
+    grid = days[on_grid]
+    row = np.full(grid.size, -1)  # the series row on each grid day, -1 if absent
+    row[np.searchsorted(grid, ordinals)] = np.arange(len(series))
+    value = np.where(row >= 0, series.values[row], math.nan)
+    gap = np.isnan(value)
 
     if policy == "error":
-        for d in grid:
-            v = observed.get(d)
-            if v is None:
-                raise GapError(d, "missing business day")
-            if math.isnan(v):
-                raise GapError(d, "missing value")
+        if gap.any():
+            k = int(gap.argmax())
+            raise GapError(date.fromordinal(int(grid[k])),
+                           "missing value" if row[k] >= 0 else "missing business day")
         return series
 
     if policy == "ffill":
-        dates_out: list[date] = []
-        values_out: list[float] = []
-        last_value: float | None = None
-        for d in grid:
-            v = observed.get(d)
-            if v is None or math.isnan(v):
-                if last_value is None:
-                    raise GapError(d, "gap before any observed value")
-                v = last_value
-            last_value = v
-            dates_out.append(d)
-            values_out.append(v)
-        return TimeSeries(series.name, tuple(dates_out), np.array(values_out))
-
-    # drop
-    kept = [(d, v) for d, v in zip(series.dates, series.values.tolist())
-            if math.isfinite(v)]
-    if len(kept) < 2:
-        raise EmptySeriesError("fewer than two observations left after dropping gaps")
-    return TimeSeries(series.name, tuple(d for d, _ in kept),
-                      np.array([v for _, v in kept]))
+        if gap[0]:
+            raise GapError(series.dates[0], "gap before any observed value")
+        keep = np.arange(grid.size)
+        source = np.maximum.accumulate(np.where(gap, 0, keep))
+    else:  # drop
+        keep = source = np.flatnonzero(~gap)
+        if keep.size < 2:
+            raise EmptySeriesError("fewer than two observations left after dropping gaps")
+    dates = series.dates
+    out = [dates[r] if r >= 0 else date.fromordinal(d)
+           for r, d in zip(row[keep].tolist(), grid[keep].tolist())]
+    return TimeSeries(series.name, tuple(out), value[source])

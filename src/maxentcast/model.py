@@ -238,11 +238,6 @@ class ForecastFrame:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def records(self):
-        """Iterate (date, actual, predicted) in time order."""
-        for d, a, p in zip(self.dates, self.actual, self.predicted):
-            yield d, float(a), float(p)
-
 
 def forecast_series(series: TimeSeries, model: FittedModel, times) -> ForecastFrame:
     """Direct horizon-step predictions for every anchor index in times.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -139,14 +139,21 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text via a temp file in the same directory, then rename."""
+    """Write text durably via a temp file in the same directory, then rename.
+
+    The file gets mode ``0o666 & ~umask``, as a plain ``open`` would give
+    it.  It is fsynced before the rename and the directory after it, so a
+    crash leaves either the old file or the whole new one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -154,6 +161,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
@@ -175,6 +187,7 @@ class RunResult:
     report: PredictabilityReport
     detections: tuple[TrackDetection, ...]
     config: RunConfig
+    n_interpolated: int  # rows that clean filled in
 
 
 def detect_tracks(report: PredictabilityReport,
@@ -189,16 +202,16 @@ def detect_tracks(report: PredictabilityReport,
 
 def run_from_config(config: RunConfig) -> RunResult:
     """Ingest, clean, fit, forecast, evaluate, and detect from one config."""
-    series = load_csv(config.input_path, date_col=config.date_col,
-                      value_col=config.value_col,
-                      date_format=config.date_format)
-    series = clean(series, policy=config.gap_policy)
+    raw = load_csv(config.input_path, date_col=config.date_col,
+                   value_col=config.value_col, date_format=config.date_format)
+    series = clean(raw, policy=config.gap_policy)
     report = run_protocol(series, config.protocol(),
                           rank_tolerance=config.rank_tolerance,
                           standardize=config.standardize)
     detections = detect_tracks(report, config.detector())
     return RunResult(series=series, report=report, detections=detections,
-                     config=config)
+                     config=config,
+                     n_interpolated=len(series) - (len(raw) - raw.n_missing))
 
 
 def _window_payload(window) -> dict[str, Any]:
@@ -256,7 +269,7 @@ def build_payload(result: RunResult) -> dict[str, Any]:
             "n": int(series.values.size),
             "first_date": series.dates[0].isoformat(),
             "last_date": series.dates[-1].isoformat(),
-            "n_interpolated": int(series.n_missing),
+            "n_interpolated": result.n_interpolated,
         },
         "detector": {"theta": result.config.theta,
                      "min_run": result.config.min_run},
@@ -276,11 +289,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def forecast_csv_text(frame) -> str:
-    lines = ["date,actual,predicted"]
-    for day, actual, predicted in frame.records():
-        lines.append(f"{day.isoformat()},{_fmt(actual)},{_fmt(predicted)}")
-    return "\n".join(lines) + "\n"
+_CHUNK_ROWS = 1024
+
+
+def format_csv_rows(header: str, first: Sequence[str], *numbers) -> str:
+    """CSV text: the header line, then one line per row of the columns.
+
+    ``first`` holds the first field of each row as text; each array in
+    ``numbers`` holds floats, written with ``%.17g`` so they read back
+    exactly.  Rows are formatted a chunk at a time, one ``%`` per chunk,
+    and only a chunk of the numbers is held as Python floats at once.
+    """
+    width = 1 + len(numbers)
+    row = "%s" + ",%.17g" * len(numbers) + "\n"
+    parts = [header, "\n"]
+    for start in range(0, len(first), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        labels = first[start:stop]
+        fields = [None] * (len(labels) * width)
+        fields[0::width] = labels
+        for k, column in enumerate(numbers, 1):
+            fields[k::width] = column[start:stop].tolist()
+        parts.append(row * len(labels) % tuple(fields))
+    return "".join(parts)
+
+
+def forecast_csv_text(frame, date_text: Sequence[str]) -> str:
+    """The forecast CSV of one track; ``date_text[i]`` is series date i in ISO form."""
+    return format_csv_rows("date,actual,predicted",
+                           [date_text[i] for i in frame.target_times.tolist()],
+                           frame.actual, frame.predicted)
 
 
 def summary_csv_text(report: PredictabilityReport) -> str:
@@ -305,9 +343,10 @@ def write_run_artifacts(result: RunResult) -> dict[str, Path]:
     write_json_atomic(report_path, build_report_doc(payload))
     paths["report"] = report_path
 
+    date_text = [d.isoformat() for d in result.series.dates]
     for track in result.report.tracks:
         p = out_dir / f"forecast_T{track.horizon}.csv"
-        write_text_atomic(p, forecast_csv_text(track.frame))
+        write_text_atomic(p, forecast_csv_text(track.frame, date_text))
         paths[f"forecast_T{track.horizon}"] = p
 
     summary_path = out_dir / "summary.csv"

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxentcast import (GAP_POLICIES, TimeSeries, business_days, clean,
-                        load_csv)
+from maxentcast import GAP_POLICIES, TimeSeries, clean, load_csv
 from maxentcast.errors import EmptySeriesError, GapError, ParseError
 
 from conftest import daily_series
@@ -108,17 +107,25 @@ def test_series_values_read_only():
         s.values[0] = 9.0
 
 
-def test_business_days_skip_weekends():
-    # 2000-01-03 was a Monday
-    days = business_days(date(2000, 1, 3), date(2000, 1, 10))
-    assert [d.isoformat() for d in days] == [
+def _business_days(n, first="2000-01-03"):
+    """The first n business days from a Monday."""
+    days = np.busday_offset(first, np.arange(n), roll="forward")
+    return tuple(d.item() for d in days)
+
+
+def test_ffill_grid_skips_weekends():
+    # 2000-01-03 and 2000-01-10 were Mondays
+    s = TimeSeries("t", (date(2000, 1, 3), date(2000, 1, 10)),
+                   np.array([1.0, 2.0]))
+    out = clean(s, "ffill")
+    assert [d.isoformat() for d in out.dates] == [
         "2000-01-03", "2000-01-04", "2000-01-05", "2000-01-06",
         "2000-01-07", "2000-01-10"]
+    assert out.values.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 2.0]
 
 
 def _weekday_series(values):
-    dates = business_days(date(2000, 1, 3), date(2000, 3, 1))
-    return TimeSeries("t", tuple(dates[:len(values)]),
+    return TimeSeries("t", _business_days(len(values)),
                       np.array(values, dtype=float))
 
 
@@ -193,8 +200,7 @@ def test_clean_is_idempotent(values, policy):
 
 
 def test_load_csv_order_insensitive(tmp_path):
-    days = business_days(date(2001, 1, 1), date(2001, 2, 20))
-    rows = [f"{d.isoformat()},{i}.5" for i, d in enumerate(days)]
+    rows = [f"{d.isoformat()},{i}.5" for i, d in enumerate(_business_days(37, "2001-01-01"))]
     path = tmp_path / "perm.csv"
     path.write_text("date,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
     baseline = load_csv(path, name="p")

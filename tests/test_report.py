@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+import stat
 from datetime import datetime
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from maxentcast import (RunConfig, SchemaMismatchError, WindowBuckets,
@@ -85,6 +88,18 @@ def test_write_text_atomic_leaves_no_temp_files(tmp_path):
     assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
 
 
+def test_write_text_atomic_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_text_atomic(tmp_path / "a.txt", "x\n")
+        os.umask(0o002)
+        write_text_atomic(tmp_path / "b.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o640
+    assert stat.S_IMODE((tmp_path / "b.txt").stat().st_mode) == 0o664
+
+
 def test_write_json_atomic_round_trips(tmp_path):
     target = tmp_path / "doc.json"
     write_json_atomic(target, {"k": [1.5, None]})
@@ -156,6 +171,23 @@ def test_payload_shape(walk_csv, tmp_path):
             assert track["detection"]["labels"][cp["window_index"]]
 
 
+def test_payload_counts_filled_business_days(tmp_path):
+    days = np.busday_offset("2000-01-03", np.arange(120), roll="forward")
+    values = gen_random_walk(120, 1.0, seed=5).values.tolist()
+    left_out = {30, 61, 90}
+    rows = [f"{d},{v!r}" for k, (d, v) in enumerate(zip(days.astype(str), values))
+            if k not in left_out]
+    path = tmp_path / "gappy.csv"
+    path.write_text("date,value\n" + "\n".join(rows) + "\n")
+    for policy, filled in (("ffill", 3), ("drop", 0)):
+        cfg = RunConfig(input_path=str(path), dim=1, degree=1, fit_window=20,
+                        anticipation=(1, 3), bucket="window:25",
+                        gap_policy=policy, out_dir=str(tmp_path))
+        series = build_payload(run_from_config(cfg))["series"]
+        assert series["n_interpolated"] == filled
+        assert series["n"] == 117 + filled
+
+
 def test_report_doc_meta(walk_csv, tmp_path):
     cfg = small_config(walk_csv, tmp_path)
     payload = build_payload(run_from_config(cfg))
@@ -192,8 +224,10 @@ def test_write_run_artifacts(walk_csv, tmp_path):
 
 def test_forecast_csv_floats_round_trip(walk_csv, tmp_path):
     cfg = small_config(walk_csv, tmp_path)
-    frame = run_from_config(cfg).report.tracks[0].frame
-    lines = forecast_csv_text(frame).strip().split("\n")[1:]
+    result = run_from_config(cfg)
+    frame = result.report.tracks[0].frame
+    date_text = [d.isoformat() for d in result.series.dates]
+    lines = forecast_csv_text(frame, date_text).strip().split("\n")[1:]
     for line, actual, predicted in zip(lines, frame.actual, frame.predicted):
         _, a_txt, p_txt = line.split(",")
         assert float(a_txt) == actual
