@@ -11,7 +11,7 @@ from . import rng
 from ._version import __version__
 from .design import (DesignMatrix, EmbedConfig, count_coefficients,
                      delay_matrix, delay_vector, embed, feature_matrix,
-                     max_rows, monomial_labels, monomial_row, monomial_terms,
+                     max_rows, monomial_labels, monomial_terms,
                      read_design_csv)
 from .detect import DetectorConfig, Regime, RegimeLabel, changepoints, classify
 from .errors import (DegenerateMatrixError, DegenerateWindowError,
@@ -41,7 +41,7 @@ from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
 __all__ = [
     "DesignMatrix", "EmbedConfig", "count_coefficients", "delay_matrix",
     "delay_vector", "embed", "feature_matrix", "max_rows", "monomial_labels",
-    "monomial_row", "monomial_terms", "read_design_csv",
+    "monomial_terms", "read_design_csv",
     "DetectorConfig", "Regime", "RegimeLabel", "changepoints", "classify",
     "DegenerateMatrixError", "DegenerateWindowError", "DimensionMismatchError",
     "DivergentOrbitError", "EmptySeriesError", "GapError",

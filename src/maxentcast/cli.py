@@ -8,7 +8,8 @@ without parsing messages:
     2  usage or configuration error
     3  ingest error (unreadable file, parse failure, calendar gaps)
     4  window infeasibility or degenerate scoring window
-    5  numerical failure (singular fit, divergent synthetic orbit)
+    5  numerical failure (singular fit, overflowing features,
+       divergent synthetic orbit)
     6  schema version mismatch
 
 Every failure also writes a single machine-readable JSON line to stderr:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleWindowError
+from .errors import InfeasibleWindowError, NumericalFailureError
 from .ingest import TimeSeries
 
 
@@ -81,34 +81,48 @@ def monomial_labels(dim: int, degree: int) -> tuple[str, ...]:
                  for term in monomial_terms(dim, degree))
 
 
-def monomial_row(v, degree: int) -> np.ndarray:
-    """Feature row for a single delay vector."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("delay vector must be a nonempty 1-d array")
-    terms = monomial_terms(v.size, degree)
-    row = np.empty(len(terms))
-    for j, term in enumerate(terms):
-        row[j] = np.prod(v[list(term)]) if term else 1.0
-    return row
+@lru_cache(maxsize=None)
+def _prefix_columns(dim: int, degree: int) -> tuple[tuple[int, int], ...]:
+    """(prefix column, component) for every column of degree >= 2.
+
+    A term's prefix is the term less its last index, itself a column one
+    degree lower: v1*v2*v3 is column v1*v2 times component v3.
+    """
+    terms = monomial_terms(dim, degree)
+    position = {term: j for j, term in enumerate(terms)}
+    return tuple((position[term[:-1]], term[-1]) for term in terms[dim + 1:])
 
 
-def feature_matrix(delays: np.ndarray, degree: int) -> np.ndarray:
-    """Feature rows for a stack of delay vectors (one vector per row)."""
+def feature_matrix(delays: np.ndarray, degree: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Feature rows for a stack of delay vectors (one vector per row).
+
+    Each column of degree k >= 2 is its degree-(k-1) prefix column times
+    one delay component, so every product runs left to right:
+    v1*v2*v3 = (v1*v2) * v3.  With out, the rows are written into that
+    C-contiguous float64 (n_rows, n_features) array, which is returned.
+    Non-finite features, such as an overflowing product, raise
+    NumericalFailureError.
+    """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 2:
         raise ValueError("delays must be 2-d (n_rows, dim)")
     n, dim = delays.shape
-    terms = monomial_terms(dim, degree)
-    out = np.empty((n, len(terms)))
-    for j, term in enumerate(terms):
-        if not term:
-            out[:, j] = 1.0
-        else:
-            col = delays[:, term[0]].copy()
-            for i in term[1:]:
-                col *= delays[:, i]
-            out[:, j] = col
+    shape = (n, count_coefficients(dim, degree))
+    if out is None:
+        out = np.empty(shape)
+    elif (out.shape != shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    out[:, 0] = 1.0
+    out[:, 1:dim + 1] = delays
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (prefix, i) in enumerate(_prefix_columns(dim, degree), start=dim + 1):
+            np.multiply(out[:, prefix], delays[:, i], out=out[:, j])
+    if not np.isfinite(out).all():
+        raise NumericalFailureError(
+            f"degree-{degree} features of delay vectors up to "
+            f"|v| = {np.max(np.abs(delays)):g} are not finite")
     return out
 
 

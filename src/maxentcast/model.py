@@ -239,11 +239,31 @@ class ForecastFrame:
         return int(self.times.size)
 
 
+# Forecast features are built in blocks of anchors, each about this many
+# bytes of float64 (rows x N_c x 8), so memory does not grow with the anchor
+# count and a block stays in cache while it is multiplied.
+_FORECAST_BLOCK_BYTES = 1 << 20
+
+
+def forecast_block_rows(n_features: int) -> int:
+    """Anchors per forecast block: the byte budget, in whole multiples of 64.
+
+    Blocks that start on multiples of 64 rows keep BLAS's grouping of
+    output rows (OpenBLAS dgemv takes them four at a time) as it is in one
+    product over every anchor, so with one BLAS thread each prediction has
+    the same bits as it would have there.  At least 128 rows, so a last
+    block moved 64 rows back (see forecast_series) still reaches the end.
+    """
+    return max(128, _FORECAST_BLOCK_BYTES // (8 * n_features) // 64 * 64)
+
+
 def forecast_series(series: TimeSeries, model: FittedModel, times) -> ForecastFrame:
     """Direct horizon-step predictions for every anchor index in times.
 
     Each prediction uses the observed delay vector at its anchor; model
     output is never fed back.  An empty times yields an empty frame.
+    Features are built and applied one block of forecast_block_rows
+    anchors at a time, in one reused buffer.
     """
     cfg = model.config
     t = np.asarray(list(times), dtype=int)
@@ -258,12 +278,25 @@ def forecast_series(series: TimeSeries, model: FittedModel, times) -> ForecastFr
             f"{cfg.horizon} do not fit a series of {n_obs} points",
             start=int(t.min()), needed=int(t.max()) + cfg.horizon + 1,
             available=n_obs)
-    delays = delay_matrix(series.values, t, cfg.dim, cfg.lag)
     target_times = t + cfg.horizon
     actual = series.values[target_times]
-    if not (np.isfinite(delays).all() and np.isfinite(actual).all()):
-        raise ValueError("series has missing values in the forecast range; clean it first")
-    predicted = predict(model, feature_matrix(delays, cfg.degree))
+    rows = forecast_block_rows(cfg.n_features)
+    block = np.empty((rows, cfg.n_features))
+    predicted = np.empty(t.size)
+    starts = list(range(0, t.size, rows))
+    if t.size % rows == 1 and t.size > 1:
+        # numpy applies a one-row product as a dot product, whose sum can
+        # differ in the last bit from gemv's: end on 65 rows instead.
+        starts[-1] -= 64
+    for lo in starts:
+        anchors = t[lo:lo + rows]
+        delays = delay_matrix(series.values, anchors, cfg.dim, cfg.lag)
+        if not (np.isfinite(delays).all()
+                and np.isfinite(actual[lo:lo + anchors.size]).all()):
+            raise ValueError("series has missing values in the forecast range; "
+                             "clean it first")
+        features = feature_matrix(delays, cfg.degree, out=block[:anchors.size])
+        predicted[lo:lo + anchors.size] = predict(model, features)
     return ForecastFrame(times=t, target_times=target_times,
                          dates=tuple(series.dates[i] for i in target_times),
                          actual=actual, predicted=predicted, horizon=cfg.horizon)

@@ -382,7 +382,10 @@ def load_truth(path: str | Path) -> dict[str, Any]:
 
 def _window_of_index(windows: Sequence[Mapping[str, Any]],
                      series_index: int) -> int | None:
-    """First window whose target-index range reaches series_index."""
+    """First window whose target-index range reaches series_index; None
+    when the index lies before the first window or after the last."""
+    if not windows or series_index < windows[0]["start_index"]:
+        return None
     for k, w in enumerate(windows):
         if w["end_index"] >= series_index:
             return k
@@ -396,9 +399,10 @@ def verify_detection(payload: Mapping[str, Any],
     For a truth with a changepoint: a hit is a PREDICTABLE window at or
     after the window containing the changepoint; localization error is
     (first flagged window - truth window), in windows.  Windows flagged
-    strictly before the truth window count as false flags.  For a truth
-    without a changepoint every flagged window is a false flag and hit
-    is null.
+    strictly before the truth window count as false flags.  A changepoint
+    outside the windows' target range has no truth window, no hit, and
+    every flag is false.  For a truth without a changepoint every flagged
+    window is a false flag and hit is null.
     """
     truth_index = truth.get("changepoint_index")
     tracks_out = []

@@ -1,11 +1,27 @@
 """Shared fixtures and small builders for the test suite."""
 
+import os
+import sys
 from datetime import date, timedelta
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy is first imported.  Some tests compare
+# predictions byte for byte with a whole-matrix reference product, and
+# OpenBLAS splits such a product over its threads in a way that moves the
+# last bits of some rows when the thread count changes.  BLAS reads these
+# variables once, when numpy loads it: if numpy was imported before this
+# file ran (another conftest or plugin first), the pin holds only if they
+# were already 1.  BLAS_PINNED records which; tests that need the pin
+# check it.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_PINNED = ("numpy" not in sys.modules
+               or all(os.environ.get(v) == "1" for v in _BLAS_VARS))
+for _var in _BLAS_VARS:
+    os.environ[_var] = "1"
 
-from maxentcast import ErrorWindow, TimeSeries
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from maxentcast import ErrorWindow, TimeSeries  # noqa: E402
 
 
 @pytest.fixture

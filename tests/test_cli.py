@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from maxentcast.cli import main
@@ -182,6 +183,24 @@ def test_run_short_series_is_window_error(walk_csv_60, tmp_path, capsys):
                            "--out", str(tmp_path / "run"))
     assert code == 4
     assert stderr_json(err)["category"] == "window"
+
+
+def test_run_overflowing_features_is_numerical_error(write_csv, tmp_path):
+    # squares of values near 1e160 overflow a double
+    days = np.busday_offset(np.datetime64("2000-01-03"), np.arange(1200),
+                            roll="forward")
+    values = 1e160 * (1.0 + 0.01 * np.sin(np.arange(1200.0)))
+    path = write_csv([f"{d},{float(v)!r}"
+                      for d, v in zip(np.datetime_as_string(days), values)])
+    proc = subprocess.run([sys.executable, "-m", "maxentcast", "run",
+                           "--input", str(path), "--np", "2",
+                           "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 5
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "NumericalFailureError"
+    assert json.loads(lines[0])["category"] == "numerical"
 
 
 # ----------------------------------------------------------------- verify

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentcast import (DesignMatrix, EmbedConfig, count_coefficients,
-                        delay_vector, embed, max_rows, monomial_labels,
-                        monomial_row, monomial_terms, read_design_csv)
-from maxentcast.errors import InfeasibleWindowError
+                        delay_vector, embed, feature_matrix, max_rows,
+                        monomial_labels, monomial_terms, read_design_csv)
+from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 
 from conftest import daily_series
 
@@ -42,17 +43,21 @@ def test_count_validates_inputs():
         count_coefficients(2, 0)
 
 
-def test_monomial_row_two_components():
-    assert monomial_row([2.0, 3.0], 2).tolist() == [1, 2, 3, 4, 6, 9]
+def one_row(v, degree):
+    """Features of a single delay vector, as a one-row stack."""
+    return feature_matrix(np.array([v], dtype=float), degree)[0]
 
 
-def test_monomial_row_single_component_powers():
-    assert monomial_row([5.0], 3).tolist() == [1, 5, 25, 125]
+def test_feature_row_two_components():
+    assert one_row([2.0, 3.0], 2).tolist() == [1, 2, 3, 4, 6, 9]
 
 
-def test_monomial_row_all_ones_has_paper_length():
-    row = monomial_row([1.0, 1.0, 1.0, 1.0], 2)
-    assert row.tolist() == [1.0] * 15
+def test_feature_row_single_component_powers():
+    assert one_row([5.0], 3).tolist() == [1, 5, 25, 125]
+
+
+def test_feature_row_all_ones_has_paper_length():
+    assert one_row([1.0, 1.0, 1.0, 1.0], 2).tolist() == [1.0] * 15
 
 
 def test_monomial_order_is_degree_then_lexicographic():
@@ -72,11 +77,32 @@ def test_monomial_order_is_degree_then_lexicographic():
 def test_degree_blocks_scale_homogeneously(dim, degree, scale, data):
     v = np.array(data.draw(st.lists(
         st.floats(min_value=-5, max_value=5), min_size=dim, max_size=dim)))
-    base = monomial_row(v, degree)
-    scaled = monomial_row(scale * v, degree)
+    base = one_row(v, degree)
+    scaled = one_row(scale * v, degree)
     for k, term in enumerate(monomial_terms(dim, degree)):
         expected = base[k] * scale ** len(term)
         assert math.isclose(scaled[k], expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_feature_matrix_fills_out_buffer():
+    delays = np.array([[2.0, 3.0], [-1.0, 0.5]])
+    out = np.full((2, 6), np.nan)
+    assert feature_matrix(delays, 2, out=out) is out
+    assert out.tolist() == [[1, 2, 3, 4, 6, 9], [1, -1, 0.5, 1, -0.5, 0.25]]
+
+
+def test_feature_matrix_rejects_mis_shaped_out():
+    delays = np.ones((3, 2))
+    for out in (np.empty((3, 5)), np.empty((6, 3)).T, np.empty((3, 6), np.float32)):
+        with pytest.raises(ValueError):
+            feature_matrix(delays, 2, out=out)
+
+
+def test_feature_overflow_is_numerical_failure():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError):
+            feature_matrix(np.array([[1e160, 0.0], [1.0, 2.0]]), 2)
 
 
 def test_delay_vector_orientation():

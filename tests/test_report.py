@@ -276,11 +276,13 @@ def test_load_truth_rejects_other_schema(tmp_path):
 
 # ------------------------------------------------------------ verification
 
-def fake_payload(flag_sets, window_ends=(99, 199, 299, 399)):
+def fake_payload(flag_sets, window_ends=(99, 199, 299, 399), first_start=0):
     """One-track payloads with PREDICTABLE flags at the given window indexes."""
+    starts = (first_start, *(e + 1 for e in window_ends[:-1]))
     tracks = []
     for flags in flag_sets:
-        windows = [{"end_index": e} for e in window_ends]
+        windows = [{"start_index": s, "end_index": e}
+                   for s, e in zip(starts, window_ends)]
         labels = [{"regime": "PREDICTABLE" if k in flags else "STOCHASTIC"}
                   for k in range(len(window_ends))]
         tracks.append({"horizon": 7, "windows": windows,
@@ -330,6 +332,19 @@ def test_verify_truth_beyond_coverage():
     assert track["truth_window"] is None
     assert track["hit"] is False
     assert out["false_flags"] == 1
+
+
+def test_verify_truth_before_coverage():
+    # forecast targets start at 707; a changepoint at 100 is not in window 0
+    out = verify_detection(fake_payload([{0, 2}], window_ends=(831, 956, 1081),
+                                        first_start=707),
+                           {"changepoint_index": 100})
+    track = out["tracks"][0]
+    assert track["truth_window"] is None
+    assert track["hit"] is False
+    assert track["localization_error"] is None
+    assert out["hit"] is False
+    assert out["false_flags"] == 2
 
 
 def test_verify_any_track_hit_wins():
