@@ -25,7 +25,8 @@ from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        run_protocol)
 from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
 from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
-                    forecast_series, lstsq_min_norm, pinv, predict)
+                    forecast_batch, forecast_series, lstsq_min_norm, pinv,
+                    predict)
 from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      RunResult, TrackDetection, build_payload,
                      build_report_doc, detect_tracks, dumps_canonical,
@@ -51,7 +52,8 @@ __all__ = [
     "WindowBuckets", "YearBuckets", "baseline_error", "error_by_period",
     "relative_mse", "run_protocol",
     "GAP_POLICIES", "TimeSeries", "clean", "load_csv",
-    "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "forecast_series",
+    "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "forecast_batch",
+    "forecast_series",
     "lstsq_min_norm", "pinv", "predict",
     "REPORT_SCHEMA_VERSION", "TRUTH_SCHEMA_VERSION", "RunConfig", "RunResult",
     "TrackDetection", "build_payload", "build_report_doc", "detect_tracks",

@@ -10,7 +10,6 @@ random walks at or under 5 percent.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -51,17 +50,8 @@ def classify(windows: Sequence[ErrorWindow],
     windows = list(windows)
     if not windows:
         raise ValueError("no windows to classify")
-    scores: list[float] = []
-    raw: list[bool] = []
-    for w in windows:
-        if (w.degenerate or not math.isfinite(w.baseline_rel_mse)
-                or w.baseline_rel_mse <= 0):
-            scores.append(math.nan)
-            raw.append(False)
-        else:
-            score = w.rel_mse / w.baseline_rel_mse
-            scores.append(score)
-            raw.append(score < config.theta)
+    scores = [w.score_ratio for w in windows]
+    raw = [s < config.theta for s in scores]  # False for NaN
     kept = _min_run_filter(raw, config.min_run)
     return [RegimeLabel(window_index=i, window_label=w.label,
                         regime=Regime.PREDICTABLE if k else Regime.STOCHASTIC,

@@ -12,6 +12,7 @@ alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from numbers import Integral
@@ -21,7 +22,37 @@ import numpy as np
 from .design import EmbedConfig, embed
 from .errors import DegenerateWindowError, InfeasibleWindowError
 from .ingest import TimeSeries
-from .model import FittedModel, ForecastFrame, fit, forecast_series
+from .model import FittedModel, ForecastFrame, fit, forecast_batch
+
+
+def _sums(actual: np.ndarray, predicted: np.ndarray):
+    """sum((predicted - actual)^2) and sum((actual - mean)^2) for each row of
+    two (k, w) stacks of windows.
+
+    Each row gets the same bits as the one-window form would: a
+    row-wise mean is the same pairwise sum, and a stacked (1, w) @ (w, 1)
+    product is the same dot product as dev @ dev.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = actual - actual.mean(axis=1, keepdims=True)
+        err = predicted - actual
+        return (np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0],
+                np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0])
+
+
+def _scores(actual: np.ndarray, predicted: np.ndarray,
+            horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """relative_mse and baseline_error of each row of two (k, w) stacks of
+    windows with finite actual values; NaN where a row cannot be scored
+    (non-finite predictions, zero variance, or too few points)."""
+    num, denom = _sums(actual, predicted)
+    usable = np.isfinite(predicted).all(axis=1) & (denom > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(usable, num / denom, np.nan)
+        if actual.shape[1] < horizon + 2:
+            return rel, np.full(actual.shape[0], np.nan)
+        num, denom = _sums(actual[:, horizon:], actual[:, :-horizon])
+        return rel, np.where(denom > 0.0, num / denom, np.nan)
 
 
 def relative_mse(actual, predicted) -> float:
@@ -35,19 +66,21 @@ def relative_mse(actual, predicted) -> float:
         raise ValueError("need at least two points to score a window")
     if not (np.isfinite(a).all() and np.isfinite(p).all()):
         raise ValueError("scores need finite inputs")
-    dev = a - a.mean()
-    denom = float(dev @ dev)
-    if denom <= 0.0:
+    num, denom = _sums(a[None], p[None])
+    if denom[0] <= 0.0:
         raise DegenerateWindowError("actual values have zero variance")
-    err = p - a
-    return float(err @ err) / denom
+    return float(num[0]) / float(denom[0])
+
+
+def _check_horizon(horizon) -> None:
+    if not isinstance(horizon, Integral) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
 
 
 def baseline_error(actual, horizon: int) -> float:
     """relative_mse of the naive matched-horizon forecast
     v_hat(t + horizon) = v(t), over this window's actuals."""
-    if not isinstance(horizon, Integral) or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    _check_horizon(horizon)
     a = np.asarray(actual, dtype=float)
     if a.ndim != 1:
         raise ValueError("actual must be 1-d")
@@ -104,28 +137,46 @@ class ErrorWindow:
 
     @property
     def score_ratio(self) -> float:
-        """rel_mse / baseline_rel_mse; NaN when either side is unusable."""
-        if self.degenerate or not self.baseline_rel_mse > 0:
+        """rel_mse / baseline_rel_mse; NaN when the window is degenerate or
+        the baseline is not finite and positive."""
+        if self.degenerate or not 0.0 < self.baseline_rel_mse < math.inf:
             return math.nan
         return self.rel_mse / self.baseline_rel_mse
 
 
-def _partition(frame: ForecastFrame, bucketing: Bucketing) -> list[tuple[str, int, int]]:
+def _stacks(frame: ForecastFrame, bucketing: Bucketing):
+    """Window labels, and the windows as stacks (first record, windows,
+    width) of consecutive windows of one width."""
     n = len(frame)
     if isinstance(bucketing, WindowBuckets):
-        w = bucketing.width
-        return [(f"w{k:03d}", lo, min(lo + w, n))
-                for k, lo in enumerate(range(0, n, w))]
+        k, short = divmod(n, bucketing.width)
+        stacks = [(0, k, bucketing.width)] if k else []
+        if short:
+            stacks.append((n - short, 1, short))
+        return [f"w{i:03d}" for i in range(k + bool(short))], stacks
     if isinstance(bucketing, YearBuckets):
-        years = [d.year for d in frame.dates]
-        bounds: list[tuple[str, int, int]] = []
-        lo = 0
-        for i in range(1, n + 1):
-            if i == n or years[i] != years[lo]:
-                bounds.append((str(years[lo]), lo, i))
-                lo = i
-        return bounds
+        t = frame.target_times
+        if not (t[1:] > t[:-1]).all():
+            raise ValueError("year buckets need increasing target times")
+
+        def year(j: int) -> int:
+            return frame.target_date(j).year
+
+        labels, stacks, lo = [], [], 0
+        while lo < n:
+            hi = bisect_right(range(n), year(lo), lo, key=year)
+            labels.append(str(year(lo)))
+            stacks.append((lo, 1, hi - lo))
+            lo = hi
+        return labels, stacks
     raise ValueError(f"unknown bucketing {bucketing!r}")
+
+
+def _score_frame(frame: ForecastFrame, lo: int, k: int, w: int,
+                 horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """_scores of the k windows of width w from record lo on."""
+    return _scores(frame.actual[lo:lo + k * w].reshape(k, w),
+                   frame.predicted[lo:lo + k * w].reshape(k, w), horizon)
 
 
 def error_by_period(frame: ForecastFrame, bucketing: Bucketing,
@@ -133,30 +184,28 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing,
     """Score every bucket of a forecast frame; buckets partition the records.
 
     horizon defaults to the frame's own; it exists so the naive baseline
-    can be evaluated at the same lead as the model forecasts.
+    can be evaluated at the same lead as the model forecasts.  The frame's
+    actual values must be finite.
     """
     if len(frame) == 0:
         raise ValueError("no forecast records to score")
     h = frame.horizon if horizon is None else horizon
-    out: list[ErrorWindow] = []
-    for label, lo, hi in _partition(frame, bucketing):
-        a = frame.actual[lo:hi]
-        p = frame.predicted[lo:hi]
-        try:
-            rel = relative_mse(a, p)
-        except (DegenerateWindowError, ValueError):
-            rel = math.nan
-        try:
-            base = baseline_error(a, h)
-        except DegenerateWindowError:
-            base = math.nan
-        out.append(ErrorWindow(
-            label=label, start=frame.dates[lo], end=frame.dates[hi - 1],
-            start_index=int(frame.target_times[lo]),
-            end_index=int(frame.target_times[hi - 1]),
-            n_points=hi - lo, rel_mse=rel, baseline_rel_mse=base,
-            degenerate=not (math.isfinite(rel) and math.isfinite(base))))
-    return out
+    _check_horizon(h)
+    if not np.isfinite(frame.actual).all():
+        raise ValueError("scores need finite actual values")
+    labels, stacks = _stacks(frame, bucketing)
+    scores = [_score_frame(frame, lo, k, w, h) for lo, k, w in stacks]
+    rel = np.concatenate([r for r, _ in scores]).tolist()
+    base = np.concatenate([b for _, b in scores]).tolist()
+    bounds = [(lo + i * w, lo + (i + 1) * w) for lo, k, w in stacks
+              for i in range(k)]
+    t = frame.target_times
+    return [ErrorWindow(label=label, start=frame.target_date(lo),
+                        end=frame.target_date(hi - 1),
+                        start_index=int(t[lo]), end_index=int(t[hi - 1]),
+                        n_points=hi - lo, rel_mse=r, baseline_rel_mse=b,
+                        degenerate=not (math.isfinite(r) and math.isfinite(b)))
+            for label, (lo, hi), r, b in zip(labels, bounds, rel, base)]
 
 
 @dataclass(frozen=True)
@@ -224,33 +273,33 @@ class PredictabilityReport:
 def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
                  rank_tolerance: float = 1e-10,
                  standardize: bool = False) -> PredictabilityReport:
-    """Fit on the earliest fit_window constraints, forecast everything
-    after, and score per bucket, separately for each anticipation value."""
-    tracks: list[ForecastTrack] = []
+    """Fit on the earliest fit_window constraints, separately for each
+    anticipation value, then forecast everything after in one pass over
+    the anchors and score per bucket."""
+    models: list[FittedModel] = []
+    counts: list[int] = []
     for horizon in protocol.anticipation:
         cfg = protocol.embed_config(horizon)
-        dm = embed(series, cfg)
-        model = fit(dm, rank_tolerance=rank_tolerance, standardize=standardize)
-        first = cfg.span + protocol.fit_window
+        models.append(fit(embed(series, cfg), rank_tolerance=rank_tolerance,
+                          standardize=standardize))
+        first = cfg.span + protocol.fit_window  # the same for every horizon
         last = len(series) - 1 - horizon
         if last < first:
             raise InfeasibleWindowError(
                 f"anticipation {horizon}: no out-of-sample anchors "
                 f"(first candidate {first}, last feasible {last})",
                 start=first, available=len(series))
-        frame = forecast_series(series, model, range(first, last + 1))
+        counts.append(last - first + 1)
+    frames = forecast_batch(series, models, np.arange(first, first + max(counts)),
+                            counts)
+    tracks: list[ForecastTrack] = []
+    for horizon, model, frame in zip(protocol.anticipation, models, frames):
         windows = error_by_period(frame, protocol.bucketing, horizon)
-        try:
-            overall = relative_mse(frame.actual, frame.predicted)
-        except (DegenerateWindowError, ValueError):
-            overall = math.nan
-        try:
-            base = baseline_error(frame.actual, horizon)
-        except DegenerateWindowError:
-            base = math.nan
+        overall, base = _score_frame(frame, 0, 1, len(frame), horizon)
         tracks.append(ForecastTrack(horizon=horizon, model=model, frame=frame,
-                                    windows=tuple(windows), rel_mse=overall,
-                                    baseline_rel_mse=base))
+                                    windows=tuple(windows),
+                                    rel_mse=float(overall[0]),
+                                    baseline_rel_mse=float(base[0])))
     return PredictabilityReport(series_name=series.name, protocol=protocol,
                                 rank_tolerance=float(rank_tolerance),
                                 standardized=bool(standardize),

@@ -184,7 +184,8 @@ def fit(dm: DesignMatrix, rank_tolerance: float = 1e-10,
         coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
     else:
         coef, rank, s = lstsq_min_norm(W, y, rank_tolerance)
-    residual = float(np.linalg.norm(W @ coef - y))
+    with np.errstate(over="ignore"):
+        residual = float(np.linalg.norm(W @ coef - y))
     return FittedModel(
         coefficients=coef,
         config=dm.config,
@@ -213,30 +214,39 @@ class ForecastFrame:
 
     Entry j predicts the observation at target_times[j] =
     times[j] + horizon from the delay vector anchored at times[j];
-    dates/actual are indexed by the target.
+    actual is indexed by the target.  series_dates holds the dates of the
+    whole series, so record j falls on series_dates[target_times[j]].
+    The arrays are read-only views of the ones given, not copies.
     """
 
     times: np.ndarray
     target_times: np.ndarray
-    dates: tuple[date, ...]
+    series_dates: tuple[date, ...]
     actual: np.ndarray
     predicted: np.ndarray
     horizon: int
 
     def __post_init__(self):
         for name in ("times", "target_times", "actual", "predicted"):
-            arr = np.array(getattr(self, name),
-                           dtype=int if name.endswith("times") else float)
+            arr = np.asarray(getattr(self, name),
+                             dtype=int if name.endswith("times") else float).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "series_dates", tuple(self.series_dates))
         n = self.times.size
-        if not (self.target_times.size == len(self.dates) == self.actual.size
-                == self.predicted.size == n):
-            raise ValueError("all record fields must share one length")
+        if not all(getattr(self, name).shape == (n,) for name in
+                   ("times", "target_times", "actual", "predicted")):
+            raise ValueError("all record fields must be 1-d and share one length")
+        if n and not (0 <= self.target_times.min()
+                      and self.target_times.max() < len(self.series_dates)):
+            raise ValueError("target_times must index series_dates")
 
     def __len__(self) -> int:
         return int(self.times.size)
+
+    def target_date(self, j: int) -> date:
+        """The date of record j's target."""
+        return self.series_dates[self.target_times[j]]
 
 
 # Forecast features are built in blocks of anchors, each about this many
@@ -252,51 +262,79 @@ def forecast_block_rows(n_features: int) -> int:
     output rows (OpenBLAS dgemv takes them four at a time) as it is in one
     product over every anchor, so with one BLAS thread each prediction has
     the same bits as it would have there.  At least 128 rows, so a last
-    block moved 64 rows back (see forecast_series) still reaches the end.
+    block moved 64 rows back (see forecast_batch) still reaches the end.
     """
     return max(128, _FORECAST_BLOCK_BYTES // (8 * n_features) // 64 * 64)
 
 
-def forecast_series(series: TimeSeries, model: FittedModel, times) -> ForecastFrame:
-    """Direct horizon-step predictions for every anchor index in times.
+def forecast_batch(series: TimeSeries, models, times,
+                   counts) -> list[ForecastFrame]:
+    """Direct predictions of several models from one pass over the anchors.
 
-    Each prediction uses the observed delay vector at its anchor; model
-    output is never fed back.  An empty times yields an empty frame.
-    Features are built and applied one block of forecast_block_rows
-    anchors at a time, in one reused buffer.
+    Model k predicts from the anchors times[:counts[k]].  The models share
+    one embedding (dim, lag, degree) and may differ in horizon and
+    coefficients, so the delay vectors and features of each block of
+    forecast_block_rows anchors are built once, in one reused buffer, and
+    every model applies its own coefficients to them.  Each prediction
+    uses the observed delay vector at its anchor; model output is never
+    fed back.
     """
-    cfg = model.config
-    t = np.asarray(list(times), dtype=int)
-    if t.size == 0:
-        return ForecastFrame(times=t, target_times=t, dates=(),
-                             actual=np.empty(0), predicted=np.empty(0),
-                             horizon=cfg.horizon)
+    models = list(models)
+    counts = [int(c) for c in counts]
+    t = np.asarray(times, dtype=int)
+    if not models or len(counts) != len(models) or t.ndim != 1:
+        raise ValueError("need 1-d times and one anchor count per model")
+    cfg = models[0].config
+    if any((m.config.dim, m.config.degree, m.config.lag)
+           != (cfg.dim, cfg.degree, cfg.lag) for m in models):
+        raise ValueError("models in one batch must share dim, degree and lag")
+    values = series.values
     n_obs = len(series)
-    if int(t.min()) < cfg.span or int(t.max()) + cfg.horizon > n_obs - 1:
-        raise InfeasibleWindowError(
-            f"anchors [{t.min()}, {t.max()}] with span {cfg.span} and horizon "
-            f"{cfg.horizon} do not fit a series of {n_obs} points",
-            start=int(t.min()), needed=int(t.max()) + cfg.horizon + 1,
-            available=n_obs)
-    target_times = t + cfg.horizon
-    actual = series.values[target_times]
+    for model, count in zip(models, counts):
+        if not 0 <= count <= t.size:
+            raise ValueError(f"anchor count {count} outside [0, {t.size}]")
+        own, horizon = t[:count], model.config.horizon
+        if count and (int(own.min()) < cfg.span
+                      or int(own.max()) + horizon > n_obs - 1):
+            raise InfeasibleWindowError(
+                f"anchors [{own.min()}, {own.max()}] with span {cfg.span} and "
+                f"horizon {horizon} do not fit a series of {n_obs} points",
+                start=int(own.min()), needed=int(own.max()) + horizon + 1,
+                available=n_obs)
+    actual = [values[t[:c] + m.config.horizon] for m, c in zip(models, counts)]
+    predicted = [np.empty(c) for c in counts]
     rows = forecast_block_rows(cfg.n_features)
     block = np.empty((rows, cfg.n_features))
-    predicted = np.empty(t.size)
-    starts = list(range(0, t.size, rows))
-    if t.size % rows == 1 and t.size > 1:
-        # numpy applies a one-row product as a dot product, whose sum can
-        # differ in the last bit from gemv's: end on 65 rows instead.
-        starts[-1] -= 64
-    for lo in starts:
-        anchors = t[lo:lo + rows]
-        delays = delay_matrix(series.values, anchors, cfg.dim, cfg.lag)
+    stop = max(counts)
+    for lo in range(0, stop, rows):
+        anchors = t[lo:min(lo + rows, stop)]
+        delays = delay_matrix(values, anchors, cfg.dim, cfg.lag)
+        live = [(k, min(c - lo, rows)) for k, c in enumerate(counts) if c > lo]
         if not (np.isfinite(delays).all()
-                and np.isfinite(actual[lo:lo + anchors.size]).all()):
+                and all(np.isfinite(actual[k][lo:lo + m]).all() for k, m in live)):
             raise ValueError("series has missing values in the forecast range; "
                              "clean it first")
         features = feature_matrix(delays, cfg.degree, out=block[:anchors.size])
-        predicted[lo:lo + anchors.size] = predict(model, features)
-    return ForecastFrame(times=t, target_times=target_times,
-                         dates=tuple(series.dates[i] for i in target_times),
-                         actual=actual, predicted=predicted, horizon=cfg.horizon)
+        # numpy applies a one-row product as a dot product, whose sum can
+        # differ in the last bit from gemv's: a model whose last block is one
+        # row predicts its last 65 rows instead, rebuilt in the buffer once
+        # every other model is done with this block.
+        ends = [k for k, m in live if m == 1 and counts[k] > 1]
+        for k, m in live:
+            if k not in ends:
+                predicted[k][lo:lo + m] = predict(models[k], features[:m])
+        for k in ends:
+            tail = delay_matrix(values, t[lo - 64:lo + 1], cfg.dim, cfg.lag)
+            predicted[k][lo - 64:lo + 1] = predict(
+                models[k], feature_matrix(tail, cfg.degree, out=block[:65]))
+    return [ForecastFrame(times=t[:c], target_times=t[:c] + m.config.horizon,
+                          series_dates=series.dates, actual=a, predicted=p,
+                          horizon=m.config.horizon)
+            for m, c, a, p in zip(models, counts, actual, predicted)]
+
+
+def forecast_series(series: TimeSeries, model: FittedModel, times) -> ForecastFrame:
+    """Direct horizon-step predictions for every anchor index in times:
+    forecast_batch for one model.  An empty times yields an empty frame."""
+    t = np.asarray(list(times), dtype=int)
+    return forecast_batch(series, [model], t, [t.size])[0]

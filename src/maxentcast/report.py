@@ -138,8 +138,14 @@ def dumps_canonical(obj: Any) -> str:
                       allow_nan=False)
 
 
+# write_text_atomic encodes this many characters at a time, so a large
+# text is never held a second time as one whole bytes object.
+_WRITE_SLICE = 1 << 20
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text durably via a temp file in the same directory, then rename.
+    """Write text as UTF-8, durably, via a temp file in the same directory,
+    then rename.
 
     The file gets mode ``0o666 & ~umask``, as a plain ``open`` would give
     it.  It is fsynced before the rename and the directory after it, so a
@@ -150,8 +156,9 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

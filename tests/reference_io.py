@@ -123,7 +123,8 @@ def _fmt(x: float) -> str:
 
 def forecast_csv_text(frame) -> str:
     lines = ["date,actual,predicted"]
-    for day, actual, predicted in zip(frame.dates, frame.actual, frame.predicted):
+    days = [frame.series_dates[i] for i in frame.target_times]
+    for day, actual, predicted in zip(days, frame.actual, frame.predicted):
         lines.append(f"{day.isoformat()},{_fmt(actual)},{_fmt(predicted)}")
     return "\n".join(lines) + "\n"
 

@@ -141,29 +141,37 @@ FORECAST_HASH = """
 import hashlib, sys
 import numpy as np
 from maxentcast import FittedModel, gen_random_walk, forecast_series
-model = FittedModel.load(sys.argv[1])
-series = gen_random_walk(int(sys.argv[2]), 1.0, seed=int(sys.argv[3]))
-cfg = model.config
-frame = forecast_series(series, model,
-                        range(cfg.span + cfg.n_fit, len(series) - cfg.horizon))
-print(hashlib.sha256(frame.predicted.tobytes()).hexdigest())
+from maxentcast.model import forecast_batch
+models = [FittedModel.load(path) for path in sys.argv[3:]]
+series = gen_random_walk(int(sys.argv[1]), 1.0, seed=int(sys.argv[2]))
+cfg = models[0].config
+first = cfg.span + cfg.n_fit
+frames = [forecast_series(series, models[0], range(first, len(series) - cfg.horizon))]
+counts = [len(series) - m.config.horizon - first for m in models]
+frames += forecast_batch(series, models, np.arange(first, first + max(counts)),
+                         counts)
+print(hashlib.sha256(b"".join(f.predicted.tobytes() for f in frames)).hexdigest())
 """
 
 
 def test_predictions_do_not_depend_on_blas_threads(tmp_path):
     # 199,275 anchors: one product over all of them, split over two
-    # threads, changes the last bits of some predictions
+    # threads, changes the last bits of some predictions.  The models are
+    # fitted once and saved, because fitted coefficients themselves
+    # depend on the thread count.
     n, seed = 199_987, 11
-    cfg = EmbedConfig(dim=6, degree=3, horizon=HORIZON, n_fit=700)
-    model = fit(embed(gen_random_walk(n, 1.0, seed=seed), cfg))
-    path = tmp_path / "model.json"
-    model.save(path)
+    series = gen_random_walk(n, 1.0, seed=seed)
+    paths = []
+    for horizon in (HORIZON, 10, 13, 16):
+        cfg = EmbedConfig(dim=6, degree=3, horizon=horizon, n_fit=700)
+        paths.append(tmp_path / f"model_T{horizon}.json")
+        fit(embed(series, cfg)).save(paths[-1])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", FORECAST_HASH, str(path),
-                               str(n), str(seed)],
+        proc = subprocess.run([sys.executable, "-c", FORECAST_HASH, str(n),
+                               str(seed), *map(str, paths)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())

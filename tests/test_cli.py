@@ -203,6 +203,23 @@ def test_run_overflowing_features_is_numerical_error(write_csv, tmp_path):
     assert json.loads(lines[0])["category"] == "numerical"
 
 
+def test_run_near_overflow_prints_no_numpy_warning(write_csv, tmp_path):
+    # with --np 1 the features stay finite, but the fit residual and the
+    # window sums of squares overflow; the run still completes
+    days = np.busday_offset(np.datetime64("2000-01-03"), np.arange(1200),
+                            roll="forward")
+    walk = np.cumsum(np.random.default_rng(1).standard_normal(1200))
+    values = 1e160 * (1.0 + 0.01 * walk)
+    path = write_csv([f"{d},{float(v)!r}"
+                      for d, v in zip(np.datetime_as_string(days), values)])
+    proc = subprocess.run([sys.executable, "-m", "maxentcast", "run",
+                           "--input", str(path), "--np", "1",
+                           "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert not [line for line in proc.stderr.splitlines() if "Warning" in line]
+
+
 # ----------------------------------------------------------------- verify
 
 def synth_run_verify(capsys, tmp_path, synth_args, run_args):

@@ -64,6 +64,14 @@ def test_nonpositive_baseline_is_stochastic():
     assert labels[0].regime is Regime.STOCHASTIC
 
 
+def test_infinite_baseline_is_stochastic():
+    labels = classify([make_window(0.1, math.inf), make_window(0.1, 1.0)],
+                      DetectorConfig(theta=0.5, min_run=1))
+    assert labels[0].regime is Regime.STOCHASTIC
+    assert math.isnan(labels[0].score)
+    assert labels[1].regime is Regime.PREDICTABLE
+
+
 def test_labels_carry_window_identity():
     labels = classify(windows_from_ratios([0.1, 0.1]), DetectorConfig())
     assert [lab.window_index for lab in labels] == [0, 1]

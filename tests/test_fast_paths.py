@@ -199,8 +199,9 @@ def test_clean_matches_reference(days, values):
 def _frame(values, horizon=3):
     n = len(values)
     times = np.arange(n)
-    dates = tuple(MONDAY + timedelta(days=int(k)) for k in times + horizon)
-    return ForecastFrame(times=times, target_times=times + horizon, dates=dates,
+    dates = tuple(MONDAY + timedelta(days=k) for k in range(n + horizon))
+    return ForecastFrame(times=times, target_times=times + horizon,
+                         series_dates=dates,
                          actual=np.asarray(values, dtype=float),
                          predicted=-np.asarray(values, dtype=float),
                          horizon=horizon), n + horizon

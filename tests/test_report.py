@@ -88,6 +88,13 @@ def test_write_text_atomic_leaves_no_temp_files(tmp_path):
     assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
 
 
+def test_write_text_atomic_writes_long_text_whole(tmp_path):
+    # longer than one encoded slice, with two-byte characters throughout
+    text = "ab\u00e9\n" * 400_000
+    write_text_atomic(tmp_path / "long.txt", text)
+    assert (tmp_path / "long.txt").read_bytes() == text.encode("utf-8")
+
+
 def test_write_text_atomic_mode_follows_umask(tmp_path):
     old = os.umask(0o027)
     try:

@@ -1,0 +1,185 @@
+"""One forecast pass for every horizon, and stacked window scoring, against
+the one-horizon-at-a-time reference.
+
+``reference_protocol`` keeps the loop that fits, forecasts and scores each
+anticipation value on its own, window by window.  ``run_protocol`` builds
+the features of each block of anchors once for all horizons and scores
+equal-width windows as one stack; every track's coefficients,
+predictions, window scores and whole-track scores must have the same
+bytes.  The comparisons hold for one BLAS thread, which ``conftest`` pins
+before numpy is imported.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_design
+import reference_protocol as ref
+from maxentcast import (EmbedConfig, ForecastFrame, ProtocolConfig,
+                        WindowBuckets, YearBuckets, error_by_period,
+                        forecast_batch, gen_random_walk, run_protocol)
+from maxentcast.model import forecast_block_rows
+
+from conftest import BLAS_PINNED, daily_series
+from test_blocked_forecast import model_for
+from test_evaluate import make_frame
+
+
+@pytest.fixture(autouse=True)
+def blas_pinned():
+    assert BLAS_PINNED, "numpy was imported before tests/conftest.py pinned BLAS"
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def window_rows(windows) -> list[tuple]:
+    return [(w.label, w.start, w.end, w.start_index, w.end_index, w.n_points,
+             bits(w.rel_mse), bits(w.baseline_rel_mse), w.degenerate)
+            for w in windows]
+
+
+def reference_rows(rows) -> list[tuple]:
+    return [(*row[:6], bits(row[6]), bits(row[7]), row[8]) for row in rows]
+
+
+def assert_matches_reference(series, protocol, **fit_args):
+    report = run_protocol(series, protocol, **fit_args)
+    expected = ref.run_protocol(series, protocol, **fit_args)
+    assert len(report.tracks) == len(expected)
+    for track, (coef, actual, predicted, windows, rel, base) in zip(
+            report.tracks, expected):
+        what = f"T={track.horizon}"
+        assert track.model.coefficients.tobytes() == coef.tobytes(), what
+        assert track.frame.actual.tobytes() == actual.tobytes(), what
+        assert track.frame.predicted.tobytes() == predicted.tobytes(), what
+        assert window_rows(track.windows) == reference_rows(windows), what
+        assert bits(track.rel_mse) == bits(rel), what
+        assert bits(track.baseline_rel_mse) == bits(base), what
+    return report
+
+
+def test_last_block_of_one_row():
+    # T = 7 has 15,361 anchors, ten 1,536-row blocks and one more
+    protocol = ProtocolConfig(dim=6, degree=3, bucketing=WindowBuckets(250))
+    report = assert_matches_reference(gen_random_walk(16_073, 1.0, seed=3),
+                                      protocol)
+    assert len(report.tracks[0].frame) == 10 * forecast_block_rows(84) + 1
+
+
+def test_horizon_with_one_anchor():
+    protocol = ProtocolConfig(dim=6, degree=3, bucketing=WindowBuckets(250))
+    report = assert_matches_reference(gen_random_walk(722, 1.0, seed=4),
+                                      protocol)
+    assert [len(t.frame) for t in report.tracks] == [10, 7, 4, 1]
+
+
+def test_year_buckets():
+    report = assert_matches_reference(gen_random_walk(4_000, 1.0, seed=5),
+                                      ProtocolConfig(bucketing=YearBuckets()))
+    assert [w.label for w in report.tracks[0].windows][:2] == ["2001", "2002"]
+
+
+@pytest.mark.parametrize("width", [7, 97, 250])
+def test_short_last_window_and_narrow_windows(width):
+    # width 7 is below T + 2 for every horizon: no window has a baseline
+    series = gen_random_walk(3_001, 1.0, seed=6)
+    report = assert_matches_reference(
+        series, ProtocolConfig(dim=2, degree=1, bucketing=WindowBuckets(width)),
+        rank_tolerance=0.2, standardize=True)
+    assert any(len(t.frame) % width for t in report.tracks)
+
+
+def test_zero_variance_windows():
+    walk = gen_random_walk(3_000, 1.0, seed=7).values
+    values = np.concatenate([walk[:1_500], np.full(400, walk[1_499]),
+                             walk[1_500:]])
+    report = assert_matches_reference(
+        daily_series(values),
+        ProtocolConfig(dim=2, degree=1, bucketing=WindowBuckets(50)))
+    assert any(w.degenerate for w in report.tracks[0].windows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 400), width=st.integers(2, 60),
+       horizon=st.integers(1, 20), day_step=st.sampled_from([1, 7, 45]),
+       flat=st.integers(0, 80), n_bad=st.integers(0, 3),
+       scale=st.sampled_from([1.0, 1e-150, 1e155]),
+       seed=st.integers(0, 2**31))
+def test_scoring_matches_per_window_reference(n, width, horizon, day_step,
+                                              flat, n_bad, scale, seed):
+    rng = np.random.default_rng(seed)
+    actual = scale * np.cumsum(rng.standard_normal(n))
+    start = rng.integers(0, n)
+    actual[start:start + flat] = actual[start]          # zero-variance stretch
+    predicted = actual + scale * rng.standard_normal(n)
+    predicted[rng.integers(0, n, size=n_bad)] = rng.choice(
+        [np.nan, np.inf, -np.inf], size=n_bad)
+    frame = make_frame(actual, predicted, horizon, day_step=day_step)
+    target_dates = [frame.target_date(j) for j in range(n)]
+    for bucketing in (WindowBuckets(width), YearBuckets(), WindowBuckets(n)):
+        expected = ref.windows(target_dates, frame.target_times, actual,
+                               predicted, bucketing, horizon)
+        assert (window_rows(error_by_period(frame, bucketing))
+                == reference_rows(expected)), bucketing
+    # the whole frame as one window is the whole-track score
+    whole = error_by_period(frame, WindowBuckets(n))[0]
+    rel, base = ref.scores(actual, predicted, horizon)
+    assert (bits(whole.rel_mse), bits(whole.baseline_rel_mse)) == (bits(rel),
+                                                                    bits(base))
+
+
+def test_shared_pass_matches_whole_matrix():
+    # every model of the batch ends its anchors near a block edge
+    dim, degree = 6, 3
+    block = forecast_block_rows(84)
+    counts = [2 * block + 1, 2 * block, block + 1, block - 1, 65, 64, 1]
+    horizons = range(1, len(counts) + 1)
+    rng = np.random.default_rng(8)
+    span = dim - 1
+    values = np.cumsum(rng.standard_normal(span + max(counts) + len(counts)))
+    models = [model_for(rng.standard_normal(84),
+                        EmbedConfig(dim=dim, degree=degree, horizon=h, n_fit=1))
+              for h in horizons]
+    times = np.arange(span, span + max(counts))
+    frames = forecast_batch(daily_series(values), models, times, counts)
+    for model, count, frame in zip(models, counts, frames):
+        expected = reference_design.forecast_predicted(
+            values, model.coefficients, times[:count], dim, degree, 1)
+        assert frame.predicted.tobytes() == expected.tobytes(), count
+        target = times[:count] + model.config.horizon
+        assert frame.actual.tobytes() == values[target].tobytes()
+
+
+def test_batch_models_must_share_an_embedding():
+    a = model_for(np.ones(3), EmbedConfig(dim=2, degree=1, horizon=1, n_fit=1))
+    b = model_for(np.ones(6), EmbedConfig(dim=2, degree=2, horizon=2, n_fit=1))
+    series = daily_series(np.arange(20.0))
+    with pytest.raises(ValueError):
+        forecast_batch(series, [a, b], np.arange(1, 10), [9, 9])
+
+
+def test_year_buckets_need_increasing_targets():
+    frame = ForecastFrame(times=np.array([2, 1]), target_times=np.array([3, 2]),
+                          series_dates=daily_series(np.zeros(5)).dates,
+                          actual=np.array([1.0, 2.0]),
+                          predicted=np.array([1.0, 2.0]), horizon=1)
+    with pytest.raises(ValueError):
+        error_by_period(frame, YearBuckets())
+
+
+def test_frame_holds_views_not_copies():
+    series = gen_random_walk(1_000, 1.0, seed=9)
+    frame = run_protocol(series, ProtocolConfig(anticipation=(7,),
+                                                bucketing=WindowBuckets(50))
+                         ).tracks[0].frame
+    assert frame.series_dates is series.dates
+    predicted = np.arange(4.0)
+    small = ForecastFrame(times=np.arange(4), target_times=np.arange(4),
+                          series_dates=series.dates[:4], actual=predicted,
+                          predicted=predicted, horizon=1)
+    assert np.shares_memory(small.predicted, predicted)
+    assert predicted.flags.writeable and not small.predicted.flags.writeable
