@@ -11,23 +11,19 @@ import argparse
 import collections
 import time
 
-from maxentcast import (DetectorConfig, PolyMapSpec, ProtocolConfig,
-                        RandomWalkSpec, Regime, WindowBuckets, classify,
-                        gen_spliced, generate, logistic_map_coefficients,
-                        rescale_map_coefficients, run_protocol)
+from maxentcast import (DetectorConfig, ProtocolConfig, RandomWalkSpec,
+                        Regime, WindowBuckets, classify, gen_spliced,
+                        logistic_splice, run_protocol)
+from maxentcast.synth import SPLICE_MAP_R, SPLICE_MAP_SCALE
 
 
 def run_trial(seed: int, args) -> tuple[bool, int | None, int]:
-    walk = RandomWalkSpec(n=args.splice, sigma=args.sigma, seed=seed)
-    walk_end = float(generate(walk).values[-1])
-    scale = args.map_scale * args.sigma
-    coeffs = rescale_map_coefficients(logistic_map_coefficients(args.map_r),
-                                      1, walk_end - 0.5 * scale, scale)
-    map_spec = PolyMapSpec(n=args.n_points - args.splice, dim=1,
-                           coefficients=coeffs,
-                           noise_sigma=args.noise_sigma * args.sigma,
-                           seed=seed + 1)
-    spliced = gen_spliced(walk, map_spec, args.splice)
+    spec = logistic_splice(RandomWalkSpec(n=args.splice, sigma=args.sigma,
+                                          seed=seed),
+                           args.n_points - args.splice,
+                           args.noise_sigma * args.sigma, args.map_r,
+                           args.map_scale)
+    spliced = gen_spliced(spec.first, spec.second)
 
     protocol = ProtocolConfig(dim=2, degree=1, fit_window=700,
                               anticipation=(7,),
@@ -57,9 +53,10 @@ def main() -> None:
     parser.add_argument("--sigma", type=float, default=1.0)
     parser.add_argument("--noise-sigma", type=float, default=0.01,
                         help="map noise in units of sigma (default 0.01)")
-    parser.add_argument("--map-r", type=float, default=3.59)
-    parser.add_argument("--map-scale", type=float, default=60.0,
-                        help="map amplitude in units of sigma (default 60)")
+    parser.add_argument("--map-r", type=float, default=SPLICE_MAP_R)
+    parser.add_argument("--map-scale", type=float, default=SPLICE_MAP_SCALE,
+                        help="map amplitude in units of sigma "
+                             "(default %(default)s)")
     parser.add_argument("--seed0", type=int, default=0)
     args = parser.parse_args()
 

@@ -26,8 +26,8 @@ def main() -> None:
                         help="length of each walk (default 2000)")
     parser.add_argument("--width", type=int, default=125,
                         help="scoring window width (default 125)")
-    parser.add_argument("--theta", type=float, default=0.5)
-    parser.add_argument("--min-run", type=int, default=2)
+    parser.add_argument("--theta", type=float, default=DetectorConfig.theta)
+    parser.add_argument("--min-run", type=int, default=DetectorConfig.min_run)
     parser.add_argument("--seed0", type=int, default=0,
                         help="first seed; series use seed0..seed0+n-1")
     args = parser.parse_args()

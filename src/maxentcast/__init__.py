@@ -10,9 +10,8 @@ predictable.
 from . import rng
 from ._version import __version__
 from .design import (DesignMatrix, EmbedConfig, count_coefficients,
-                     delay_matrix, delay_vector, embed, feature_matrix,
-                     max_rows, monomial_labels, monomial_terms,
-                     read_design_csv)
+                     delay_matrix, embed, feature_matrix, monomial_labels,
+                     monomial_terms)
 from .detect import DetectorConfig, Regime, RegimeLabel, changepoints, classify
 from .errors import (DegenerateMatrixError, DegenerateWindowError,
                      DimensionMismatchError, DivergentOrbitError,
@@ -34,15 +33,14 @@ from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      run_from_config, summary_csv_text, verify_detection,
                      write_json_atomic, write_run_artifacts, write_text_atomic)
 from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
-                    chaotic_quad_map_coefficients, continue_poly_map,
-                    gen_poly_map, gen_random_walk, gen_spliced, generate,
+                    chaotic_quad_map_coefficients, gen_poly_map,
+                    gen_random_walk, gen_spliced, generate,
                     henon_map_coefficients, logistic_map_coefficients,
-                    rescale_map_coefficients)
+                    logistic_splice, rescale_map_coefficients)
 
 __all__ = [
     "DesignMatrix", "EmbedConfig", "count_coefficients", "delay_matrix",
-    "delay_vector", "embed", "feature_matrix", "max_rows", "monomial_labels",
-    "monomial_terms", "read_design_csv",
+    "embed", "feature_matrix", "monomial_labels", "monomial_terms",
     "DetectorConfig", "Regime", "RegimeLabel", "changepoints", "classify",
     "DegenerateMatrixError", "DegenerateWindowError", "DimensionMismatchError",
     "DivergentOrbitError", "EmptySeriesError", "GapError",
@@ -61,8 +59,8 @@ __all__ = [
     "parse_bucket", "run_from_config", "summary_csv_text", "verify_detection",
     "write_json_atomic", "write_run_artifacts", "write_text_atomic",
     "PolyMapSpec", "RandomWalkSpec", "SplicedSeries", "SplicedSpec",
-    "chaotic_quad_map_coefficients", "continue_poly_map", "gen_poly_map",
-    "gen_random_walk", "gen_spliced", "generate", "henon_map_coefficients",
-    "logistic_map_coefficients", "rescale_map_coefficients",
+    "chaotic_quad_map_coefficients", "gen_poly_map", "gen_random_walk",
+    "gen_spliced", "generate", "henon_map_coefficients",
+    "logistic_map_coefficients", "logistic_splice", "rescale_map_coefficients",
     "rng", "__version__",
 ]

@@ -24,19 +24,21 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
+from .detect import DetectorConfig
 from .errors import (DegenerateMatrixError, DegenerateWindowError,
                      DimensionMismatchError, DivergentOrbitError,
                      EmptySeriesError, GapError, InfeasibleWindowError,
                      MaxentcastError, NumericalFailureError, ParseError,
                      SchemaMismatchError)
+from .evaluate import ProtocolConfig
 from .ingest import GAP_POLICIES
-from .report import (RunConfig, TRUTH_SCHEMA_VERSION, dumps_canonical,
-                     format_csv_rows, load_report, load_truth,
-                     run_from_config, verify_detection, write_json_atomic,
+from .report import (RunConfig, TRUTH_SCHEMA_VERSION, bucket_text,
+                     dumps_canonical, format_csv_rows, load_report,
+                     load_truth, parse_bucket, run_from_config,
+                     verify_detection, write_json_atomic, write_run_artifacts,
                      write_text_atomic)
-from .synth import (PolyMapSpec, RandomWalkSpec, gen_spliced, generate,
-                    logistic_map_coefficients, rescale_map_coefficients)
-from .synth import _walk_values as _raw_walk_values
+from .synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE, PolyMapSpec,
+                    RandomWalkSpec, SplicedSpec, generate, logistic_splice)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -91,36 +93,43 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"maxentcast {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = RunConfig(input_path="")
+    protocol, detector = defaults.protocol, defaults.detector
     run = sub.add_parser(
         "run", help="fit, forecast, score, and detect on a CSV series")
     run.add_argument("--input", required=True, help="input CSV path")
-    run.add_argument("--date-col", default="date")
-    run.add_argument("--value-col", default="value")
-    run.add_argument("--date-format", default="%Y-%m-%d")
-    run.add_argument("--gap-policy", default="ffill", choices=GAP_POLICIES)
-    run.add_argument("--d", type=int, default=4, dest="dim",
-                     help="embedding dimension (default 4)")
-    run.add_argument("--delta", type=int, default=1, dest="lag",
-                     help="time lag between delay components (default 1)")
-    run.add_argument("--np", type=int, default=2, dest="degree",
-                     help="polynomial degree (default 2)")
-    run.add_argument("--fit-window", type=int, default=700,
-                     help="number of fit constraints M (default 700)")
+    run.add_argument("--date-col", default=defaults.date_col,
+                     help="date column (default %(default)s)")
+    run.add_argument("--value-col", default=defaults.value_col,
+                     help="value column (default %(default)s)")
+    run.add_argument("--date-format", default=defaults.date_format,
+                     help="strptime pattern (default %(default)s)")
+    run.add_argument("--gap-policy", default=defaults.gap_policy,
+                     choices=GAP_POLICIES, help="(default %(default)s)")
+    run.add_argument("--d", type=int, default=protocol.dim, dest="dim",
+                     help="embedding dimension (default %(default)s)")
+    run.add_argument("--delta", type=int, default=protocol.lag, dest="lag",
+                     help="lag between delay components (default %(default)s)")
+    run.add_argument("--np", type=int, default=protocol.degree, dest="degree",
+                     help="polynomial degree (default %(default)s)")
+    run.add_argument("--fit-window", type=int, default=protocol.fit_window,
+                     help="number of fit constraints M (default %(default)s)")
     run.add_argument("--anticipation", type=int, action="append",
                      metavar="T",
-                     help="forecast horizon, repeatable "
-                          "(default 7 10 13 16)")
-    run.add_argument("--bucket", default="year",
-                     help="'year' or 'window:N' (default year)")
-    run.add_argument("--theta", type=float, default=0.5,
-                     help="detector ratio threshold (default 0.5)")
-    run.add_argument("--min-run", type=int, default=2,
-                     help="minimum consecutive flagged windows (default 2)")
-    run.add_argument("--rank-tol", type=float, default=1e-10,
-                     help="relative singular-value cutoff (default 1e-10)")
+                     help="forecast horizon, repeatable (default "
+                          + " ".join(map(str, protocol.anticipation)) + ")")
+    run.add_argument("--bucket", default=bucket_text(protocol.bucketing),
+                     help="'year' or 'window:N' (default %(default)s)")
+    run.add_argument("--theta", type=float, default=detector.theta,
+                     help="detector ratio threshold (default %(default)s)")
+    run.add_argument("--min-run", type=int, default=detector.min_run,
+                     help="consecutive flagged windows (default %(default)s)")
+    run.add_argument("--rank-tol", type=float, default=defaults.rank_tolerance,
+                     help="singular-value cutoff (default %(default)s)")
     run.add_argument("--standardize", action="store_true",
                      help="z-score feature columns before the fit")
-    run.add_argument("--out", default=".", help="output directory")
+    run.add_argument("--out", default=defaults.out_dir,
+                     help="output directory (default %(default)s)")
 
     synth = sub.add_parser(
         "synth", help="generate a synthetic series with ground truth")
@@ -149,12 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--splice", type=int, default=None,
                        help="walk length before the deterministic segment "
                             "(spliced only)")
-    synth.add_argument("--map-r", type=float, default=3.59,
+    synth.add_argument("--map-r", type=float, default=SPLICE_MAP_R,
                        help="logistic parameter for the auto map "
-                            "(spliced without --coeffs; default 3.59)")
-    synth.add_argument("--map-scale", type=float, default=60.0,
+                            "(spliced without --coeffs; default %(default)s)")
+    synth.add_argument("--map-scale", type=float, default=SPLICE_MAP_SCALE,
                        help="auto map amplitude in units of sigma "
-                            "(default 60)")
+                            "(default %(default)s)")
     synth.add_argument("--name", default=None, help="series name")
     synth.add_argument("--out", default=".", help="output directory")
 
@@ -165,19 +174,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    anticipation = tuple(args.anticipation) if args.anticipation \
-        else (7, 10, 13, 16)
-    config = RunConfig(
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The run's config, every setting checked; a flag left out takes the
+    RunConfig default, which the parser's defaults are read from."""
+    anticipation = args.anticipation or ProtocolConfig().anticipation
+    protocol = ProtocolConfig(dim=args.dim, degree=args.degree,
+                              fit_window=args.fit_window,
+                              anticipation=anticipation,
+                              bucketing=parse_bucket(args.bucket),
+                              lag=args.lag)
+    return RunConfig(
         input_path=args.input, date_col=args.date_col,
         value_col=args.value_col, date_format=args.date_format,
-        gap_policy=args.gap_policy, dim=args.dim, lag=args.lag,
-        degree=args.degree, fit_window=args.fit_window,
-        anticipation=anticipation, bucket=args.bucket, theta=args.theta,
-        min_run=args.min_run, rank_tolerance=args.rank_tol,
-        standardize=args.standardize, out_dir=args.out)
-    result = run_from_config(config)
-    from .report import write_run_artifacts
+        gap_policy=args.gap_policy, protocol=protocol,
+        detector=DetectorConfig(theta=args.theta, min_run=args.min_run),
+        rank_tolerance=args.rank_tol, standardize=args.standardize,
+        out_dir=args.out)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    result = run_from_config(_run_config(args))
     paths = write_run_artifacts(result)
     for key in sorted(paths):
         print(f"wrote {paths[key]}")
@@ -187,12 +203,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     name = args.name or args.kind
     truth: dict = {"schema_version": TRUTH_SCHEMA_VERSION, "kind": args.kind,
-                   "n": args.n, "seed": args.seed}
+                   "n": args.n, "seed": args.seed, "changepoint_index": None}
     if args.kind == "walk":
         spec = RandomWalkSpec(n=args.n, sigma=args.sigma, x0=args.x0,
                               seed=args.seed)
-        series = generate(spec, name=name)
-        truth["changepoint_index"] = None
         truth["params"] = {"sigma": args.sigma, "x0": args.x0}
     elif args.kind == "map":
         if args.coeffs is None or args.init is None:
@@ -202,8 +216,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         spec = PolyMapSpec(n=args.n, dim=args.dim, coefficients=args.coeffs,
                            init=args.init, noise_sigma=args.noise_sigma,
                            seed=args.seed, bound=args.bound)
-        series = generate(spec, name=name)
-        truth["changepoint_index"] = None
         truth["params"] = {"dim": args.dim, "coefficients": list(args.coeffs),
                            "init": list(args.init),
                            "noise_sigma": args.noise_sigma}
@@ -214,33 +226,26 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError("--splice must be inside the series")
         walk = RandomWalkSpec(n=args.splice, sigma=args.sigma, x0=args.x0,
                               seed=args.seed)
-        if args.coeffs is not None:
-            coeffs, dim = args.coeffs, args.dim
-        else:
-            # Two-band chaotic segment placed at the walk's final level so
-            # the deterministic half continues from where the walk stops.
-            walk_end = float(_raw_walk_values(args.splice, args.sigma,
-                                              args.x0, args.seed)[-1])
-            scale = args.map_scale * args.sigma
-            level = walk_end - 0.5 * scale
-            coeffs = rescale_map_coefficients(
-                logistic_map_coefficients(args.map_r), 1, level, scale)
-            dim = 1
         noise = args.noise_sigma if args.noise_sigma else 0.01 * args.sigma
-        map_spec = PolyMapSpec(n=args.n - args.splice, dim=dim,
-                               coefficients=coeffs, noise_sigma=noise,
-                               seed=args.seed + 1, bound=args.bound)
-        spliced = gen_spliced(walk, map_spec, args.splice)
-        series = spliced.series.with_name(name)
-        truth["changepoint_index"] = spliced.changepoint
+        if args.coeffs is None:
+            spec = logistic_splice(walk, args.n - args.splice, noise,
+                                   args.map_r, args.map_scale, args.bound)
+        else:
+            spec = SplicedSpec(walk, PolyMapSpec(
+                n=args.n - args.splice, dim=args.dim,
+                coefficients=args.coeffs, noise_sigma=noise,
+                seed=args.seed + 1, bound=args.bound), args.splice)
+        map_spec = spec.second
+        truth["changepoint_index"] = spec.splice_index
         truth["params"] = {
             "walk": {"sigma": args.sigma, "x0": args.x0, "n": args.splice},
-            "map": {"dim": dim, "coefficients": list(coeffs),
-                    "noise_sigma": noise, "seed": args.seed + 1},
+            "map": {"dim": map_spec.dim,
+                    "coefficients": list(map_spec.coefficients),
+                    "noise_sigma": noise, "seed": map_spec.seed},
         }
 
+    series = generate(spec, name=name)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series_path = out_dir / "series.csv"
     truth_path = out_dir / "truth.json"
     write_text_atomic(series_path, format_csv_rows(

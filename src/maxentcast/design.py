@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from numbers import Integral
-from pathlib import Path
 
 import numpy as np
 
@@ -126,36 +125,11 @@ def feature_matrix(delays: np.ndarray, degree: int,
     return out
 
 
-def delay_vector(values, t: int, dim: int, lag: int = 1) -> np.ndarray:
-    """[v(t), v(t-lag), ..., v(t-(dim-1)*lag)] from an index-time array."""
-    values = np.asarray(values, dtype=float)
-    if t - (dim - 1) * lag < 0 or t >= values.size:
-        raise InfeasibleWindowError(
-            f"index {t} cannot host a delay vector with dim={dim}, lag={lag}",
-            start=t, available=values.size)
-    return values[t - lag * np.arange(dim)]
-
-
 def delay_matrix(values, times, dim: int, lag: int = 1) -> np.ndarray:
     """Delay vectors for many indices at once, one per row."""
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=int)
     return np.column_stack([values[times - i * lag] for i in range(dim)])
-
-
-def max_rows(n_obs: int, dim: int, lag: int = 1, horizon: int = 1,
-             start: int | None = None) -> int:
-    """How many constraint rows a series of n_obs points can host.
-
-    A row anchored at index t needs history back to t - (dim-1)*lag and a
-    target at t + horizon, so t ranges over [start, n_obs - 1 - horizon].
-    """
-    span = (dim - 1) * lag
-    if start is None:
-        start = span
-    if start < span:
-        raise ValueError(f"start {start} is before the earliest feasible index {span}")
-    return max(0, n_obs - horizon - start)
 
 
 @dataclass(frozen=True)
@@ -194,27 +168,6 @@ class DesignMatrix:
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return monomial_labels(self.config.dim, self.config.degree)
-
-    def to_csv(self, path) -> None:
-        """One row per constraint: every feature column, then the target.
-
-        A debugging aid, not a stability-guaranteed format; %.17g keeps
-        doubles exact on a round trip.
-        """
-        header = ",".join((*self.labels, "target"))
-        data = np.column_stack([self.features, self.targets])
-        np.savetxt(Path(path), data, fmt="%.17g", delimiter=",",
-                   header=header, comments="")
-
-
-def read_design_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back what DesignMatrix.to_csv wrote: (features, targets)."""
-    data = np.loadtxt(Path(path), delimiter=",", skiprows=1, ndmin=2)
-    return data[:, :-1], data[:, -1]
 
 
 def embed(series: TimeSeries, config: EmbedConfig,

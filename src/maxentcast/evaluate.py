@@ -22,7 +22,8 @@ import numpy as np
 from .design import EmbedConfig, embed
 from .errors import DegenerateWindowError, InfeasibleWindowError
 from .ingest import TimeSeries
-from .model import FittedModel, ForecastFrame, fit, forecast_batch
+from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, fit,
+                    forecast_batch)
 
 
 def _sums(actual: np.ndarray, predicted: np.ndarray):
@@ -94,9 +95,6 @@ def baseline_error(actual, horizon: int) -> float:
 class YearBuckets:
     """Partition records by the calendar year of their target date."""
 
-    def to_payload(self) -> dict:
-        return {"kind": "year"}
-
 
 @dataclass(frozen=True)
 class WindowBuckets:
@@ -108,9 +106,6 @@ class WindowBuckets:
         if not isinstance(self.width, Integral) or self.width < 2:
             raise ValueError(f"window width must be an integer >= 2, got {self.width!r}")
         object.__setattr__(self, "width", int(self.width))
-
-    def to_payload(self) -> dict:
-        return {"kind": "window", "width": self.width}
 
 
 Bucketing = YearBuckets | WindowBuckets
@@ -179,17 +174,15 @@ def _score_frame(frame: ForecastFrame, lo: int, k: int, w: int,
                    frame.predicted[lo:lo + k * w].reshape(k, w), horizon)
 
 
-def error_by_period(frame: ForecastFrame, bucketing: Bucketing,
-                    horizon: int | None = None) -> list[ErrorWindow]:
+def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWindow]:
     """Score every bucket of a forecast frame; buckets partition the records.
 
-    horizon defaults to the frame's own; it exists so the naive baseline
-    can be evaluated at the same lead as the model forecasts.  The frame's
-    actual values must be finite.
+    The naive baseline is evaluated at the frame's horizon, the lead of the
+    model forecasts.  The frame's actual values must be finite.
     """
     if len(frame) == 0:
         raise ValueError("no forecast records to score")
-    h = frame.horizon if horizon is None else horizon
+    h = frame.horizon
     _check_horizon(h)
     if not np.isfinite(frame.actual).all():
         raise ValueError("scores need finite actual values")
@@ -242,12 +235,6 @@ class ProtocolConfig:
         return EmbedConfig(dim=self.dim, degree=self.degree, horizon=horizon,
                            n_fit=self.fit_window, lag=self.lag)
 
-    def to_payload(self) -> dict:
-        return {"dim": self.dim, "degree": self.degree,
-                "fit_window": self.fit_window,
-                "anticipation": list(self.anticipation),
-                "bucketing": self.bucketing.to_payload(), "lag": self.lag}
-
 
 @dataclass(frozen=True)
 class ForecastTrack:
@@ -271,7 +258,7 @@ class PredictabilityReport:
 
 
 def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
-                 rank_tolerance: float = 1e-10,
+                 rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
                  standardize: bool = False) -> PredictabilityReport:
     """Fit on the earliest fit_window constraints, separately for each
     anticipation value, then forecast everything after in one pass over
@@ -294,7 +281,7 @@ def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
                             counts)
     tracks: list[ForecastTrack] = []
     for horizon, model, frame in zip(protocol.anticipation, models, frames):
-        windows = error_by_period(frame, protocol.bucketing, horizon)
+        windows = error_by_period(frame, protocol.bucketing)
         overall, base = _score_frame(frame, 0, 1, len(frame), horizon)
         tracks.append(ForecastTrack(horizon=horizon, model=model, frame=frame,
                                     windows=tuple(windows),

@@ -21,6 +21,12 @@ from .errors import EmptySeriesError, GapError, ParseError
 
 GAP_POLICIES = ("ffill", "drop", "error")
 
+# The defaults of load_csv and clean.
+DEFAULT_DATE_COL = "date"
+DEFAULT_VALUE_COL = "value"
+DEFAULT_DATE_FORMAT = "%Y-%m-%d"
+DEFAULT_GAP_POLICY = "ffill"
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -60,13 +66,6 @@ class TimeSeries:
         return (self.name == other.name and self.dates == other.dates
                 and np.array_equal(self.values, other.values, equal_nan=True))
 
-    def with_name(self, name: str) -> "TimeSeries":
-        return TimeSeries(name=name, dates=self.dates, values=self.values)
-
-    @property
-    def is_clean(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
     @property
     def n_missing(self) -> int:
         return int(np.isnan(self.values).sum())
@@ -82,8 +81,9 @@ def _ordinals(dates) -> np.ndarray:
     return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
-def load_csv(path, date_col: str = "date", value_col: str = "value",
-             date_format: str = "%Y-%m-%d", on_bad_value: str = "error",
+def load_csv(path, date_col: str = DEFAULT_DATE_COL,
+             value_col: str = DEFAULT_VALUE_COL,
+             date_format: str = DEFAULT_DATE_FORMAT, on_bad_value: str = "error",
              name: str | None = None) -> TimeSeries:
     """Read (date, value) rows into a TimeSeries sorted by date.
 
@@ -161,7 +161,7 @@ def load_csv(path, date_col: str = "date", value_col: str = "value",
                       dates=tuple(dates), values=values)
 
 
-def clean(series: TimeSeries, policy: str = "ffill") -> TimeSeries:
+def clean(series: TimeSeries, policy: str = DEFAULT_GAP_POLICY) -> TimeSeries:
     """Repair missing observations.
 
     A gap is a NaN value or a business day absent between the first and

@@ -16,70 +16,62 @@ vectors only, never its own output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
 from .design import (DesignMatrix, EmbedConfig, delay_matrix, feature_matrix,
                      monomial_labels)
 from .errors import (DegenerateMatrixError, DimensionMismatchError,
-                     InfeasibleWindowError, NumericalFailureError,
-                     SchemaMismatchError)
+                     InfeasibleWindowError, NumericalFailureError)
 from .ingest import TimeSeries
 
 _ABS_FLOOR = 1e-300
 
 MODEL_SCHEMA_VERSION = 1
+DEFAULT_RANK_TOLERANCE = 1e-10
 
 
-def _checked_svd(matrix: np.ndarray):
-    try:
-        return np.linalg.svd(matrix, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-
-
-def _validate_system(matrix, rhs, rank_tolerance) -> tuple[np.ndarray, np.ndarray]:
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if matrix.ndim != 2 or rhs.ndim != 1 or rhs.size != matrix.shape[0]:
-        raise ValueError("need a 2-d matrix and a right-hand side of matching length")
-    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise ValueError("matrix and right-hand side must be finite")
+def check_rank_tolerance(rank_tolerance: float) -> None:
+    """Refuse a relative singular-value cutoff outside (0, 1)."""
     if not 0.0 < rank_tolerance < 1.0:
         raise ValueError(f"rank_tolerance must lie in (0, 1), got {rank_tolerance!r}")
-    return matrix, rhs
 
 
-def lstsq_min_norm(matrix, rhs, rank_tolerance: float = 1e-10):
+def _svd_cutoff(matrix: np.ndarray, rank_tolerance: float):
+    """U, s and Vt of a finite 2-d matrix, and the mask of the singular
+    values above rank_tolerance * max(s): the ones that get inverted."""
+    if matrix.ndim != 2 or not np.isfinite(matrix).all():
+        raise ValueError("matrix must be 2-d and finite")
+    check_rank_tolerance(rank_tolerance)
+    try:
+        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
+    if s.size == 0 or s[0] <= _ABS_FLOOR:
+        raise DegenerateMatrixError("all singular values are numerically zero")
+    return u, s, vt, s > rank_tolerance * s[0]
+
+
+def lstsq_min_norm(matrix, rhs, rank_tolerance: float = DEFAULT_RANK_TOLERANCE):
     """Minimum-norm least-squares solution, plus (rank, singular_values).
 
     Factors matrix = U diag(s) Vt and inverts only singular values above
     rank_tolerance * max(s).
     """
-    matrix, rhs = _validate_system(matrix, rhs, rank_tolerance)
-    u, s, vt = _checked_svd(matrix)
-    if s.size == 0 or s[0] <= _ABS_FLOOR:
-        raise DegenerateMatrixError("all singular values are numerically zero")
-    keep = s > rank_tolerance * s[0]
+    matrix = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != matrix.shape[:1] or not np.isfinite(rhs).all():
+        raise ValueError("need a finite right-hand side, one value per matrix row")
+    u, s, vt, keep = _svd_cutoff(matrix, rank_tolerance)
     coef = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
     return coef, int(np.count_nonzero(keep)), s
 
 
-def pinv(matrix, rank_tolerance: float = 1e-10) -> np.ndarray:
+def pinv(matrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
     """Moore-Penrose pseudoinverse with a relative singular-value cutoff."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or not np.isfinite(matrix).all():
-        raise ValueError("matrix must be 2-d and finite")
-    if not 0.0 < rank_tolerance < 1.0:
-        raise ValueError(f"rank_tolerance must lie in (0, 1), got {rank_tolerance!r}")
-    u, s, vt = _checked_svd(matrix)
-    if s.size == 0 or s[0] <= _ABS_FLOOR:
-        raise DegenerateMatrixError("all singular values are numerically zero")
-    keep = s > rank_tolerance * s[0]
+    u, s, vt, keep = _svd_cutoff(np.asarray(matrix, dtype=float), rank_tolerance)
     return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 
@@ -136,30 +128,8 @@ class FittedModel:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FittedModel":
-        if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
-            raise SchemaMismatchError(
-                f"model schema {doc.get('schema_version')!r}, "
-                f"expected {MODEL_SCHEMA_VERSION}")
-        cfg = EmbedConfig(**doc["config"])
-        diag = FitDiagnostics(rank=int(doc["diagnostics"]["rank"]),
-                              singular_values=np.array(doc["diagnostics"]["singular_values"]),
-                              residual_norm=float(doc["diagnostics"]["residual_norm"]))
-        return cls(coefficients=np.array(doc["coefficients"], dtype=float),
-                   config=cfg, feature_labels=tuple(doc["feature_labels"]),
-                   diagnostics=diag, standardized=bool(doc["standardized"]))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True),
-                              encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "FittedModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def fit(dm: DesignMatrix, rank_tolerance: float = 1e-10,
+def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
         standardize: bool = False) -> FittedModel:
     """Estimate model coefficients from a constraint system.
 
@@ -168,13 +138,18 @@ def fit(dm: DesignMatrix, rank_tolerance: float = 1e-10,
     In exact arithmetic predictions are unchanged; the switch only moves
     which directions fall under the rank cutoff, so it is a conditioning
     control, off by default.  Diagnostics describe the matrix actually
-    decomposed; the residual norm is always in original units.
+    decomposed; the residual norm is always in original units.  A column
+    whose standard deviation overflows raises NumericalFailureError.
     """
     W = dm.features
     y = dm.targets
     if standardize:
-        mean = W.mean(axis=0)
-        sd = W.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = W.mean(axis=0)
+            sd = W.std(axis=0)
+        if not np.isfinite(sd).all():
+            raise NumericalFailureError(
+                f"feature column scales {sd.tolist()} are not finite")
         scale = np.where(sd > 0, sd, 1.0)
         center = np.where(sd > 0, mean, 0.0)
         scale[0] = 1.0

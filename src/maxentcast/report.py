@@ -15,7 +15,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -25,7 +25,10 @@ from .detect import DetectorConfig, Regime, RegimeLabel, changepoints, classify
 from .errors import SchemaMismatchError
 from .evaluate import (PredictabilityReport, ProtocolConfig, WindowBuckets,
                        YearBuckets, run_protocol)
-from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
+from .ingest import (DEFAULT_DATE_COL, DEFAULT_DATE_FORMAT, DEFAULT_GAP_POLICY,
+                     DEFAULT_VALUE_COL, GAP_POLICIES, TimeSeries, clean,
+                     load_csv)
+from .model import DEFAULT_RANK_TOLERANCE, check_rank_tolerance
 
 REPORT_SCHEMA_VERSION = 1
 TRUTH_SCHEMA_VERSION = 1
@@ -48,6 +51,7 @@ def parse_bucket(text: str) -> YearBuckets | WindowBuckets:
 
 
 def bucket_text(bucketing: YearBuckets | WindowBuckets) -> str:
+    """The flag text of a bucketing; parse_bucket reads it back."""
     if isinstance(bucketing, WindowBuckets):
         return f"window:{bucketing.width}"
     return _BUCKET_YEAR
@@ -55,61 +59,37 @@ def bucket_text(bucketing: YearBuckets | WindowBuckets) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce a pipeline run on one input file."""
+    """Everything needed to reproduce a pipeline run on one input file,
+    every setting checked when the config is built."""
 
     input_path: str
-    date_col: str = "date"
-    value_col: str = "value"
-    date_format: str = "%Y-%m-%d"
-    gap_policy: str = "ffill"
-    dim: int = 4
-    lag: int = 1
-    degree: int = 2
-    fit_window: int = 700
-    anticipation: tuple[int, ...] = (7, 10, 13, 16)
-    bucket: str = _BUCKET_YEAR
-    theta: float = 0.5
-    min_run: int = 2
-    rank_tolerance: float = 1e-10
+    date_col: str = DEFAULT_DATE_COL
+    value_col: str = DEFAULT_VALUE_COL
+    date_format: str = DEFAULT_DATE_FORMAT
+    gap_policy: str = DEFAULT_GAP_POLICY
+    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
+    rank_tolerance: float = DEFAULT_RANK_TOLERANCE
     standardize: bool = False
     out_dir: str = "."
 
     def __post_init__(self) -> None:
         if self.gap_policy not in GAP_POLICIES:
             raise ValueError(f"gap_policy must be one of {GAP_POLICIES}")
-        object.__setattr__(self, "anticipation",
-                           tuple(int(t) for t in self.anticipation))
-        parse_bucket(self.bucket)  # validate eagerly
-
-    def protocol(self) -> ProtocolConfig:
-        return ProtocolConfig(dim=self.dim, degree=self.degree,
-                              fit_window=self.fit_window,
-                              anticipation=self.anticipation,
-                              bucketing=parse_bucket(self.bucket),
-                              lag=self.lag)
-
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(theta=self.theta, min_run=self.min_run)
+        check_rank_tolerance(self.rank_tolerance)
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "input_path": self.input_path,
-            "date_col": self.date_col,
-            "value_col": self.value_col,
-            "date_format": self.date_format,
-            "gap_policy": self.gap_policy,
-            "dim": self.dim,
-            "lag": self.lag,
-            "degree": self.degree,
-            "fit_window": self.fit_window,
-            "anticipation": list(self.anticipation),
-            "bucket": self.bucket,
-            "theta": self.theta,
-            "min_run": self.min_run,
-            "rank_tolerance": self.rank_tolerance,
-            "standardize": self.standardize,
-            "out_dir": self.out_dir,
-        }
+        """Every setting in one flat mapping, the protocol's and the
+        detector's beside the rest."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("protocol", "detector")}
+        protocol, detector = self.protocol, self.detector
+        payload.update(dim=protocol.dim, lag=protocol.lag,
+                       degree=protocol.degree, fit_window=protocol.fit_window,
+                       anticipation=list(protocol.anticipation),
+                       bucket=bucket_text(protocol.bucketing),
+                       theta=detector.theta, min_run=detector.min_run)
+        return payload
 
 
 def _clean_float(x: Any) -> Any:
@@ -125,9 +105,7 @@ def _sanitize(obj: Any) -> Any:
         return [_sanitize(v) for v in obj]
     if isinstance(obj, float):
         return _clean_float(obj)
-    if isinstance(obj, (datetime,)):
-        return obj.isoformat()
-    if isinstance(obj, date):
+    if isinstance(obj, date):  # datetime too
         return obj.isoformat()
     return obj
 
@@ -212,10 +190,10 @@ def run_from_config(config: RunConfig) -> RunResult:
     raw = load_csv(config.input_path, date_col=config.date_col,
                    value_col=config.value_col, date_format=config.date_format)
     series = clean(raw, policy=config.gap_policy)
-    report = run_protocol(series, config.protocol(),
+    report = run_protocol(series, config.protocol,
                           rank_tolerance=config.rank_tolerance,
                           standardize=config.standardize)
-    detections = detect_tracks(report, config.detector())
+    detections = detect_tracks(report, config.detector)
     return RunResult(series=series, report=report, detections=detections,
                      config=config,
                      n_interpolated=len(series) - (len(raw) - raw.n_missing))
@@ -278,8 +256,8 @@ def build_payload(result: RunResult) -> dict[str, Any]:
             "last_date": series.dates[-1].isoformat(),
             "n_interpolated": result.n_interpolated,
         },
-        "detector": {"theta": result.config.theta,
-                     "min_run": result.config.min_run},
+        "detector": {"theta": result.config.detector.theta,
+                     "min_run": result.config.detector.min_run},
         "tracks": tracks,
     }
 
@@ -342,7 +320,6 @@ def summary_csv_text(report: PredictabilityReport) -> str:
 def write_run_artifacts(result: RunResult) -> dict[str, Path]:
     """Write report.json, per-horizon forecast CSVs, and the summary CSV."""
     out_dir = Path(result.config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = build_payload(result)
     paths: dict[str, Path] = {}
 

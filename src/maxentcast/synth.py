@@ -97,10 +97,6 @@ class PolyMapSpec:
         if not self.bound > 0:
             raise ValueError("bound must be positive")
 
-    @property
-    def degree(self) -> int:
-        return _infer_degree(self.dim, len(self.coefficients))
-
 
 @dataclass(frozen=True)
 class SplicedSpec:
@@ -131,9 +127,9 @@ class SplicedSeries:
     changepoint: int  # first index governed by the second spec
 
 
-def continue_poly_map(history, coefficients, dim: int, n_new: int,
-                      noise_sigma: float = 0.0, seed: int = 0,
-                      bound: float = 1e6, step_offset: int = 0) -> np.ndarray:
+def _continue_poly_map(history, coefficients, dim: int, n_new: int,
+                       noise_sigma: float = 0.0, seed: int = 0,
+                       bound: float = 1e6, step_offset: int = 0) -> np.ndarray:
     """Iterate the map forward from the tail of history.
 
     Returns only the n_new new values.  step_offset is the absolute index
@@ -198,13 +194,8 @@ def gen_poly_map(n: int, dim: int, coefficients, init, noise_sigma: float = 0.0,
                        bound=bound)
     if spec.n < 2:
         raise ValueError("a standalone map series needs n >= 2")
-    if spec.n < len(spec.init):
-        raise ValueError(f"n={spec.n} is shorter than init ({len(spec.init)} values)")
-    new = continue_poly_map(spec.init, spec.coefficients, spec.dim,
-                            spec.n - len(spec.init), spec.noise_sigma,
-                            spec.seed, spec.bound, step_offset=len(spec.init))
-    values = np.concatenate([np.asarray(spec.init, dtype=float), new])
-    return TimeSeries(name or f"polymap-s{seed}", _index_dates(n), values)
+    return TimeSeries(name or f"polymap-s{seed}", _index_dates(n),
+                      _spec_values(spec))
 
 
 def _spec_values(spec) -> np.ndarray:
@@ -215,9 +206,9 @@ def _spec_values(spec) -> np.ndarray:
             raise ValueError("a standalone poly map spec needs init values")
         if spec.n < len(spec.init):
             raise ValueError(f"n={spec.n} is shorter than init ({len(spec.init)} values)")
-        new = continue_poly_map(spec.init, spec.coefficients, spec.dim,
-                                spec.n - len(spec.init), spec.noise_sigma,
-                                spec.seed, spec.bound, step_offset=len(spec.init))
+        new = _continue_poly_map(spec.init, spec.coefficients, spec.dim,
+                                 spec.n - len(spec.init), spec.noise_sigma,
+                                 spec.seed, spec.bound, step_offset=len(spec.init))
         return np.concatenate([np.asarray(spec.init, dtype=float), new])
     raise ValueError(f"unknown generator spec {spec!r}")
 
@@ -226,9 +217,9 @@ def _continue_values(history: np.ndarray, spec, step_offset: int) -> np.ndarray:
     if isinstance(spec, RandomWalkSpec):
         return _continue_walk(float(history[-1]), spec.n, spec.sigma, spec.seed)
     if isinstance(spec, PolyMapSpec):
-        return continue_poly_map(history, spec.coefficients, spec.dim, spec.n,
-                                 spec.noise_sigma, spec.seed, spec.bound,
-                                 step_offset=step_offset)
+        return _continue_poly_map(history, spec.coefficients, spec.dim, spec.n,
+                                  spec.noise_sigma, spec.seed, spec.bound,
+                                  step_offset=step_offset)
     raise ValueError(f"unknown generator spec {spec!r}")
 
 
@@ -321,3 +312,27 @@ def rescale_map_coefficients(coefficients, dim: int, level: float,
     out *= s
     out[0] += mu
     return tuple(float(x) for x in out)
+
+
+# The planted regime of the detection experiments: a two-band chaotic
+# logistic map whose orbit spans SPLICE_MAP_SCALE walk sigmas.
+SPLICE_MAP_R = 3.59
+SPLICE_MAP_SCALE = 60.0
+
+
+def logistic_splice(walk: RandomWalkSpec, n_map: int, noise_sigma: float,
+                    map_r: float = SPLICE_MAP_R,
+                    map_scale: float = SPLICE_MAP_SCALE,
+                    bound: float = 1e6) -> SplicedSpec:
+    """A walk, then n_map points of the logistic map with parameter map_r,
+    conjugated to map_scale * walk.sigma wide around the walk's last value
+    so the deterministic half continues from where the walk stops.  The
+    map's noise seed is walk.seed + 1."""
+    walk_end = float(_walk_values(walk.n, walk.sigma, walk.x0, walk.seed)[-1])
+    scale = map_scale * walk.sigma
+    coeffs = rescale_map_coefficients(logistic_map_coefficients(map_r), 1,
+                                      walk_end - 0.5 * scale, scale)
+    second = PolyMapSpec(n=n_map, dim=1, coefficients=coeffs,
+                         noise_sigma=noise_sigma, seed=walk.seed + 1,
+                         bound=bound)
+    return SplicedSpec(first=walk, second=second, splice_index=walk.n)

@@ -14,14 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
-                        ProtocolConfig, RandomWalkSpec, Regime, WindowBuckets,
-                        YearBuckets, chaotic_quad_map_coefficients, classify,
+from maxentcast import (DetectorConfig, EmbedConfig, ProtocolConfig,
+                        RandomWalkSpec, Regime, WindowBuckets,
+                        chaotic_quad_map_coefficients, classify,
                         changepoints, clean, count_coefficients, embed, fit,
-                        gen_poly_map, gen_random_walk, gen_spliced, generate,
-                        henon_map_coefficients, load_csv,
-                        logistic_map_coefficients, lstsq_min_norm, pinv,
-                        relative_mse, rescale_map_coefficients, rng,
+                        gen_poly_map, gen_random_walk, gen_spliced,
+                        henon_map_coefficients, load_csv, logistic_splice,
+                        lstsq_min_norm, pinv, relative_mse, rng,
                         run_protocol)
 from maxentcast.cli import main as cli_main
 
@@ -161,13 +160,10 @@ def test_criterion_5_detection_power_and_localization():
     splice, n, scale = 1333, 2000, 60.0
     hits = within_two = 0
     for seed in range(100):
-        walk = RandomWalkSpec(n=splice, sigma=1.0, seed=seed)
-        walk_end = float(generate(walk).values[-1])
-        coeffs = rescale_map_coefficients(
-            logistic_map_coefficients(3.59), 1, walk_end - 0.5 * scale, scale)
-        map_spec = PolyMapSpec(n=n - splice, dim=1, coefficients=coeffs,
-                               noise_sigma=0.01, seed=seed + 1)
-        spliced = gen_spliced(walk, map_spec, splice)
+        spec = logistic_splice(RandomWalkSpec(n=splice, sigma=1.0, seed=seed),
+                               n - splice, noise_sigma=0.01, map_r=3.59,
+                               map_scale=scale)
+        spliced = gen_spliced(spec.first, spec.second)
         report = run_protocol(spliced.series, protocol,
                               rank_tolerance=0.2, standardize=True)
         track = report.tracks[0]

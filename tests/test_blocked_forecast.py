@@ -8,6 +8,7 @@ features of ``embed``, must have the same bytes.  The comparisons hold
 for one BLAS thread, which ``conftest`` pins before numpy is imported.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -138,11 +139,19 @@ def test_blocked_forecast_matches_whole_matrix_on_any_values(geometry, data):
 
 
 FORECAST_HASH = """
-import hashlib, sys
+import hashlib, json, sys
 import numpy as np
-from maxentcast import FittedModel, gen_random_walk, forecast_series
+from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
+                        forecast_series, gen_random_walk, monomial_labels)
 from maxentcast.model import forecast_batch
-models = [FittedModel.load(path) for path in sys.argv[3:]]
+models = []
+for doc in json.load(sys.stdin):
+    cfg = EmbedConfig(**doc["config"])
+    models.append(FittedModel(
+        coefficients=doc["coefficients"], config=cfg,
+        feature_labels=monomial_labels(cfg.dim, cfg.degree),
+        diagnostics=FitDiagnostics(rank=0, singular_values=(),
+                                   residual_norm=0.0)))
 series = gen_random_walk(int(sys.argv[1]), 1.0, seed=int(sys.argv[2]))
 cfg = models[0].config
 first = cfg.span + cfg.n_fit
@@ -154,24 +163,23 @@ print(hashlib.sha256(b"".join(f.predicted.tobytes() for f in frames)).hexdigest(
 """
 
 
-def test_predictions_do_not_depend_on_blas_threads(tmp_path):
+def test_predictions_do_not_depend_on_blas_threads():
     # 199,275 anchors: one product over all of them, split over two
     # threads, changes the last bits of some predictions.  The models are
-    # fitted once and saved, because fitted coefficients themselves
-    # depend on the thread count.
+    # fitted once and handed over as JSON, whose floats read back exactly,
+    # because fitted coefficients themselves depend on the thread count.
     n, seed = 199_987, 11
     series = gen_random_walk(n, 1.0, seed=seed)
-    paths = []
-    for horizon in (HORIZON, 10, 13, 16):
-        cfg = EmbedConfig(dim=6, degree=3, horizon=horizon, n_fit=700)
-        paths.append(tmp_path / f"model_T{horizon}.json")
-        fit(embed(series, cfg)).save(paths[-1])
+    models = json.dumps([
+        fit(embed(series, EmbedConfig(dim=6, degree=3, horizon=horizon,
+                                      n_fit=700))).to_json_dict()
+        for horizon in (HORIZON, 10, 13, 16)])
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", FORECAST_HASH, str(n),
-                               str(seed), *map(str, paths)],
+                               str(seed)], input=models,
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.strip())

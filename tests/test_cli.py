@@ -1,13 +1,18 @@
 """End-to-end command-line tests: synth -> run -> verify, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from maxentcast.cli import main
+from maxentcast import RunConfig
+from maxentcast.cli import _build_parser, _run_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +175,24 @@ def test_run_missing_input_is_ingest_error(tmp_path, capsys):
     assert stderr_json(err)["category"] == "ingest"
 
 
+def test_run_defaults_are_the_config_defaults():
+    args = _build_parser().parse_args(["run", "--input", "x.csv"])
+    assert _run_config(args) == RunConfig(input_path="x.csv")
+
+
+@pytest.mark.parametrize("flag", [("--theta", "1.5"), ("--min-run", "0"),
+                                  ("--d", "0"), ("--anticipation", "0"),
+                                  ("--bucket", "window:1"),
+                                  ("--rank-tol", "2")], ids=" ".join)
+def test_run_checks_settings_before_reading_input(flag, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "run", "--input",
+                           str(tmp_path / "nope.csv"), *flag)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["category"] == "config"
+
+
 def test_run_bad_bucket_is_config_error(walk_csv_60, capsys):
     code, _, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
                            "--bucket", "weekly")
@@ -203,21 +226,38 @@ def test_run_overflowing_features_is_numerical_error(write_csv, tmp_path):
     assert json.loads(lines[0])["category"] == "numerical"
 
 
-def test_run_near_overflow_prints_no_numpy_warning(write_csv, tmp_path):
-    # with --np 1 the features stay finite, but the fit residual and the
-    # window sums of squares overflow; the run still completes
+def big_walk_csv(write_csv):
+    """1,200 business days of 1e160 * (1 + 0.01 * walk)."""
     days = np.busday_offset(np.datetime64("2000-01-03"), np.arange(1200),
                             roll="forward")
     walk = np.cumsum(np.random.default_rng(1).standard_normal(1200))
     values = 1e160 * (1.0 + 0.01 * walk)
-    path = write_csv([f"{d},{float(v)!r}"
+    return write_csv([f"{d},{float(v)!r}"
                       for d, v in zip(np.datetime_as_string(days), values)])
+
+
+def test_run_near_overflow_prints_no_numpy_warning(write_csv, tmp_path):
+    # with --np 1 the features stay finite, but the fit residual and the
+    # window sums of squares overflow; the run still completes
     proc = subprocess.run([sys.executable, "-m", "maxentcast", "run",
-                           "--input", str(path), "--np", "1",
-                           "--out", str(tmp_path / "run")],
+                           "--input", str(big_walk_csv(write_csv)),
+                           "--np", "1", "--out", str(tmp_path / "run")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert not [line for line in proc.stderr.splitlines() if "Warning" in line]
+
+
+def test_run_standardize_overflow_is_numerical_error(write_csv, tmp_path):
+    # the column scales overflow, so no standardized fit can be formed
+    proc = subprocess.run([sys.executable, "-m", "maxentcast", "run",
+                           "--input", str(big_walk_csv(write_csv)),
+                           "--np", "1", "--standardize",
+                           "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 5
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "NumericalFailureError"
 
 
 # ----------------------------------------------------------------- verify
@@ -283,3 +323,24 @@ def test_verify_missing_report_is_ingest_error(tmp_path, capsys):
                            "--truth", str(truth))
     assert code == 3
     assert stderr_json(err)["category"] == "ingest"
+
+
+# ---------------------------------------------------------------- scripts
+
+# script: (arguments, a line start of its summary)
+SCRIPT_RUNS = {
+    "detection_power.py": (["--n-series", "2"], "trials: 2, hit rate"),
+    "null_calibration.py": (["--n-series", "2"], "flagged windows:"),
+    "spliced_demo.py": (["--out", "demo"], "changepoint planted at index"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_RUNS))
+def test_script_runs(script, tmp_path):
+    args, summary = SCRIPT_RUNS[script]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith(summary) for line in proc.stdout.splitlines())

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentcast import (DesignMatrix, EmbedConfig, count_coefficients,
-                        delay_vector, embed, feature_matrix, max_rows,
-                        monomial_labels, monomial_terms, read_design_csv)
+                        delay_matrix, embed, feature_matrix, monomial_labels,
+                        monomial_terms)
 from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 
 from conftest import daily_series
@@ -107,7 +107,7 @@ def test_feature_overflow_is_numerical_failure():
 
 def test_delay_vector_orientation():
     values = np.array([10.0, 20.0, 30.0])
-    assert delay_vector(values, 2, 2, 1).tolist() == [30.0, 20.0]
+    assert delay_matrix(values, [2], 2, 1).tolist() == [[30.0, 20.0]]
 
 
 def test_embed_tiny_worked_example():
@@ -119,8 +119,17 @@ def test_embed_tiny_worked_example():
     assert dm.row_times.tolist() == [1, 2]
 
 
+def _assert_embed_row_limit(n, dim, lag, horizon, limit):
+    s = daily_series(range(n))
+    embed(s, EmbedConfig(dim=dim, degree=1, horizon=horizon, n_fit=limit,
+                         lag=lag))
+    with pytest.raises(InfeasibleWindowError):
+        embed(s, EmbedConfig(dim=dim, degree=1, horizon=horizon,
+                             n_fit=limit + 1, lag=lag))
+
+
 def test_max_rows_at_protocol_scale():
-    assert max_rows(2560, 4, 1, 7) == 2550
+    _assert_embed_row_limit(2560, 4, 1, 7, 2550)
 
 
 def test_max_rows_matches_enumeration():
@@ -128,15 +137,14 @@ def test_max_rows_matches_enumeration():
         span = (dim - 1) * lag
         feasible = [t for t in range(n)
                     if t - span >= 0 and t + horizon <= n - 1]
-        assert max_rows(n, dim, lag, horizon) == len(feasible)
+        _assert_embed_row_limit(n, dim, lag, horizon, len(feasible))
 
 
 def test_embed_one_row_too_many():
     s = daily_series(range(20))
-    limit = max_rows(20, 2, 1, 1)
-    embed(s, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=limit))
+    embed(s, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=18))
     with pytest.raises(InfeasibleWindowError):
-        embed(s, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=limit + 1))
+        embed(s, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=19))
 
 
 def test_embed_start_before_span_is_infeasible():
@@ -174,16 +182,6 @@ def test_design_matrix_requires_constant_column():
         DesignMatrix(features=np.array([[2.0, 1.0]]), targets=np.array([1.0]),
                      row_times=np.array([0]),
                      config=EmbedConfig(dim=1, degree=1, horizon=1, n_fit=1))
-
-
-def test_design_matrix_csv_round_trip(tmp_path):
-    s = daily_series(np.sin(np.arange(40.0)))
-    dm = embed(s, EmbedConfig(dim=3, degree=2, horizon=2, n_fit=20))
-    path = tmp_path / "design.csv"
-    dm.to_csv(path)
-    features, targets = read_design_csv(path)
-    assert np.array_equal(features, dm.features)
-    assert np.array_equal(targets, dm.targets)
 
 
 def test_embed_config_span_and_features():

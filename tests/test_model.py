@@ -1,6 +1,8 @@
 """Minimum-norm least squares, prediction, and model serialization."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel, embed, fit,
                         forecast_series, gen_poly_map, lstsq_min_norm,
                         monomial_labels, pinv, predict)
 from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
-                               InfeasibleWindowError, SchemaMismatchError)
+                               InfeasibleWindowError, NumericalFailureError)
 
 from conftest import daily_series
 
@@ -217,22 +219,13 @@ def test_fit_diagnostics_shape():
     assert d.residual_norm < 1e-8
 
 
-def test_json_round_trip_bit_identical(tmp_path):
-    series, _, model = quad_map_fit()
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = FittedModel.load(path)
-    rows = held_out_rows(series, start=110, n_rows=30).features
-    assert np.array_equal(predict(model, rows), predict(loaded, rows))
-    assert loaded.coefficients.tolist() == model.coefficients.tolist()
-
-
-def test_json_schema_version_checked(tmp_path):
-    _, _, model = quad_map_fit()
-    doc = model.to_json_dict()
-    doc["schema_version"] = 99
-    with pytest.raises(SchemaMismatchError):
-        FittedModel.from_json_dict(doc)
+def test_json_dict_holds_exact_values():
+    _, cfg, model = quad_map_fit()
+    doc = json.loads(json.dumps(model.to_json_dict()))
+    assert doc["coefficients"] == model.coefficients.tolist()
+    assert (doc["diagnostics"]["singular_values"]
+            == model.diagnostics.singular_values.tolist())
+    assert doc["feature_labels"] == list(monomial_labels(cfg.dim, cfg.degree))
 
 
 def test_standardized_fit_matches_raw_when_well_conditioned():
@@ -244,6 +237,17 @@ def test_standardized_fit_matches_raw_when_well_conditioned():
     assert np.allclose(predict(raw, rows), predict(std, rows),
                        rtol=1e-7, atol=1e-9)
     assert std.standardized and not raw.standardized
+
+
+def test_standardized_fit_refuses_overflowing_scales():
+    # the squared deviations of values near 1e160 overflow a double
+    walk = np.cumsum(np.random.default_rng(1).standard_normal(60))
+    series = daily_series(1e160 * (1.0 + 0.01 * walk))
+    dm = embed(series, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError):
+            fit(dm, standardize=True)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,8 +11,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from maxentcast import (RunConfig, SchemaMismatchError, WindowBuckets,
-                        YearBuckets, build_payload, build_report_doc,
+from maxentcast import (DetectorConfig, ProtocolConfig, RunConfig,
+                        SchemaMismatchError, WindowBuckets, YearBuckets,
+                        build_payload, build_report_doc,
                         detect_tracks, dumps_canonical, forecast_csv_text,
                         gen_random_walk, load_report, load_truth,
                         parse_bucket, run_from_config, summary_csv_text,
@@ -35,10 +36,14 @@ def walk_csv(tmp_path_factory):
     return path
 
 
+SMALL_PROTOCOL = ProtocolConfig(dim=1, degree=1, fit_window=20,
+                                anticipation=(1, 3),
+                                bucketing=WindowBuckets(25))
+
+
 def small_config(walk_csv, out_dir) -> RunConfig:
-    return RunConfig(input_path=str(walk_csv), dim=1, degree=1,
-                     fit_window=20, anticipation=(1, 3),
-                     bucket="window:25", out_dir=str(out_dir))
+    return RunConfig(input_path=str(walk_csv), protocol=SMALL_PROTOCOL,
+                     out_dir=str(out_dir))
 
 
 # ------------------------------------------------------------- bucketing
@@ -119,31 +124,34 @@ def test_write_json_atomic_round_trips(tmp_path):
 
 def test_run_config_defaults():
     cfg = RunConfig(input_path="x.csv")
-    assert cfg.dim == 4 and cfg.lag == 1 and cfg.degree == 2
-    assert cfg.fit_window == 700
-    assert cfg.anticipation == (7, 10, 13, 16)
-    assert cfg.bucket == "year"
-    assert cfg.theta == 0.5 and cfg.min_run == 2
-    assert cfg.rank_tolerance == 1e-10
-    proto = cfg.protocol()
-    assert (proto.dim, proto.degree, proto.fit_window) == (4, 2, 700)
+    proto = cfg.protocol
+    assert (proto.dim, proto.lag, proto.degree) == (4, 1, 2)
+    assert proto.fit_window == 700
+    assert proto.anticipation == (7, 10, 13, 16)
     assert isinstance(proto.bucketing, YearBuckets)
-    det = cfg.detector()
-    assert (det.theta, det.min_run) == (0.5, 2)
+    assert (cfg.detector.theta, cfg.detector.min_run) == (0.5, 2)
+    assert cfg.rank_tolerance == 1e-10
+    assert (cfg.date_col, cfg.value_col, cfg.date_format,
+            cfg.gap_policy) == ("date", "value", "%Y-%m-%d", "ffill")
 
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(input_path="x.csv", gap_policy="interpolate")
-    with pytest.raises(ValueError):
-        RunConfig(input_path="x.csv", bucket="window:zero")
+    for tolerance in (0.0, 1.0, 2.0, math.nan):
+        with pytest.raises(ValueError):
+            RunConfig(input_path="x.csv", rank_tolerance=tolerance)
 
 
 def test_run_config_payload_echoes_every_field():
-    cfg = RunConfig(input_path="x.csv", anticipation=[2, 4])
+    cfg = RunConfig(input_path="x.csv",
+                    protocol=ProtocolConfig(anticipation=[2, 4],
+                                            bucketing=WindowBuckets(30)),
+                    detector=DetectorConfig(theta=0.25, min_run=3))
     payload = cfg.to_payload()
     assert payload["anticipation"] == [2, 4]
-    assert cfg.anticipation == (2, 4)
+    assert payload["bucket"] == "window:30"
+    assert (payload["theta"], payload["min_run"]) == (0.25, 3)
     assert set(payload) == {
         "input_path", "date_col", "value_col", "date_format", "gap_policy",
         "dim", "lag", "degree", "fit_window", "anticipation", "bucket",
@@ -187,8 +195,7 @@ def test_payload_counts_filled_business_days(tmp_path):
     path = tmp_path / "gappy.csv"
     path.write_text("date,value\n" + "\n".join(rows) + "\n")
     for policy, filled in (("ffill", 3), ("drop", 0)):
-        cfg = RunConfig(input_path=str(path), dim=1, degree=1, fit_window=20,
-                        anticipation=(1, 3), bucket="window:25",
+        cfg = RunConfig(input_path=str(path), protocol=SMALL_PROTOCOL,
                         gap_policy=policy, out_dir=str(tmp_path))
         series = build_payload(run_from_config(cfg))["series"]
         assert series["n_interpolated"] == filled

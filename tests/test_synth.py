@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from maxentcast import (DivergentOrbitError, EmbedConfig, PolyMapSpec,
                         RandomWalkSpec, SplicedSpec,
-                        chaotic_quad_map_coefficients, continue_poly_map,
-                        embed, fit, gen_poly_map, gen_random_walk,
-                        gen_spliced, generate, henon_map_coefficients,
-                        logistic_map_coefficients, monomial_terms,
+                        chaotic_quad_map_coefficients, embed, fit,
+                        gen_poly_map, gen_random_walk, gen_spliced, generate,
+                        henon_map_coefficients, logistic_map_coefficients,
+                        logistic_splice, monomial_terms,
                         rescale_map_coefficients, rng)
 
 # The generators fix their arithmetic order, so outputs are frozen exactly.
@@ -147,8 +147,10 @@ def test_poly_map_spec_validation():
 
 
 def test_continue_poly_map_needs_enough_history():
+    # a one-point walk cannot seed a dim-2 map
     with pytest.raises(ValueError):
-        continue_poly_map([1.0], henon_map_coefficients(), dim=2, n_new=3)
+        gen_spliced(RandomWalkSpec(n=1, sigma=1.0),
+                    PolyMapSpec(n=3, dim=2, coefficients=henon_map_coefficients()))
 
 
 # --------------------------------------------------------------- splices
@@ -169,6 +171,19 @@ def test_splice_walk_then_map_obeys_recurrence_after_changepoint():
     assert np.max(np.abs(resid[119:])) < 1e-12
     # the walk half does not satisfy the deterministic recurrence
     assert np.median(np.abs(resid[:119])) > 1e-3
+
+
+def test_logistic_splice_places_the_map_at_the_walk_end():
+    walk = RandomWalkSpec(n=300, sigma=2.0, x0=5.0, seed=8)
+    spec = logistic_splice(walk, 200, noise_sigma=0.03, map_r=3.7,
+                           map_scale=40.0)
+    end = float(generate(walk).values[-1])
+    placed = rescale_map_coefficients(logistic_map_coefficients(3.7), 1,
+                                      end - 40.0, 80.0)
+    assert spec == SplicedSpec(walk, PolyMapSpec(
+        n=200, dim=1, coefficients=placed, noise_sigma=0.03, seed=9), 300)
+    v = generate(spec).values
+    assert abs(v[300:] - end).max() <= 40.0 + 1.0
 
 
 def test_splice_walk_walk_is_level_continuous():
