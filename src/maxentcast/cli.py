@@ -33,10 +33,9 @@ from .errors import (DegenerateMatrixError, DegenerateWindowError,
 from .evaluate import ProtocolConfig
 from .ingest import GAP_POLICIES
 from .report import (RunConfig, TRUTH_SCHEMA_VERSION, bucket_text,
-                     dumps_canonical, format_csv_rows, load_report,
-                     load_truth, parse_bucket, run_from_config,
-                     verify_detection, write_json_atomic, write_run_artifacts,
-                     write_text_atomic)
+                     dumps_canonical, load_report, load_truth, parse_bucket,
+                     run_from_config, verify_detection, write_json_atomic,
+                     write_run_artifacts, write_series_csv)
 from .synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE, PolyMapSpec,
                     RandomWalkSpec, SplicedSpec, generate, logistic_splice)
 
@@ -151,8 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--init", type=_parse_float_list, default=None,
                        metavar="V1,V2,...",
                        help="map initial values, most recent first")
-    synth.add_argument("--noise-sigma", type=float, default=0.0,
-                       help="map observation noise scale (default 0)")
+    synth.add_argument("--noise-sigma", type=float, default=None,
+                       help="map observation noise scale (default 0 for "
+                            "map, 0.01 x sigma for spliced)")
     synth.add_argument("--bound", type=float, default=1e6,
                        help="divergence bound for map orbits")
     synth.add_argument("--splice", type=int, default=None,
@@ -213,12 +213,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError("--kind map needs --coeffs and --init")
         if len(args.init) != args.dim:
             raise ValueError(f"--init needs exactly {args.dim} values")
+        noise = 0.0 if args.noise_sigma is None else args.noise_sigma
         spec = PolyMapSpec(n=args.n, dim=args.dim, coefficients=args.coeffs,
-                           init=args.init, noise_sigma=args.noise_sigma,
+                           init=args.init, noise_sigma=noise,
                            seed=args.seed, bound=args.bound)
         truth["params"] = {"dim": args.dim, "coefficients": list(args.coeffs),
-                           "init": list(args.init),
-                           "noise_sigma": args.noise_sigma}
+                           "init": list(args.init), "noise_sigma": noise}
     else:
         if args.splice is None:
             raise ValueError("--kind spliced needs --splice")
@@ -226,7 +226,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError("--splice must be inside the series")
         walk = RandomWalkSpec(n=args.splice, sigma=args.sigma, x0=args.x0,
                               seed=args.seed)
-        noise = args.noise_sigma if args.noise_sigma else 0.01 * args.sigma
+        noise = (0.01 * args.sigma if args.noise_sigma is None
+                 else args.noise_sigma)
         if args.coeffs is None:
             spec = logistic_splice(walk, args.n - args.splice, noise,
                                    args.map_r, args.map_scale, args.bound)
@@ -248,8 +249,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     series_path = out_dir / "series.csv"
     truth_path = out_dir / "truth.json"
-    write_text_atomic(series_path, format_csv_rows(
-        "date,value", [d.isoformat() for d in series.dates], series.values))
+    write_series_csv(series_path, series)
     write_json_atomic(truth_path, truth)
     print(f"wrote {series_path}")
     print(f"wrote {truth_path}")

@@ -26,19 +26,44 @@ from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, fit,
                     forecast_batch)
 
 
-def _sums(actual: np.ndarray, predicted: np.ndarray):
-    """sum((predicted - actual)^2) and sum((actual - mean)^2) for each row of
-    two (k, w) stacks of windows.
+# A sum of squares at least this large cannot owe its last bit to a term
+# that underflowed: such a term is below 2**-1022, over 2**100 times
+# smaller.
+_TINY_SUM = 2.0 ** -900
 
-    Each row gets the same bits as the one-window form would: a
-    row-wise mean is the same pairwise sum, and a stacked (1, w) @ (w, 1)
-    product is the same dot product as dev @ dev.
-    """
+
+def _raw_sums(actual: np.ndarray, predicted: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         dev = actual - actual.mean(axis=1, keepdims=True)
         err = predicted - actual
         return (np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0],
                 np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0])
+
+
+def _sums(actual: np.ndarray, predicted: np.ndarray):
+    """sum((predicted - actual)^2) and sum((actual - mean)^2) for each row of
+    two (k, w) stacks of windows, at a scale where they neither overflow
+    nor underflow.
+
+    Each row gets the same bits as the one-window form would: a row-wise
+    mean is the same pairwise sum, and a stacked (1, w) @ (w, 1) product is
+    the same dot product as dev @ dev.  A row whose sums come out infinite,
+    NaN or below _TINY_SUM is summed again after scaling it by 2**-e, where
+    2**e bounds its largest magnitude.  Scaling by a power of two is exact,
+    so num / denom keeps the bits the unscaled sums give wherever those
+    neither overflow nor underflow, and rows near the ends of the float
+    range can be scored.
+    """
+    num, denom = _raw_sums(actual, predicted)
+    redo = ~((num >= _TINY_SUM) & (num < np.inf)
+             & (denom >= _TINY_SUM) & (denom < np.inf))
+    if redo.any():
+        a, p = actual[redo], predicted[redo]
+        mag = np.maximum(np.abs(a).max(axis=1), np.abs(p).max(axis=1))
+        shift = -np.frexp(mag)[1][:, None]  # 0 where mag is 0, inf or NaN
+        num[redo], denom[redo] = _raw_sums(np.ldexp(a, shift),
+                                           np.ldexp(p, shift))
+    return num, denom
 
 
 def _scores(actual: np.ndarray, predicted: np.ndarray,
@@ -218,6 +243,9 @@ class ProtocolConfig:
     lag: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.bucketing, (YearBuckets, WindowBuckets)):
+            raise ValueError("bucketing must be YearBuckets() or "
+                             f"WindowBuckets(width), got {self.bucketing!r}")
         object.__setattr__(self, "anticipation", tuple(int(t) for t in self.anticipation))
         if not self.anticipation:
             raise ValueError("anticipation set must be nonempty")

@@ -15,10 +15,14 @@ import json
 import math
 import os
 import secrets
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
+from itertools import islice
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, BinaryIO, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ._version import __version__ as _pkg_version
 from .detect import DetectorConfig, Regime, RegimeLabel, changepoints, classify
@@ -28,7 +32,7 @@ from .evaluate import (PredictabilityReport, ProtocolConfig, WindowBuckets,
 from .ingest import (DEFAULT_DATE_COL, DEFAULT_DATE_FORMAT, DEFAULT_GAP_POLICY,
                      DEFAULT_VALUE_COL, GAP_POLICIES, TimeSeries, clean,
                      load_csv)
-from .model import DEFAULT_RANK_TOLERANCE, check_rank_tolerance
+from .model import DEFAULT_RANK_TOLERANCE, ForecastFrame, check_rank_tolerance
 
 REPORT_SCHEMA_VERSION = 1
 TRUTH_SCHEMA_VERSION = 1
@@ -98,10 +102,22 @@ def _clean_float(x: Any) -> Any:
     return v if math.isfinite(v) else None
 
 
+# The leaf types JSON writes as they are.
+_JSON_LEAVES = (str, int, bool, type(None))
+
+
 def _sanitize(obj: Any) -> Any:
-    if isinstance(obj, Mapping):
+    # Exact types are tried before the ABC checks: a report has about 90k
+    # leaves, and an isinstance check against an ABC costs several times a
+    # type comparison.
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind in _JSON_LEAVES:
+        return obj
+    if kind is dict or isinstance(obj, Mapping):
         return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, float):
         return _clean_float(obj)
@@ -110,24 +126,27 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
+# Sorted keys, indent 2, no NaN: the one encoder of every JSON artifact.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+
+# write_json_atomic joins and writes this many encoder pieces at a time.
+_JSON_BATCH = 8192
+
+
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, no NaN."""
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2,
-                      allow_nan=False)
+    return "".join(_ENCODER.iterencode(_sanitize(obj)))
 
 
-# write_text_atomic encodes this many characters at a time, so a large
-# text is never held a second time as one whole bytes object.
-_WRITE_SLICE = 1 << 20
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text as UTF-8, durably, via a temp file in the same directory,
-    then rename.
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle on a temp file in path's directory, renamed over
+    path when the block ends without an exception.
 
     The file gets mode ``0o666 & ~umask``, as a plain ``open`` would give
     it.  It is fsynced before the rename and the directory after it, so a
-    crash leaves either the old file or the whole new one.
+    crash leaves either the old file or the whole new one.  When the block
+    raises, the temp file is removed and path is left as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -135,8 +154,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            for start in range(0, len(text), _WRITE_SLICE):
-                fh.write(text[start:start + _WRITE_SLICE].encode("utf-8"))
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -153,8 +171,20 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         os.close(dir_fd)
 
 
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text as UTF-8 through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_json_atomic(path: str | Path, obj: Any) -> None:
-    write_text_atomic(path, dumps_canonical(obj) + "\n")
+    """Write ``dumps_canonical(obj)`` and a newline through
+    :func:`atomic_writer`, streamed from the encoder a batch at a time."""
+    pieces = _ENCODER.iterencode(_sanitize(obj))
+    with atomic_writer(path) as fh:
+        while batch := list(islice(pieces, _JSON_BATCH)):
+            fh.write("".join(batch).encode("utf-8"))
+        fh.write(b"\n")
 
 
 @dataclass(frozen=True)
@@ -274,36 +304,111 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# The CSV writers format and write this many rows at a time, so only a
+# chunk of a column is held as Python floats and text at once.
 _CHUNK_ROWS = 1024
 
 
-def format_csv_rows(header: str, first: Sequence[str], *numbers) -> str:
-    """CSV text: the header line, then one line per row of the columns.
+def format_csv_rows(first: Sequence[str], column: np.ndarray) -> str:
+    """CSV lines ``first[i],column[i]``, each ended by a newline.
 
-    ``first`` holds the first field of each row as text; each array in
-    ``numbers`` holds floats, written with ``%.17g`` so they read back
-    exactly.  Rows are formatted a chunk at a time, one ``%`` per chunk,
-    and only a chunk of the numbers is held as Python floats at once.
+    ``column[i]`` is written with ``%.17g``, so floats read back exactly.
+    One ``%`` formats every row; callers pass a chunk of rows at a time.
     """
-    width = 1 + len(numbers)
-    row = "%s" + ",%.17g" * len(numbers) + "\n"
-    parts = [header, "\n"]
-    for start in range(0, len(first), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        labels = first[start:stop]
-        fields = [None] * (len(labels) * width)
-        fields[0::width] = labels
-        for k, column in enumerate(numbers, 1):
-            fields[k::width] = column[start:stop].tolist()
-        parts.append(row * len(labels) % tuple(fields))
-    return "".join(parts)
+    fields: list[Any] = [None] * (2 * len(first))
+    fields[0::2] = first
+    fields[1::2] = column.tolist()
+    return "%s,%.17g\n" * len(first) % tuple(fields)
 
 
-def forecast_csv_text(frame, date_text: Sequence[str]) -> str:
-    """The forecast CSV of one track; ``date_text[i]`` is series date i in ISO form."""
-    return format_csv_rows("date,actual,predicted",
-                           [date_text[i] for i in frame.target_times.tolist()],
-                           frame.actual, frame.predicted)
+def _dated_rows(dates: Sequence[date], values: np.ndarray) -> str:
+    """CSV lines ``date,value`` of a chunk, the date in ISO form."""
+    return format_csv_rows([d.isoformat() for d in dates], values)
+
+
+def write_series_csv(path: str | Path, series: TimeSeries) -> None:
+    """A series as ``date,value`` CSV, streamed a chunk of rows at a time
+    through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(b"date,value\n")
+        for start in range(0, len(series), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            fh.write(_dated_rows(series.dates[start:stop],
+                                 series.values[start:stop]).encode("utf-8"))
+
+
+def forecast_csv_text(dates: Sequence[date], values: np.ndarray, start: int,
+                      tracks: Sequence[tuple[int, np.ndarray]]) -> list[str]:
+    """The forecast CSV rows of each track among series rows ``start``,
+    ``start + 1``, ... ``start + len(values) - 1``: one chunk of the walk.
+
+    ``dates[i]`` and ``values[i]`` are the date and value of series row
+    ``start + i``.  A track is ``(lo, predicted)``: its records target the
+    rows ``lo``, ``lo + 1``, ... in turn.  Each row's ``date,actual`` text
+    is formatted once, whichever tracks hold it, and each track then adds
+    only its own predicted column; a track with no row in the chunk gets
+    ``""``.
+    """
+    prefixes = _dated_rows(dates, values).split("\n")
+    stop = start + len(values)
+    texts = []
+    for lo, predicted in tracks:
+        i, j = max(start, lo), min(stop, lo + predicted.size)
+        texts.append(format_csv_rows(prefixes[i - start:j - start],
+                                     predicted[i - lo:j - lo])
+                     if i < j else "")
+    return texts
+
+
+def _target_span(frame: ForecastFrame, values: np.ndarray) -> tuple[int, int]:
+    """The series rows [lo, hi) a frame's records target, checked to be
+    consecutive, with actual values the series values there bit for bit."""
+    t = frame.target_times
+    lo = int(t[0]) if t.size else 0
+    hi = lo + t.size
+    if t.size and not (t[1:] - t[:-1] == 1).all():
+        raise ValueError(f"T={frame.horizon}: forecast CSVs need consecutive "
+                         "target times")
+    if not np.array_equal(frame.actual.view(np.uint64),
+                          values[lo:hi].view(np.uint64)):
+        raise ValueError(f"T={frame.horizon}: actual values are not the "
+                         "series values at the targets")
+    return lo, hi
+
+
+def write_forecast_csvs(out_dir: str | Path, frames: Sequence[ForecastFrame],
+                        values: np.ndarray) -> list[Path]:
+    """Write ``forecast_T<h>.csv`` for every frame in one chunked walk over
+    the series rows, and return their paths in frame order.
+
+    The frames come from one series, whose values are ``values``, and
+    target consecutive rows, as ``run_protocol``'s do.  Each file is
+    streamed to its own temp file, and all are renamed when the walk is
+    done; if the walk fails, every temp file is removed and the old
+    forecast files stay as they were.
+    """
+    values = np.asarray(values, dtype=float)
+    dates = frames[0].series_dates if frames else ()
+    if any(frame.series_dates != dates for frame in frames):
+        raise ValueError("forecast frames must share one series")
+    spans = [_target_span(frame, values) for frame in frames]
+    tracks = [(lo, frame.predicted) for (lo, _), frame in zip(spans, frames)]
+    live = [(lo, hi) for lo, hi in spans if hi > lo]
+    first = min((lo for lo, _ in live), default=0)
+    last = max((hi for _, hi in live), default=0)
+    paths = [Path(out_dir) / f"forecast_T{frame.horizon}.csv"
+             for frame in frames]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(atomic_writer(p)) for p in paths]
+        for fh in handles:
+            fh.write(b"date,actual,predicted\n")
+        for start in range(first, last, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, last)
+            texts = forecast_csv_text(dates[start:stop], values[start:stop],
+                                      start, tracks)
+            for fh, text in zip(handles, texts):
+                fh.write(text.encode("utf-8"))
+    return paths
 
 
 def summary_csv_text(report: PredictabilityReport) -> str:
@@ -327,10 +432,10 @@ def write_run_artifacts(result: RunResult) -> dict[str, Path]:
     write_json_atomic(report_path, build_report_doc(payload))
     paths["report"] = report_path
 
-    date_text = [d.isoformat() for d in result.series.dates]
-    for track in result.report.tracks:
-        p = out_dir / f"forecast_T{track.horizon}.csv"
-        write_text_atomic(p, forecast_csv_text(track.frame, date_text))
+    tracks = result.report.tracks
+    forecasts = write_forecast_csvs(out_dir, [t.frame for t in tracks],
+                                    result.series.values)
+    for track, p in zip(tracks, forecasts):
         paths[f"forecast_T{track.horizon}"] = p
 
     summary_path = out_dir / "summary.csv"

@@ -3,7 +3,9 @@ kept as test oracles.
 
 These are the one-horizon-at-a-time versions: each anticipation value
 builds its own anchors, delay vectors and features, block by block, and
-each window is scored on its own with a dot product per sum.  The
+each window is scored on its own with a dot product per sum, taken again
+after the package's exact power-of-two scaling where they overflow or
+underflow.  The
 package's shared forecast pass and stacked window scoring must give the
 same bytes.  Results are plain tuples and arrays, so the oracles do not
 depend on the package's frame and window types.
@@ -42,34 +44,50 @@ def forecast(series, model, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return target_times, actual, predicted
 
 
-def relative_mse(a: np.ndarray, p: np.ndarray) -> float:
+# Window sums below this, or not finite, are taken again after scaling
+TINY_SUM = 2.0 ** -900
+
+
+def _sums(a: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = a - a.mean()
+        err = p - a
+        return float(err @ err), float(dev @ dev)
+
+
+def relative_mse(a: np.ndarray, p: np.ndarray, scaled: bool = True) -> float:
+    """The window score.  Sums that overflow, underflow or are 0 are taken
+    again with a and p scaled by 2**-e, for the 2**e that bounds their
+    largest magnitude; with scaled False they are kept as they are."""
     if a.size < 2:
         raise ValueError("need at least two points to score a window")
     if not (np.isfinite(a).all() and np.isfinite(p).all()):
         raise ValueError("scores need finite inputs")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = a - a.mean()
-        denom = float(dev @ dev)
-        if denom <= 0.0:
-            raise DegenerateWindowError("actual values have zero variance")
-        err = p - a
-        return float(err @ err) / denom
+    num, denom = _sums(a, p)
+    if scaled and not (TINY_SUM <= num < math.inf
+                       and TINY_SUM <= denom < math.inf):
+        e = math.frexp(max(float(np.abs(a).max()), float(np.abs(p).max())))[1]
+        num, denom = _sums(np.ldexp(a, -e), np.ldexp(p, -e))
+    if denom <= 0.0:
+        raise DegenerateWindowError("actual values have zero variance")
+    return num / denom
 
 
-def baseline_error(a: np.ndarray, horizon: int) -> float:
+def baseline_error(a: np.ndarray, horizon: int, scaled: bool = True) -> float:
     if a.size < horizon + 2:
         raise DegenerateWindowError("window too short for the horizon")
-    return relative_mse(a[horizon:], a[:-horizon])
+    return relative_mse(a[horizon:], a[:-horizon], scaled)
 
 
-def scores(a: np.ndarray, p: np.ndarray, horizon: int) -> tuple[float, float]:
+def scores(a: np.ndarray, p: np.ndarray, horizon: int,
+           scaled: bool = True) -> tuple[float, float]:
     """(rel_mse, baseline_rel_mse) of one window, NaN where unusable."""
     try:
-        rel = relative_mse(a, p)
+        rel = relative_mse(a, p, scaled)
     except (DegenerateWindowError, ValueError):
         rel = math.nan
     try:
-        base = baseline_error(a, horizon)
+        base = baseline_error(a, horizon, scaled)
     except DegenerateWindowError:
         base = math.nan
     return rel, base
@@ -93,12 +111,12 @@ def partition(target_dates, bucketing) -> list[tuple[str, int, int]]:
 
 
 def windows(target_dates, target_times, actual, predicted, bucketing,
-            horizon) -> list[tuple]:
+            horizon, scaled: bool = True) -> list[tuple]:
     """One tuple per window: label, start and end date and index, point
     count, rel_mse, baseline and the degenerate marker."""
     out = []
     for label, lo, hi in partition(target_dates, bucketing):
-        rel, base = scores(actual[lo:hi], predicted[lo:hi], horizon)
+        rel, base = scores(actual[lo:hi], predicted[lo:hi], horizon, scaled)
         out.append((label, target_dates[lo], target_dates[hi - 1],
                     int(target_times[lo]), int(target_times[hi - 1]), hi - lo,
                     rel, base, not (math.isfinite(rel) and math.isfinite(base))))

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxentcast import RunConfig
+from maxentcast import RandomWalkSpec, RunConfig, generate, load_csv
 from maxentcast.cli import _build_parser, _run_config, main
+from maxentcast.synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE,
+                              logistic_splice)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,6 +115,32 @@ def test_synth_spliced_truth_changepoint(tmp_path, capsys):
     assert truth["params"]["map"]["seed"] == 3
     rows = (tmp_path / "series.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 400
+
+
+@pytest.mark.parametrize("flag, noise", [([], 0.01),
+                                         (["--noise-sigma", "0"], 0.0),
+                                         (["--noise-sigma", "0.03"], 0.03)])
+def test_synth_spliced_noise_sigma(flag, noise, tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "synth", "--kind", "spliced", "--n", "400",
+                         "--seed", "1", "--splice", "300",
+                         "--out", str(tmp_path), *flag)
+    assert code == 0
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert truth["params"]["map"]["noise_sigma"] == noise
+    # the map segment is the library's logistic splice at that noise
+    spec = logistic_splice(RandomWalkSpec(n=300, sigma=1.0, seed=1), 100,
+                           noise, SPLICE_MAP_R, SPLICE_MAP_SCALE, 1e6)
+    written = load_csv(tmp_path / "series.csv").values
+    assert written.tobytes() == generate(spec).values.tobytes()
+
+
+def test_synth_map_noise_defaults_to_zero(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "synth", "--kind", "map", "--n", "10",
+                         "--seed", "0", "--dim", "1", "--coeffs", "0.5,0.5",
+                         "--init", "0.7", "--out", str(tmp_path))
+    assert code == 0
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert truth["params"]["noise_sigma"] == 0.0
 
 
 def test_synth_spliced_requires_interior_splice(tmp_path, capsys):

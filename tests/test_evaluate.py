@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from maxentcast import (PolyMapSpec, ProtocolConfig, RandomWalkSpec,
                         WindowBuckets, YearBuckets, baseline_error,
-                        error_by_period, gen_random_walk, gen_spliced,
-                        relative_mse, run_protocol)
+                        TimeSeries, error_by_period, gen_random_walk,
+                        gen_spliced, relative_mse, run_protocol)
 from maxentcast.errors import DegenerateWindowError, InfeasibleWindowError
 from maxentcast.model import ForecastFrame
 from maxentcast.rng import normals
@@ -203,6 +203,12 @@ def test_protocol_rejects_empty_anticipation():
         ProtocolConfig(anticipation=())
 
 
+@pytest.mark.parametrize("bucketing", ["year", "window:125", None, 125])
+def test_protocol_refuses_unknown_bucketing(bucketing):
+    with pytest.raises(ValueError, match="bucketing"):
+        ProtocolConfig(bucketing=bucketing)
+
+
 def test_protocol_propagates_infeasibility():
     series = gen_random_walk(50, 1.0, 0.0, seed=0)
     with pytest.raises(InfeasibleWindowError):
@@ -236,3 +242,34 @@ def test_track_level_scores_match_recomputation():
                                      track.frame.predicted), rel_tol=1e-12)
     assert math.isclose(track.baseline_rel_mse,
                         baseline_error(track.frame.actual, 7), rel_tol=1e-12)
+
+
+def test_scores_near_1e158_are_finite():
+    # squares of values near 1e158 overflow; the window sums are taken
+    # after scaling each window by a power of two
+    walk = gen_random_walk(3_000, 1.0, 0.0, seed=2)
+    huge = TimeSeries(walk.name, walk.dates, walk.values * 1e158)
+    assert np.abs(huge.values).max() > 2.0 ** 512  # its square overflows
+    report = run_protocol(huge, ProtocolConfig(dim=2, degree=1, fit_window=300,
+                                               anticipation=(7, 16),
+                                               bucketing=WindowBuckets(250)))
+
+    def score(a, p):  # at unit scale, where nothing overflows
+        a, p = a * 1e-158, p * 1e-158
+        return np.sum((p - a) ** 2) / np.sum((a - a.mean()) ** 2)
+
+    for track in report.tracks:
+        actual, predicted = track.frame.actual, track.frame.predicted
+        h = track.horizon
+        assert math.isclose(track.rel_mse, score(actual, predicted),
+                            rel_tol=1e-9)
+        assert math.isclose(track.baseline_rel_mse,
+                            score(actual[h:], actual[:-h]), rel_tol=1e-9)
+        lo = 0
+        for w in track.windows:
+            assert not w.degenerate
+            a, p = actual[lo:lo + w.n_points], predicted[lo:lo + w.n_points]
+            assert math.isclose(w.rel_mse, score(a, p), rel_tol=1e-9)
+            assert math.isclose(w.baseline_rel_mse, score(a[h:], a[:-h]),
+                                rel_tol=1e-9)
+            lo += w.n_points

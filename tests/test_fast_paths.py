@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import reference_io as ref
 from maxentcast import (GAP_POLICIES, ForecastFrame, ProtocolConfig,
                         RandomWalkSpec, TimeSeries, WindowBuckets, clean,
-                        forecast_csv_text, generate, load_csv, run_protocol)
+                        generate, load_csv, run_protocol,
+                        write_forecast_csvs)
 from maxentcast.cli import main
 
 MONDAY = date(2000, 1, 3)
@@ -208,25 +209,29 @@ def _frame(values, horizon=3):
 
 
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2 * 1024 + 7])
-def test_forecast_csv_matches_reference(n):
+def test_forecast_csv_matches_reference(n, tmp_path):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
     special = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, 0.1]
     values[:len(special)] = special[:n]
     frame, n_dates = _frame(values)
-    date_text = [(MONDAY + timedelta(days=k)).isoformat() for k in range(n_dates)]
-    assert forecast_csv_text(frame, date_text) == ref.forecast_csv_text(frame)
+    # the series values: the frame's actual values at its targets, after
+    # the rows before its first target
+    series_values = np.concatenate([rng.standard_normal(n_dates - n), values])
+    [path] = write_forecast_csvs(tmp_path, [frame], series_values)
+    assert path.name == "forecast_T3.csv"
+    assert path.read_text(encoding="utf-8") == ref.forecast_csv_text(frame)
 
 
-def test_forecast_csv_of_a_run_matches_reference():
+def test_forecast_csv_of_a_run_matches_reference(tmp_path):
     walk = generate(RandomWalkSpec(n=3000, sigma=1.0, seed=11))
     report = run_protocol(walk, ProtocolConfig(dim=2, degree=1, fit_window=300,
                                                anticipation=(7, 16),
                                                bucketing=WindowBuckets(250)))
-    date_text = [d.isoformat() for d in walk.dates]
-    for track in report.tracks:
-        assert (forecast_csv_text(track.frame, date_text)
-                == ref.forecast_csv_text(track.frame))
+    frames = [track.frame for track in report.tracks]
+    paths = write_forecast_csvs(tmp_path, frames, walk.values)
+    for frame, path in zip(frames, paths):
+        assert path.read_text(encoding="utf-8") == ref.forecast_csv_text(frame)
 
 
 @pytest.mark.parametrize("kind, extra", [

@@ -1,5 +1,6 @@
 """Report payload, artifact writing, and detection-verification tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,15 +12,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from maxentcast import (DetectorConfig, ProtocolConfig, RunConfig,
-                        SchemaMismatchError, WindowBuckets, YearBuckets,
-                        build_payload, build_report_doc,
-                        detect_tracks, dumps_canonical, forecast_csv_text,
-                        gen_random_walk, load_report, load_truth,
-                        parse_bucket, run_from_config, summary_csv_text,
-                        verify_detection, write_json_atomic,
+import reference_io
+from maxentcast import (DetectorConfig, ForecastFrame, ProtocolConfig,
+                        RunConfig, SchemaMismatchError, WindowBuckets,
+                        YearBuckets, build_payload, build_report_doc,
+                        detect_tracks, dumps_canonical, gen_random_walk,
+                        load_report, load_truth, parse_bucket,
+                        run_from_config, summary_csv_text, verify_detection,
+                        write_forecast_csvs, write_json_atomic,
                         write_run_artifacts, write_text_atomic)
-from maxentcast.report import bucket_text
+from maxentcast import report as report_module
+from maxentcast.cli import main as cli_main
+from maxentcast.report import atomic_writer, bucket_text
+
+from conftest import daily_series
 
 
 def write_series_csv(path: Path, series) -> None:
@@ -80,6 +86,30 @@ def test_dumps_canonical_dates_to_iso():
     from datetime import date
     text = dumps_canonical({"d": date(2006, 8, 15)})
     assert json.loads(text) == {"d": "2006-08-15"}
+
+
+def test_dumps_canonical_is_json_dumps_of_the_sanitized_object():
+    from collections import OrderedDict
+    from datetime import date
+    from types import MappingProxyType
+    obj = {"f": [1.5, -0.0, math.nan, np.float64(2.5), (True, None, 3)],
+           "m": MappingProxyType({"z": date(2006, 8, 15), 2: "two"}),
+           "o": OrderedDict(b=[{"x": math.inf}], a=False),
+           "d": datetime(2006, 8, 15, 12, 30)}
+    plain = {"f": [1.5, -0.0, None, 2.5, [True, None, 3]],
+             "m": {"z": "2006-08-15", "2": "two"},
+             "o": {"b": [{"x": None}], "a": False},
+             "d": "2006-08-15T12:30:00"}
+    text = json.dumps(plain, sort_keys=True, indent=2, allow_nan=False)
+    assert dumps_canonical(obj) == text
+    assert dumps_canonical("x") == '"x"'
+
+
+def test_write_json_atomic_streams_dumps_canonical(tmp_path):
+    doc = {"rows": [{"k": i, "v": i / 7} for i in range(20_000)]}
+    write_json_atomic(tmp_path / "big.json", doc)
+    assert ((tmp_path / "big.json").read_text(encoding="utf-8")
+            == dumps_canonical(doc) + "\n")
 
 
 # ---------------------------------------------------------- atomic writes
@@ -239,13 +269,146 @@ def test_write_run_artifacts(walk_csv, tmp_path):
 def test_forecast_csv_floats_round_trip(walk_csv, tmp_path):
     cfg = small_config(walk_csv, tmp_path)
     result = run_from_config(cfg)
-    frame = result.report.tracks[0].frame
-    date_text = [d.isoformat() for d in result.series.dates]
-    lines = forecast_csv_text(frame, date_text).strip().split("\n")[1:]
-    for line, actual, predicted in zip(lines, frame.actual, frame.predicted):
-        _, a_txt, p_txt = line.split(",")
-        assert float(a_txt) == actual
-        assert float(p_txt) == predicted
+    frames = [track.frame for track in result.report.tracks]
+    paths = write_forecast_csvs(tmp_path, frames, result.series.values)
+    for frame, path in zip(frames, paths):
+        lines = path.read_text().strip().split("\n")[1:]
+        assert len(lines) == len(frame)
+        for j, line in enumerate(lines):
+            day, a_txt, p_txt = line.split(",")
+            assert day == frame.target_date(j).isoformat()
+            assert float(a_txt) == frame.actual[j]
+            assert float(p_txt) == frame.predicted[j]
+
+
+# ------------------------------------------------------ streamed artifacts
+
+def assert_artifacts_match_reference(result, paths) -> None:
+    """Every forecast CSV is the reference writer's text, summary.csv is
+    summary_csv_text, and report.json is dumps_canonical of its document."""
+    for track in result.report.tracks:
+        text = paths[f"forecast_T{track.horizon}"].read_text(encoding="utf-8")
+        assert text == reference_io.forecast_csv_text(track.frame)
+    assert (paths["summary"].read_text(encoding="utf-8")
+            == summary_csv_text(result.report))
+    text = paths["report"].read_text(encoding="utf-8")
+    doc = {"meta": json.loads(text)["meta"], "payload": build_payload(result)}
+    assert text == dumps_canonical(doc) + "\n"
+
+
+LONG_PROTOCOL = ProtocolConfig(dim=2, degree=1, fit_window=300,
+                               anticipation=(1, 7, 16),
+                               bucketing=WindowBuckets(250))
+
+
+@pytest.fixture(scope="module")
+def long_walk_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "long.csv"
+    write_series_csv(path, gen_random_walk(3_000, 1.0, seed=8, name="long"))
+    return path
+
+
+def test_artifacts_match_reference_in_one_chunk(walk_csv, tmp_path):
+    result = run_from_config(small_config(walk_csv, tmp_path / "run"))
+    assert len(result.series) < 1024
+    assert_artifacts_match_reference(result, write_run_artifacts(result))
+
+
+def test_artifacts_match_reference_over_chunks(long_walk_csv, tmp_path):
+    cfg = RunConfig(input_path=str(long_walk_csv), protocol=LONG_PROTOCOL,
+                    out_dir=str(tmp_path / "run"))
+    result = run_from_config(cfg)
+    lengths = [len(track.frame) for track in result.report.tracks]
+    assert len(set(lengths)) == 3 and min(lengths) > 2 * 1024
+    assert_artifacts_match_reference(result, write_run_artifacts(result))
+
+
+def test_day_first_cli_run_matches_reference(tmp_path, capsys):
+    walk = gen_random_walk(2_500, 1.0, seed=12, name="dayfirst")
+    path = tmp_path / "dayfirst.csv"
+    path.write_text("date,value\n" + "".join(
+        f"{d:%d/%m/%Y},{float(v)!r}\n" for d, v in zip(walk.dates, walk.values)))
+    out = tmp_path / "run"
+    assert cli_main(["run", "--input", str(path), "--date-format", "%d/%m/%Y",
+                     "--d", "2", "--np", "1", "--fit-window", "300",
+                     "--anticipation", "7", "--anticipation", "13",
+                     "--bucket", "window:250", "--out", str(out)]) == 0
+    cfg = RunConfig(input_path=str(path), date_format="%d/%m/%Y",
+                    protocol=ProtocolConfig(dim=2, degree=1, fit_window=300,
+                                            anticipation=(7, 13),
+                                            bucketing=WindowBuckets(250)),
+                    out_dir=str(out))
+    paths = {"report": out / "report.json", "summary": out / "summary.csv",
+             "forecast_T7": out / "forecast_T7.csv",
+             "forecast_T13": out / "forecast_T13.csv"}
+    assert_artifacts_match_reference(run_from_config(cfg), paths)
+
+
+def test_failed_walk_leaves_old_files(long_walk_csv, tmp_path, monkeypatch):
+    cfg = RunConfig(input_path=str(long_walk_csv), protocol=LONG_PROTOCOL,
+                    out_dir=str(tmp_path))
+    result = run_from_config(cfg)
+    paths = write_run_artifacts(result)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = []
+
+    def fail_on_second_chunk(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("disk on fire")
+        return format_chunk(*args)
+
+    format_chunk = report_module.forecast_csv_text
+    monkeypatch.setattr(report_module, "forecast_csv_text",
+                        fail_on_second_chunk)
+    frames = [track.frame for track in result.report.tracks]
+    # frames that differ from the ones written, so a partial write would show
+    shifted = [dataclasses.replace(f, predicted=f.predicted + 1.0)
+               for f in frames]
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        write_forecast_csvs(tmp_path, shifted, result.series.values)
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert not list(tmp_path.glob("*.tmp"))
+    assert set(before) == {p.name for p in paths.values()}
+
+
+def test_forecast_csvs_refuse_frames_they_cannot_stream(tmp_path):
+    values = np.arange(10.0)
+    dates = daily_series(values).dates
+
+    def frame(times, actual, series_dates=dates):
+        times = np.asarray(times)
+        return ForecastFrame(times=times, target_times=times + 1,
+                             series_dates=series_dates, actual=actual,
+                             predicted=np.zeros(times.size), horizon=1)
+
+    good = frame([0, 1, 2], values[1:4])
+    gappy = frame([0, 2, 4], values[[1, 3, 5]])
+    wrong = frame([0, 1, 2], values[1:4] + 0.5)
+    negative_zero = frame([-1, 0], np.array([-0.0, 1.0]))
+    other = frame([0, 1, 2], values[1:4],
+                  daily_series(values, start=dates[0].replace(year=2001)).dates)
+    for frames, message in (([gappy], "consecutive"),
+                            ([wrong], "actual values"),
+                            ([negative_zero], "actual values"),
+                            ([good, other], "one series")):
+        with pytest.raises(ValueError, match=message):
+            write_forecast_csvs(tmp_path, frames, values)
+        assert list(tmp_path.iterdir()) == []
+    [path] = write_forecast_csvs(tmp_path, [good], values)
+    assert path.read_text() == reference_io.forecast_csv_text(good)
+
+
+def test_atomic_writer_removes_its_temp_file_on_error(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(target) as fh:
+            fh.write(b"new")
+            raise RuntimeError("interrupted")
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_summary_csv_blank_fields_for_degenerate_windows():

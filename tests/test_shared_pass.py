@@ -10,6 +10,8 @@ bytes.  The comparisons hold for one BLAS thread, which ``conftest`` pins
 before numpy is imported.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 import reference_design
 import reference_protocol as ref
 from maxentcast import (EmbedConfig, ForecastFrame, ProtocolConfig,
-                        WindowBuckets, YearBuckets, error_by_period,
-                        forecast_batch, gen_random_walk, run_protocol)
+                        RandomWalkSpec, WindowBuckets, YearBuckets,
+                        error_by_period, forecast_batch, gen_random_walk,
+                        gen_spliced, logistic_splice, run_protocol)
+from maxentcast import evaluate
 from maxentcast.model import forecast_block_rows
 
 from conftest import BLAS_PINNED, daily_series
@@ -130,6 +134,37 @@ def test_scoring_matches_per_window_reference(n, width, horizon, day_step,
     rel, base = ref.scores(actual, predicted, horizon)
     assert (bits(whole.rel_mse), bits(whole.baseline_rel_mse)) == (bits(rel),
                                                                     bits(base))
+
+
+def test_acceptance_seed_scores_keep_their_bits(monkeypatch):
+    """Criterion 4's walks and criterion 5's splices: every window score
+    has the bits of the unscaled sums, whether or not its window is scaled
+    by a power of two first."""
+    runs = [(gen_random_walk(2000, 1.0, seed=seed),
+             ProtocolConfig(bucketing=WindowBuckets(125)), {})
+            for seed in range(50)]
+    detect = ProtocolConfig(dim=2, degree=1, fit_window=700,
+                            anticipation=(7,), bucketing=WindowBuckets(125))
+    for seed in range(100):
+        spec = logistic_splice(RandomWalkSpec(n=1333, sigma=1.0, seed=seed),
+                               667, noise_sigma=0.01)
+        runs.append((gen_spliced(spec.first, spec.second).series, detect,
+                     {"rank_tolerance": 0.2, "standardize": True}))
+    tracks = [(track, protocol.bucketing) for series, protocol, fit_args in runs
+              for track in run_protocol(series, protocol, **fit_args).tracks]
+
+    def unscaled(frame, bucketing):
+        dates = [frame.target_date(j) for j in range(len(frame))]
+        return reference_rows(ref.windows(dates, frame.target_times,
+                                          frame.actual, frame.predicted,
+                                          bucketing, frame.horizon,
+                                          scaled=False))
+
+    expected = [unscaled(t.frame, b) for t, b in tracks]
+    assert [window_rows(t.windows) for t, _ in tracks] == expected
+    monkeypatch.setattr(evaluate, "_TINY_SUM", math.inf)  # scale every window
+    assert [window_rows(error_by_period(t.frame, b))
+            for t, b in tracks] == expected
 
 
 def test_shared_pass_matches_whole_matrix():
