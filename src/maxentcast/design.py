@@ -170,6 +170,23 @@ class DesignMatrix:
         return int(self.features.shape[0])
 
 
+# The largest fit design embed builds, in bytes of float64 features
+# (n_fit x N_c x 8).  A fit holds several arrays of that size at once (the
+# design, its copy in DesignMatrix, the SVD's factors), so a larger one
+# would exhaust the memory of a typical machine.
+MAX_DESIGN_BYTES = 1 << 28
+
+
+def check_design_size(config: EmbedConfig) -> None:
+    """Refuse a fit design over MAX_DESIGN_BYTES, from its sizes alone."""
+    size = 8 * config.n_fit * config.n_features
+    if size > MAX_DESIGN_BYTES:
+        raise InfeasibleWindowError(
+            f"a fit design of {config.n_fit} rows x {config.n_features} "
+            f"features takes {size:,} bytes, over the limit of "
+            f"{MAX_DESIGN_BYTES:,}", n_rows=config.n_fit)
+
+
 def embed(series: TimeSeries, config: EmbedConfig,
           start: int | None = None) -> DesignMatrix:
     """Build the constraint system from n_fit consecutive anchors.
@@ -177,7 +194,9 @@ def embed(series: TimeSeries, config: EmbedConfig,
     Row n holds the features of the delay vector at t = start + n and the
     target v(start + n + horizon).  start defaults to the earliest
     feasible index (dim-1)*lag, so the fit consumes the earliest rows.
+    A design over MAX_DESIGN_BYTES is refused before it is built.
     """
+    check_design_size(config)
     values = series.values
     n_obs = values.size
     if start is None:

@@ -77,7 +77,8 @@ class TimeSeries:
 _ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII).fullmatch
 
 
-def _ordinals(dates) -> np.ndarray:
+def day_ordinals(dates) -> np.ndarray:
+    """``date.toordinal`` of each date, as int64."""
     return np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
@@ -148,7 +149,7 @@ def load_csv(path, date_col: str = DEFAULT_DATE_COL,
     values = np.array(values)
     if np.isnan(values).all():
         raise EmptySeriesError(f"{path}: no usable rows")
-    ordinals = _ordinals(dates)
+    ordinals = day_ordinals(dates)
     order = np.argsort(ordinals, kind="stable")
     repeated = np.flatnonzero(np.diff(ordinals[order]) == 0)
     if repeated.size:
@@ -174,7 +175,7 @@ def clean(series: TimeSeries, policy: str = DEFAULT_GAP_POLICY) -> TimeSeries:
         raise ValueError(f"unknown gap policy {policy!r}; expected one of {GAP_POLICIES}")
     # The grid: every business day from the first date to the last, plus the
     # weekend days the series has.  date(1, 1, 1), ordinal 1, was a Monday.
-    ordinals = _ordinals(series.dates)
+    ordinals = day_ordinals(series.dates)
     days = np.arange(ordinals[0], ordinals[-1] + 1)
     on_grid = (days - 1) % 7 < 5
     on_grid[ordinals - ordinals[0]] = True

@@ -129,6 +129,26 @@ class FittedModel:
         }
 
 
+# A norm at least this large cannot owe its last bit to a square that
+# underflowed: such a square is below 2**-1022, over 2**100 times smaller
+# than the norm's square.
+_TINY_NORM = 2.0 ** -450
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a vector, summed again after scaling it by
+    2**-e, where 2**e bounds its largest magnitude, when the plain norm
+    overflows or may have underflowed.  Scaling by a power of two is exact,
+    so a norm that needs no rescue keeps its bits."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+    if _TINY_NORM <= norm < np.inf:
+        return float(norm)
+    shift = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -shift)), shift))
+
+
 def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
         standardize: bool = False) -> FittedModel:
     """Estimate model coefficients from a constraint system.
@@ -159,14 +179,12 @@ def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
         coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
     else:
         coef, rank, s = lstsq_min_norm(W, y, rank_tolerance)
-    with np.errstate(over="ignore"):
-        residual = float(np.linalg.norm(W @ coef - y))
     return FittedModel(
         coefficients=coef,
         config=dm.config,
         feature_labels=monomial_labels(dm.config.dim, dm.config.degree),
         diagnostics=FitDiagnostics(rank=rank, singular_values=s,
-                                   residual_norm=residual),
+                                   residual_norm=_norm(W @ coef - y)),
         standardized=standardize,
     )
 

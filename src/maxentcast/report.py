@@ -25,13 +25,14 @@ from typing import Any, BinaryIO, Iterator, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__ as _pkg_version
+from .csvtext import csv_rows, date_fields, float_fields, text_fields
 from .detect import DetectorConfig, Regime, RegimeLabel, changepoints, classify
 from .errors import SchemaMismatchError
 from .evaluate import (PredictabilityReport, ProtocolConfig, WindowBuckets,
                        YearBuckets, run_protocol)
 from .ingest import (DEFAULT_DATE_COL, DEFAULT_DATE_FORMAT, DEFAULT_GAP_POLICY,
                      DEFAULT_VALUE_COL, GAP_POLICIES, TimeSeries, clean,
-                     load_csv)
+                     day_ordinals, load_csv)
 from .model import DEFAULT_RANK_TOLERANCE, ForecastFrame, check_rank_tolerance
 
 REPORT_SCHEMA_VERSION = 1
@@ -300,30 +301,9 @@ def build_report_doc(payload: dict[str, Any]) -> dict[str, Any]:
     return {"meta": meta, "payload": payload}
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # The CSV writers format and write this many rows at a time, so only a
-# chunk of a column is held as Python floats and text at once.
-_CHUNK_ROWS = 1024
-
-
-def format_csv_rows(first: Sequence[str], column: np.ndarray) -> str:
-    """CSV lines ``first[i],column[i]``, each ended by a newline.
-
-    ``column[i]`` is written with ``%.17g``, so floats read back exactly.
-    One ``%`` formats every row; callers pass a chunk of rows at a time.
-    """
-    fields: list[Any] = [None] * (2 * len(first))
-    fields[0::2] = first
-    fields[1::2] = column.tolist()
-    return "%s,%.17g\n" * len(first) % tuple(fields)
-
-
-def _dated_rows(dates: Sequence[date], values: np.ndarray) -> str:
-    """CSV lines ``date,value`` of a chunk, the date in ISO form."""
-    return format_csv_rows([d.isoformat() for d in dates], values)
+# chunk of a column is held as text at once.
+_CHUNK_ROWS = 4096
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
@@ -333,30 +313,34 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
         fh.write(b"date,value\n")
         for start in range(0, len(series), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
-            fh.write(_dated_rows(series.dates[start:stop],
-                                 series.values[start:stop]).encode("utf-8"))
+            fh.write(csv_rows([
+                date_fields(day_ordinals(series.dates[start:stop])),
+                float_fields(series.values[start:stop])]))
 
 
 def forecast_csv_text(dates: Sequence[date], values: np.ndarray, start: int,
-                      tracks: Sequence[tuple[int, np.ndarray]]) -> list[str]:
-    """The forecast CSV rows of each track among series rows ``start``,
-    ``start + 1``, ... ``start + len(values) - 1``: one chunk of the walk.
+                      tracks: Sequence[tuple[int, np.ndarray]]) -> list[bytes]:
+    """The forecast CSV rows, as ASCII bytes, of each track among series
+    rows ``start``, ``start + 1``, ... ``start + len(values) - 1``: one
+    chunk of the walk.
 
     ``dates[i]`` and ``values[i]`` are the date and value of series row
     ``start + i``.  A track is ``(lo, predicted)``: its records target the
-    rows ``lo``, ``lo + 1``, ... in turn.  Each row's ``date,actual`` text
-    is formatted once, whichever tracks hold it, and each track then adds
-    only its own predicted column; a track with no row in the chunk gets
-    ``""``.
+    rows ``lo``, ``lo + 1``, ... in turn.  Each row's date and actual
+    value are formatted once, whichever tracks hold it, and each track then
+    formats only its own predicted column; a track with no row in the chunk
+    gets ``b""``.
     """
-    prefixes = _dated_rows(dates, values).split("\n")
+    days = date_fields(day_ordinals(dates))
+    actual = float_fields(values)
     stop = start + len(values)
     texts = []
     for lo, predicted in tracks:
         i, j = max(start, lo), min(stop, lo + predicted.size)
-        texts.append(format_csv_rows(prefixes[i - start:j - start],
-                                     predicted[i - lo:j - lo])
-                     if i < j else "")
+        texts.append(csv_rows([days[i - start:j - start],
+                               actual[i - start:j - start],
+                               float_fields(predicted[i - lo:j - lo])])
+                     if i < j else b"")
     return texts
 
 
@@ -407,29 +391,35 @@ def write_forecast_csvs(out_dir: str | Path, frames: Sequence[ForecastFrame],
             texts = forecast_csv_text(dates[start:stop], values[start:stop],
                                       start, tracks)
             for fh, text in zip(handles, texts):
-                fh.write(text.encode("utf-8"))
+                fh.write(text)
     return paths
 
 
 def summary_csv_text(report: PredictabilityReport) -> str:
-    lines = ["period,T,rel_mse,baseline"]
-    for track in report.tracks:
-        for w in track.windows:
-            rel = "" if not math.isfinite(w.rel_mse) else _fmt(w.rel_mse)
-            base = ("" if not math.isfinite(w.baseline_rel_mse)
-                    else _fmt(w.baseline_rel_mse))
-            lines.append(f"{w.label},{track.horizon},{rel},{base}")
-    return "\n".join(lines) + "\n"
+    """``period,T,rel_mse,baseline`` per window, a score left empty where
+    it is not finite."""
+    windows = [(w, track.horizon) for track in report.tracks
+               for w in track.windows]
+    scores = []
+    for name in ("rel_mse", "baseline_rel_mse"):
+        column = np.array([getattr(w, name) for w, _ in windows], dtype=float)
+        fields = float_fields(column)
+        fields[~np.isfinite(column)] = 0  # all NUL: an empty field
+        scores.append(fields)
+    rows = csv_rows([text_fields(w.label for w, _ in windows),
+                     text_fields(str(h) for _, h in windows), *scores])
+    return "period,T,rel_mse,baseline\n" + rows.decode("ascii")
 
 
 def write_run_artifacts(result: RunResult) -> dict[str, Path]:
     """Write report.json, per-horizon forecast CSVs, and the summary CSV."""
     out_dir = Path(result.config.out_dir)
-    payload = build_payload(result)
     paths: dict[str, Path] = {}
 
+    # The payload is let go before the forecast CSVs are written, so their
+    # chunk buffers reuse its memory instead of adding to the peak.
     report_path = out_dir / "report.json"
-    write_json_atomic(report_path, build_report_doc(payload))
+    write_json_atomic(report_path, build_report_doc(build_payload(result)))
     paths["report"] = report_path
 
     tracks = result.report.tracks

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from maxentcast import RandomWalkSpec, RunConfig, generate, load_csv
+from maxentcast import evaluate as evaluate_module
 from maxentcast.cli import _build_parser, _run_config, main
 from maxentcast.synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE,
                               logistic_splice)
@@ -372,3 +373,36 @@ def test_script_runs(script, tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith(summary) for line in proc.stdout.splitlines())
+
+
+def test_run_near_overflow_reports_a_finite_residual_norm(write_csv, tmp_path,
+                                                          capsys):
+    # the residual's plain norm overflows; it is summed again after an
+    # exact power-of-two scaling
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "run", "--input", str(big_walk_csv(write_csv)),
+                           "--np", "1", "--out", str(out))
+    assert code == 0, err
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    norms = [t["model"]["diagnostics"]["residual_norm"]
+             for t in payload["tracks"]]
+    assert len(norms) == 4
+    assert all(isinstance(r, float) and 1e158 < r < 1e163 for r in norms)
+
+
+def test_run_refuses_an_oversize_design_before_fitting(walk_csv_60, tmp_path,
+                                                       capsys, monkeypatch):
+    # --d 30 --np 5 gives N_c = 324,632: about 1.8 GB of design at M = 700
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(evaluate_module, "fit", no_fit)
+    code, _, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
+                           "--d", "30", "--np", "5",
+                           "--out", str(tmp_path / "run"))
+    assert code == 4
+    assert len(err.strip().splitlines()) == 1
+    line = stderr_json(err)
+    assert line["category"] == "window"
+    assert line["error"] == "InfeasibleWindowError"
+    assert "324632 features" in line["message"]

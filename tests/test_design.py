@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from maxentcast import (DesignMatrix, EmbedConfig, count_coefficients,
                         delay_matrix, embed, feature_matrix, monomial_labels,
                         monomial_terms)
+from maxentcast import design as design_module
+from maxentcast.design import MAX_DESIGN_BYTES, check_design_size
 from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 
 from conftest import daily_series
@@ -197,3 +199,29 @@ def test_embed_config_validation():
         EmbedConfig(dim=2, degree=2, horizon=0, n_fit=10)
     with pytest.raises(ValueError):
         EmbedConfig(dim=2, degree=2.5, horizon=1, n_fit=10)
+
+
+# ------------------------------------------------------- oversize designs
+
+def test_design_size_limit_from_sizes_alone():
+    # --d 30 --np 5 at M = 700: 324,632 features, about 1.8 GB of design.
+    # Only sizes are computed; nothing of that size is allocated.
+    big = EmbedConfig(dim=30, degree=5, horizon=7, n_fit=700)
+    assert big.n_features == 324_632
+    with pytest.raises(InfeasibleWindowError, match="324632 features"):
+        check_design_size(big)
+    n_fit = MAX_DESIGN_BYTES // (8 * 84)
+    check_design_size(EmbedConfig(dim=6, degree=3, horizon=1, n_fit=n_fit))
+    with pytest.raises(InfeasibleWindowError):
+        check_design_size(EmbedConfig(dim=6, degree=3, horizon=1,
+                                      n_fit=n_fit + 1))
+
+
+def test_embed_refuses_an_oversize_design_before_building_it(monkeypatch):
+    def no_features(*args, **kwargs):
+        raise AssertionError("features built for an oversize design")
+
+    monkeypatch.setattr(design_module, "feature_matrix", no_features)
+    with pytest.raises(InfeasibleWindowError, match="limit"):
+        embed(daily_series(np.ones(1_000)),
+              EmbedConfig(dim=30, degree=5, horizon=1, n_fit=700))

@@ -1,12 +1,14 @@
 """Regime labeling from window scores."""
 
 import math
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentcast import DetectorConfig, Regime, changepoints, classify
+from maxentcast.detect import _min_run_filter
 
 from conftest import make_window
 
@@ -171,3 +173,14 @@ def test_classify_is_deterministic(ratios):
     second = classify(windows_from_ratios(ratios), DetectorConfig())
     assert [(a.window_index, a.regime) for a in first] == \
         [(b.window_index, b.regime) for b in second]
+
+
+@settings(max_examples=400, deadline=None)
+@given(flags=st.lists(st.booleans(), max_size=80),
+       min_run=st.integers(min_value=1, max_value=90))
+def test_min_run_filter_keeps_exactly_the_long_runs(flags, min_run):
+    expected = []
+    for flag, run in groupby(flags):
+        n = len(list(run))
+        expected += [flag and n >= min_run] * n
+    assert _min_run_filter(flags, min_run) == expected

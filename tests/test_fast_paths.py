@@ -20,6 +20,7 @@ from maxentcast import (GAP_POLICIES, ForecastFrame, ProtocolConfig,
                         generate, load_csv, run_protocol,
                         write_forecast_csvs)
 from maxentcast.cli import main
+from maxentcast.report import _CHUNK_ROWS
 
 MONDAY = date(2000, 1, 3)
 
@@ -208,7 +209,9 @@ def _frame(values, horizon=3):
                          horizon=horizon), n + horizon
 
 
-@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2 * 1024 + 7])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2 * 1024 + 7,
+                               _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                               2 * _CHUNK_ROWS + 7])
 def test_forecast_csv_matches_reference(n, tmp_path):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
@@ -237,6 +240,7 @@ def test_forecast_csv_of_a_run_matches_reference(tmp_path):
 @pytest.mark.parametrize("kind, extra", [
     ("walk", []),
     ("spliced", ["--splice", "1500"]),
+    ("map", ["--coeffs", "0,3.7,-3.7", "--init", "0.3"]),  # values in (0, 1)
 ])
 def test_synth_csv_matches_reference(tmp_path, capsys, kind, extra):
     assert main(["synth", "--kind", kind, "--n", "2500", "--seed", "4",

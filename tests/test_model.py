@@ -14,6 +14,7 @@ from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel, embed, fit,
                         monomial_labels, pinv, predict)
 from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
                                InfeasibleWindowError, NumericalFailureError)
+from maxentcast.model import _norm
 
 from conftest import daily_series
 
@@ -262,3 +263,27 @@ def test_normal_equations_oracle_full_column_rank(seed):
     oracle_residual = np.linalg.norm(w @ oracle - target)
     assert abs(residual - oracle_residual) < 1e-8
     assert np.allclose(coef, oracle, atol=1e-8)
+
+
+def test_residual_norm_survives_overflow_and_underflow():
+    # squares near 1e320 overflow a double and squares near 1e-340 underflow;
+    # scaling by a power of two scales the norm exactly
+    x = np.random.default_rng(1).standard_normal(500)
+    for scale in (2.0 ** 532, 2.0 ** -566):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _norm(scale * x) == scale * _norm(x)
+    assert _norm(np.zeros(3)) == 0.0
+    walk = np.cumsum(np.random.default_rng(1).standard_normal(60))
+    dm = embed(daily_series(1e160 * (1.0 + 0.01 * walk)),
+               EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40))
+    norm = fit(dm).diagnostics.residual_norm
+    assert math.isfinite(norm) and norm > 1e150
+
+
+def test_residual_norm_keeps_the_plain_norm_bits():
+    series = daily_series(np.sin(np.arange(80.0)))
+    dm = embed(series, EmbedConfig(dim=3, degree=2, horizon=2, n_fit=50))
+    model = fit(dm)
+    plain = float(np.linalg.norm(dm.features @ model.coefficients - dm.targets))
+    assert model.diagnostics.residual_norm == plain

@@ -304,13 +304,15 @@ LONG_PROTOCOL = ProtocolConfig(dim=2, degree=1, fit_window=300,
 @pytest.fixture(scope="module")
 def long_walk_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "long.csv"
-    write_series_csv(path, gen_random_walk(3_000, 1.0, seed=8, name="long"))
+    # long enough that every forecast file spans over two write chunks
+    write_series_csv(path, gen_random_walk(3 * report_module._CHUNK_ROWS, 1.0,
+                                           seed=8, name="long"))
     return path
 
 
 def test_artifacts_match_reference_in_one_chunk(walk_csv, tmp_path):
     result = run_from_config(small_config(walk_csv, tmp_path / "run"))
-    assert len(result.series) < 1024
+    assert len(result.series) < report_module._CHUNK_ROWS
     assert_artifacts_match_reference(result, write_run_artifacts(result))
 
 
@@ -319,7 +321,8 @@ def test_artifacts_match_reference_over_chunks(long_walk_csv, tmp_path):
                     out_dir=str(tmp_path / "run"))
     result = run_from_config(cfg)
     lengths = [len(track.frame) for track in result.report.tracks]
-    assert len(set(lengths)) == 3 and min(lengths) > 2 * 1024
+    assert (len(set(lengths)) == 3
+            and min(lengths) > 2 * report_module._CHUNK_ROWS)
     assert_artifacts_match_reference(result, write_run_artifacts(result))
 
 
