@@ -209,6 +209,43 @@ def date_fields(ordinals) -> np.ndarray:
     return out.view(np.uint8)
 
 
+# Days in each month of a common year, month 0 unused.
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def iso_days(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of :func:`date_fields`: the day ordinals of ``(n, 10)``
+    uint8 rows of ``YYYY-MM-DD`` text, and which rows are dates.
+
+    A row is a date when it holds ASCII digits with dashes at 4 and 7, a
+    year from 1, a month from 1 to 12 and a day inside its month.  The
+    ordinal of any other row is meaningless.
+    """
+    digits = text - np.uint8(_ZERO)  # a byte below "0" wraps above 9
+    ok = (text[:, 4] == _MINUS) & (text[:, 7] == _MINUS)
+    for col in (0, 1, 2, 3, 5, 6, 8, 9):
+        ok &= digits[:, col] <= 9
+
+    def number(first: int, stop: int) -> np.ndarray:
+        out = digits[:, first].astype(np.int64)
+        for col in range(first + 1, stop):
+            out = out * 10 + digits[:, col]
+        return out
+
+    year, month, day = number(0, 4), number(5, 7), number(8, 10)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    ok &= day <= _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    # Hinnant's days_from_civil: March-based years put the leap day last.
+    y = year - (month <= 2)
+    era = y // 400
+    year_of_era = y - 400 * era
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = (365 * year_of_era + year_of_era // 4 - year_of_era // 100
+                  + day_of_year)
+    return 146097 * era + day_of_era - 305, ok
+
+
 def text_fields(strings: Iterable[str | bytes],
                 width: int | None = None) -> np.ndarray:
     """ASCII strings as NUL-padded rows, ``width`` bytes wide or as wide as

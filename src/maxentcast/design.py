@@ -170,21 +170,45 @@ class DesignMatrix:
         return int(self.features.shape[0])
 
 
-# The largest fit design embed builds, in bytes of float64 features
-# (n_fit x N_c x 8).  A fit holds several arrays of that size at once (the
-# design, its copy in DesignMatrix, the SVD's factors), so a larger one
-# would exhaust the memory of a typical machine.
+# Forecast features are built in blocks of anchors, each about this many
+# bytes of float64 (rows x N_c x 8), so memory does not grow with the anchor
+# count and a block stays in cache while it is multiplied.
+_FORECAST_BLOCK_BYTES = 1 << 20
+
+
+def forecast_block_rows(n_features: int) -> int:
+    """Anchors per forecast block: the byte budget, in whole multiples of 64.
+
+    Blocks that start on multiples of 64 rows keep BLAS's grouping of
+    output rows (OpenBLAS dgemv takes them four at a time) as it is in one
+    product over every anchor, so with one BLAS thread each prediction has
+    the same bits as it would have there.  At least 128 rows, so a last
+    block moved 64 rows back (see forecast_batch) still reaches the end.
+    """
+    return max(128, _FORECAST_BLOCK_BYTES // (8 * n_features) // 64 * 64)
+
+
+# The largest feature matrix embed or forecast_batch builds, in bytes of
+# float64 (rows x N_c x 8).  A fit holds several arrays of its design's
+# size at once (the design, its copy in DesignMatrix, the SVD's factors),
+# so a larger one would exhaust the memory of a typical machine.
 MAX_DESIGN_BYTES = 1 << 28
 
 
 def check_design_size(config: EmbedConfig) -> None:
-    """Refuse a fit design over MAX_DESIGN_BYTES, from its sizes alone."""
-    size = 8 * config.n_fit * config.n_features
+    """Refuse an embedding whose fit design (n_fit rows) or forecast block
+    (forecast_block_rows rows) would pass MAX_DESIGN_BYTES, from its sizes
+    alone."""
+    n_features = config.n_features
+    block = forecast_block_rows(n_features)
+    rows = max(config.n_fit, block)
+    size = 8 * rows * n_features
     if size > MAX_DESIGN_BYTES:
+        what = "fit design" if config.n_fit >= block else "forecast block"
         raise InfeasibleWindowError(
-            f"a fit design of {config.n_fit} rows x {config.n_features} "
-            f"features takes {size:,} bytes, over the limit of "
-            f"{MAX_DESIGN_BYTES:,}", n_rows=config.n_fit)
+            f"a {what} of {rows} rows x {n_features} features takes "
+            f"{size:,} bytes, over the limit of {MAX_DESIGN_BYTES:,}",
+            n_rows=rows)
 
 
 def embed(series: TimeSeries, config: EmbedConfig,
@@ -194,7 +218,7 @@ def embed(series: TimeSeries, config: EmbedConfig,
     Row n holds the features of the delay vector at t = start + n and the
     target v(start + n + horizon).  start defaults to the earliest
     feasible index (dim-1)*lag, so the fit consumes the earliest rows.
-    A design over MAX_DESIGN_BYTES is refused before it is built.
+    An embedding check_design_size refuses is refused before any is built.
     """
     check_design_size(config)
     values = series.values

@@ -215,15 +215,20 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     scores = [_score_frame(frame, lo, k, w, h) for lo, k, w in stacks]
     rel = np.concatenate([r for r, _ in scores]).tolist()
     base = np.concatenate([b for _, b in scores]).tolist()
-    bounds = [(lo + i * w, lo + (i + 1) * w) for lo, k, w in stacks
-              for i in range(k)]
-    t = frame.target_times
-    return [ErrorWindow(label=label, start=frame.target_date(lo),
-                        end=frame.target_date(hi - 1),
-                        start_index=int(t[lo]), end_index=int(t[hi - 1]),
-                        n_points=hi - lo, rel_mse=r, baseline_rel_mse=b,
+    # The first and last record of each window, their targets' series
+    # indices and their day numbers, each looked up in one array operation.
+    records = np.array([(lo + i * w, lo + (i + 1) * w - 1)
+                        for lo, k, w in stacks for i in range(k)]).reshape(-1, 2)
+    index = frame.target_times[records]
+    days = frame.series_days[index]
+    return [ErrorWindow(label=label, start=date.fromordinal(d0),
+                        end=date.fromordinal(d1), start_index=i0,
+                        end_index=i1, n_points=r1 - r0 + 1, rel_mse=r,
+                        baseline_rel_mse=b,
                         degenerate=not (math.isfinite(r) and math.isfinite(b)))
-            for label, (lo, hi), r, b in zip(labels, bounds, rel, base)]
+            for label, (r0, r1), (i0, i1), (d0, d1), r, b
+            in zip(labels, records.tolist(), index.tolist(), days.tolist(),
+                   rel, base)]
 
 
 @dataclass(frozen=True)

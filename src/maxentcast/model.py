@@ -22,7 +22,7 @@ from datetime import date
 import numpy as np
 
 from .design import (DesignMatrix, EmbedConfig, delay_matrix, feature_matrix,
-                     monomial_labels)
+                     forecast_block_rows, monomial_labels)
 from .errors import (DegenerateMatrixError, DimensionMismatchError,
                      InfeasibleWindowError, NumericalFailureError)
 from .ingest import TimeSeries
@@ -207,57 +207,43 @@ class ForecastFrame:
 
     Entry j predicts the observation at target_times[j] =
     times[j] + horizon from the delay vector anchored at times[j];
-    actual is indexed by the target.  series_dates holds the dates of the
-    whole series, so record j falls on series_dates[target_times[j]].
-    The arrays are read-only views of the ones given, not copies.
+    actual is indexed by the target.  series_days holds the day numbers
+    (``date.toordinal``) of the whole series, so record j falls on day
+    series_days[target_times[j]].  The arrays are read-only views of the
+    ones given, not copies.
     """
 
     times: np.ndarray
     target_times: np.ndarray
-    series_dates: tuple[date, ...]
+    series_days: np.ndarray
     actual: np.ndarray
     predicted: np.ndarray
     horizon: int
 
     def __post_init__(self):
-        for name in ("times", "target_times", "actual", "predicted"):
+        for name in ("times", "target_times", "series_days", "actual",
+                     "predicted"):
             arr = np.asarray(getattr(self, name),
-                             dtype=int if name.endswith("times") else float).view()
+                             dtype=float if name in ("actual", "predicted")
+                             else np.int64).view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "series_dates", tuple(self.series_dates))
         n = self.times.size
         if not all(getattr(self, name).shape == (n,) for name in
                    ("times", "target_times", "actual", "predicted")):
             raise ValueError("all record fields must be 1-d and share one length")
+        if self.series_days.ndim != 1:
+            raise ValueError("series_days must be 1-d")
         if n and not (0 <= self.target_times.min()
-                      and self.target_times.max() < len(self.series_dates)):
-            raise ValueError("target_times must index series_dates")
+                      and self.target_times.max() < self.series_days.size):
+            raise ValueError("target_times must index series_days")
 
     def __len__(self) -> int:
         return int(self.times.size)
 
     def target_date(self, j: int) -> date:
         """The date of record j's target."""
-        return self.series_dates[self.target_times[j]]
-
-
-# Forecast features are built in blocks of anchors, each about this many
-# bytes of float64 (rows x N_c x 8), so memory does not grow with the anchor
-# count and a block stays in cache while it is multiplied.
-_FORECAST_BLOCK_BYTES = 1 << 20
-
-
-def forecast_block_rows(n_features: int) -> int:
-    """Anchors per forecast block: the byte budget, in whole multiples of 64.
-
-    Blocks that start on multiples of 64 rows keep BLAS's grouping of
-    output rows (OpenBLAS dgemv takes them four at a time) as it is in one
-    product over every anchor, so with one BLAS thread each prediction has
-    the same bits as it would have there.  At least 128 rows, so a last
-    block moved 64 rows back (see forecast_batch) still reaches the end.
-    """
-    return max(128, _FORECAST_BLOCK_BYTES // (8 * n_features) // 64 * 64)
+        return date.fromordinal(int(self.series_days[self.target_times[j]]))
 
 
 def forecast_batch(series: TimeSeries, models, times,
@@ -321,7 +307,7 @@ def forecast_batch(series: TimeSeries, models, times,
             predicted[k][lo - 64:lo + 1] = predict(
                 models[k], feature_matrix(tail, cfg.degree, out=block[:65]))
     return [ForecastFrame(times=t[:c], target_times=t[:c] + m.config.horizon,
-                          series_dates=series.dates, actual=a, predicted=p,
+                          series_days=series.days, actual=a, predicted=p,
                           horizon=m.config.horizon)
             for m, c, a, p in zip(models, counts, actual, predicted)]
 

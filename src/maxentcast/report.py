@@ -32,7 +32,7 @@ from .evaluate import (PredictabilityReport, ProtocolConfig, WindowBuckets,
                        YearBuckets, run_protocol)
 from .ingest import (DEFAULT_DATE_COL, DEFAULT_DATE_FORMAT, DEFAULT_GAP_POLICY,
                      DEFAULT_VALUE_COL, GAP_POLICIES, TimeSeries, clean,
-                     day_ordinals, load_csv)
+                     load_csv)
 from .model import DEFAULT_RANK_TOLERANCE, ForecastFrame, check_rank_tolerance
 
 REPORT_SCHEMA_VERSION = 1
@@ -283,8 +283,8 @@ def build_payload(result: RunResult) -> dict[str, Any]:
         "series": {
             "name": series.name,
             "n": int(series.values.size),
-            "first_date": series.dates[0].isoformat(),
-            "last_date": series.dates[-1].isoformat(),
+            "first_date": date.fromordinal(int(series.days[0])).isoformat(),
+            "last_date": date.fromordinal(int(series.days[-1])).isoformat(),
             "n_interpolated": result.n_interpolated,
         },
         "detector": {"theta": result.config.detector.theta,
@@ -293,8 +293,14 @@ def build_payload(result: RunResult) -> dict[str, Any]:
     }
 
 
+# The variables that set the BLAS thread count.  Payload bytes repeat only
+# at one thread count, so meta records what the process saw of each.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def build_report_doc(payload: dict[str, Any]) -> dict[str, Any]:
     meta = {
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "generator": f"maxentcast {_pkg_version}",
     }
@@ -314,30 +320,30 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
         for start in range(0, len(series), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             fh.write(csv_rows([
-                date_fields(day_ordinals(series.dates[start:stop])),
+                date_fields(series.days[start:stop]),
                 float_fields(series.values[start:stop])]))
 
 
-def forecast_csv_text(dates: Sequence[date], values: np.ndarray, start: int,
+def forecast_csv_text(days: np.ndarray, values: np.ndarray, start: int,
                       tracks: Sequence[tuple[int, np.ndarray]]) -> list[bytes]:
     """The forecast CSV rows, as ASCII bytes, of each track among series
     rows ``start``, ``start + 1``, ... ``start + len(values) - 1``: one
     chunk of the walk.
 
-    ``dates[i]`` and ``values[i]`` are the date and value of series row
-    ``start + i``.  A track is ``(lo, predicted)``: its records target the
+    ``days[i]`` and ``values[i]`` are the day number (``date.toordinal``)
+    and the value of series row ``start + i``.  A track is ``(lo, predicted)``: its records target the
     rows ``lo``, ``lo + 1``, ... in turn.  Each row's date and actual
     value are formatted once, whichever tracks hold it, and each track then
     formats only its own predicted column; a track with no row in the chunk
     gets ``b""``.
     """
-    days = date_fields(day_ordinals(dates))
+    dates = date_fields(days)
     actual = float_fields(values)
     stop = start + len(values)
     texts = []
     for lo, predicted in tracks:
         i, j = max(start, lo), min(stop, lo + predicted.size)
-        texts.append(csv_rows([days[i - start:j - start],
+        texts.append(csv_rows([dates[i - start:j - start],
                                actual[i - start:j - start],
                                float_fields(predicted[i - lo:j - lo])])
                      if i < j else b"")
@@ -372,8 +378,8 @@ def write_forecast_csvs(out_dir: str | Path, frames: Sequence[ForecastFrame],
     forecast files stay as they were.
     """
     values = np.asarray(values, dtype=float)
-    dates = frames[0].series_dates if frames else ()
-    if any(frame.series_dates != dates for frame in frames):
+    days = frames[0].series_days if frames else np.empty(0, dtype=np.int64)
+    if not all(np.array_equal(frame.series_days, days) for frame in frames):
         raise ValueError("forecast frames must share one series")
     spans = [_target_span(frame, values) for frame in frames]
     tracks = [(lo, frame.predicted) for (lo, _), frame in zip(spans, frames)]
@@ -388,7 +394,7 @@ def write_forecast_csvs(out_dir: str | Path, frames: Sequence[ForecastFrame],
             fh.write(b"date,actual,predicted\n")
         for start in range(first, last, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, last)
-            texts = forecast_csv_text(dates[start:stop], values[start:stop],
+            texts = forecast_csv_text(days[start:stop], values[start:stop],
                                       start, tracks)
             for fh, text in zip(handles, texts):
                 fh.write(text)

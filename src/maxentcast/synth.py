@@ -12,7 +12,7 @@ across platforms.  Synthetic series carry consecutive calendar dates from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from numbers import Integral
 
 import numpy as np
@@ -22,11 +22,12 @@ from .design import count_coefficients, monomial_terms
 from .errors import DivergentOrbitError
 from .ingest import TimeSeries
 
-_EPOCH = date(2000, 1, 1)
+# The day number (date.toordinal) of 2000-01-01, the first synthetic day.
+_EPOCH_DAY = date(2000, 1, 1).toordinal()
 
 
-def _index_dates(n: int, start: date = _EPOCH) -> tuple[date, ...]:
-    return tuple(start + timedelta(days=i) for i in range(n))
+def _index_days(n: int) -> np.ndarray:
+    return np.arange(_EPOCH_DAY, _EPOCH_DAY + n)
 
 
 def _infer_degree(dim: int, n_coefficients: int) -> int:
@@ -181,7 +182,7 @@ def gen_random_walk(n: int, sigma: float, x0: float = 0.0, seed: int = 0,
     spec = RandomWalkSpec(n=n, sigma=sigma, x0=x0, seed=seed)
     if spec.n < 2:
         raise ValueError("a standalone walk needs n >= 2")
-    return TimeSeries(name or f"walk-s{seed}", _index_dates(n),
+    return TimeSeries(name or f"walk-s{seed}", _index_days(n),
                       _walk_values(n, sigma, x0, seed))
 
 
@@ -194,7 +195,7 @@ def gen_poly_map(n: int, dim: int, coefficients, init, noise_sigma: float = 0.0,
                        bound=bound)
     if spec.n < 2:
         raise ValueError("a standalone map series needs n >= 2")
-    return TimeSeries(name or f"polymap-s{seed}", _index_dates(n),
+    return TimeSeries(name or f"polymap-s{seed}", _index_days(n),
                       _spec_values(spec))
 
 
@@ -237,7 +238,7 @@ def gen_spliced(first, second, splice_index: int | None = None,
     a = _spec_values(first)
     b = _continue_values(a, second, step_offset=spec.splice_index)
     values = np.concatenate([a, b])
-    series = TimeSeries(name, _index_dates(spec.n), values)
+    series = TimeSeries(name, _index_days(spec.n), values)
     return SplicedSeries(series=series, changepoint=spec.splice_index)
 
 
@@ -248,7 +249,7 @@ def generate(spec, name: str | None = None) -> TimeSeries:
                            name=name or "spliced").series
     values = _spec_values(spec)
     return TimeSeries(name or f"{spec.kind}-s{spec.seed}",
-                      _index_dates(spec.n), values)
+                      _index_days(spec.n), values)
 
 
 def logistic_map_coefficients(r: float) -> tuple[float, float, float]:

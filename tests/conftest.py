@@ -2,7 +2,7 @@
 
 import os
 import sys
-from datetime import date, timedelta
+from datetime import date
 
 # One BLAS thread, set before numpy is first imported.  Some tests compare
 # predictions byte for byte with a whole-matrix reference product, and
@@ -39,8 +39,8 @@ def write_csv(tmp_path):
 def daily_series(values, start=date(2000, 1, 3), name="test"):
     """TimeSeries on consecutive calendar days, mirroring the synth layout."""
     values = np.asarray(values, dtype=float)
-    dates = [start + timedelta(days=i) for i in range(values.size)]
-    return TimeSeries(name=name, dates=tuple(dates), values=values)
+    days = start.toordinal() + np.arange(values.size)
+    return TimeSeries(name=name, days=days, values=values)
 
 
 def make_window(rel, base, *, label="w", degenerate=False, n_points=10,

@@ -51,7 +51,7 @@ def load_csv(path, date_col: str = "date", value_col: str = "value",
             raise ParseError(line_no, f"duplicate date {d2}")
     return TimeSeries(
         name=name if name is not None else path.stem,
-        dates=tuple(r[0] for r in rows),
+        days=np.array([r[0].toordinal() for r in rows], dtype=np.int64),
         values=np.array([r[1] for r in rows]),
     )
 
@@ -79,11 +79,20 @@ def business_days(first: date, last: date) -> list[date]:
     return out
 
 
+def _dates(days) -> list[date]:
+    return [date.fromordinal(d) for d in days.tolist()]
+
+
+def _days(dates) -> np.ndarray:
+    return np.array([d.toordinal() for d in dates], dtype=np.int64)
+
+
 def clean(series: TimeSeries, policy: str = "ffill") -> TimeSeries:
     if policy not in GAP_POLICIES:
         raise ValueError(f"unknown gap policy {policy!r}; expected one of {GAP_POLICIES}")
-    observed = dict(zip(series.dates, series.values.tolist()))
-    grid = sorted(set(series.dates) | set(business_days(series.dates[0], series.dates[-1])))
+    series_dates = _dates(series.days)
+    observed = dict(zip(series_dates, series.values.tolist()))
+    grid = sorted(set(series_dates) | set(business_days(series_dates[0], series_dates[-1])))
 
     if policy == "error":
         for d in grid:
@@ -107,13 +116,13 @@ def clean(series: TimeSeries, policy: str = "ffill") -> TimeSeries:
             last_value = v
             dates_out.append(d)
             values_out.append(v)
-        return TimeSeries(series.name, tuple(dates_out), np.array(values_out))
+        return TimeSeries(series.name, _days(dates_out), np.array(values_out))
 
-    kept = [(d, v) for d, v in zip(series.dates, series.values.tolist())
+    kept = [(d, v) for d, v in zip(series_dates, series.values.tolist())
             if math.isfinite(v)]
     if len(kept) < 2:
         raise EmptySeriesError("fewer than two observations left after dropping gaps")
-    return TimeSeries(series.name, tuple(d for d, _ in kept),
+    return TimeSeries(series.name, _days(d for d, _ in kept),
                       np.array([v for _, v in kept]))
 
 
@@ -123,7 +132,7 @@ def _fmt(x: float) -> str:
 
 def forecast_csv_text(frame) -> str:
     lines = ["date,actual,predicted"]
-    days = [frame.series_dates[i] for i in frame.target_times]
+    days = _dates(frame.series_days[frame.target_times])
     for day, actual, predicted in zip(days, frame.actual, frame.predicted):
         lines.append(f"{day.isoformat()},{_fmt(actual)},{_fmt(predicted)}")
     return "\n".join(lines) + "\n"
@@ -132,6 +141,6 @@ def forecast_csv_text(frame) -> str:
 def series_csv_text(series) -> str:
     """The ``synth`` writer's CSV: ``date,value`` per row."""
     lines = ["date,value"]
-    for d, v in zip(series.dates, series.values):
+    for d, v in zip(_dates(series.days), series.values):
         lines.append(f"{d.isoformat()},{format(float(v), '.17g')}")
     return "\n".join(lines) + "\n"

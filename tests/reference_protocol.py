@@ -14,6 +14,7 @@ depend on the package's frame and window types.
 from __future__ import annotations
 
 import math
+from datetime import date
 
 import numpy as np
 
@@ -133,7 +134,7 @@ def run_protocol(series, protocol, rank_tolerance=1e-10, standardize=False):
         first = cfg.span + protocol.fit_window
         times = range(first, len(series) - horizon)
         target_times, actual, predicted = forecast(series, model, times)
-        target_dates = [series.dates[i] for i in target_times]
+        target_dates = [date.fromordinal(int(series.days[i])) for i in target_times]
         tracks.append((model.coefficients, actual, predicted,
                        windows(target_dates, target_times, actual, predicted,
                                protocol.bucketing, horizon),

@@ -9,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxentcast import RandomWalkSpec, RunConfig, generate, load_csv
+from maxentcast import (RandomWalkSpec, RunConfig, dumps_canonical, generate,
+                        load_csv)
 from maxentcast import evaluate as evaluate_module
 from maxentcast.cli import _build_parser, _run_config, main
 from maxentcast.synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE,
                               logistic_splice)
+
+from test_fast_paths import _tokenizers
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -388,6 +391,59 @@ def test_run_near_overflow_reports_a_finite_residual_norm(write_csv, tmp_path,
              for t in payload["tracks"]]
     assert len(norms) == 4
     assert all(isinstance(r, float) and 1e158 < r < 1e163 for r in norms)
+
+
+def test_crlf_quoted_copy_gives_the_same_artifacts(tmp_path, capsys,
+                                                  monkeypatch):
+    # The LF original is split by load_csv's own tokenizer; the copy, with
+    # CRLF endings and every field quoted, goes through csv.reader.
+    used = _tokenizers(monkeypatch)
+    data = tmp_path / "data"
+    assert main(["synth", "--kind", "spliced", "--n", "3000", "--splice",
+                 "2000", "--seed", "5", "--out", str(data)]) == 0
+    original = data / "series.csv"
+    copy = tmp_path / "quoted" / "series.csv"  # the same stem: the same name
+    copy.parent.mkdir()
+    copy.write_bytes("".join(
+        ",".join(f'"{field}"' for field in line.split(",")) + "\r\n"
+        for line in original.read_text().splitlines()).encode())
+    artifacts = {}
+    for name, path in (("lf", original), ("crlf", copy)):
+        used.update(split=0, reader=0)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(["run", "--input", str(path), "--out", "out"]) == 0
+        out = tmp_path / name / "out"
+        files = {p.name: p.read_bytes() for p in out.iterdir()
+                 if p.name != "report.json"}
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        assert payload["config"].pop("input_path") == str(path)
+        files["payload"] = dumps_canonical(payload)
+        artifacts[name] = files
+        assert (used["split"] > 0) is (name == "lf")
+        assert (used["reader"] > 0) is (name == "crlf")
+    assert sorted(artifacts["lf"]) == [
+        "forecast_T10.csv", "forecast_T13.csv", "forecast_T16.csv",
+        "forecast_T7.csv", "payload", "summary.csv"]
+    assert artifacts["lf"] == artifacts["crlf"]
+
+
+def test_run_refuses_an_oversize_forecast_block(walk_csv_60, tmp_path, capsys,
+                                                monkeypatch):
+    # --d 60 --np 4 gives N_c = 635,376: a 254 MB fit design at M = 50,
+    # and a forecast block of 128 rows, 650 MB
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr(evaluate_module, "fit", no_fit)
+    code, _, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
+                           "--d", "60", "--np", "4", "--fit-window", "50",
+                           "--out", str(tmp_path / "run"))
+    assert code == 4
+    line = stderr_json(err)
+    assert line["error"] == "InfeasibleWindowError"
+    assert "forecast block of 128 rows x 635376 features" in line["message"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_refuses_an_oversize_design_before_fitting(walk_csv_60, tmp_path,

@@ -13,7 +13,8 @@ from maxentcast import (DesignMatrix, EmbedConfig, count_coefficients,
                         delay_matrix, embed, feature_matrix, monomial_labels,
                         monomial_terms)
 from maxentcast import design as design_module
-from maxentcast.design import MAX_DESIGN_BYTES, check_design_size
+from maxentcast.design import (MAX_DESIGN_BYTES, check_design_size,
+                               forecast_block_rows)
 from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 
 from conftest import daily_series
@@ -215,6 +216,36 @@ def test_design_size_limit_from_sizes_alone():
     with pytest.raises(InfeasibleWindowError):
         check_design_size(EmbedConfig(dim=6, degree=3, horizon=1,
                                       n_fit=n_fit + 1))
+
+
+def test_design_size_limit_covers_the_forecast_block():
+    # --d 60 --np 4 --fit-window 50: 635,376 features.  The fit design is
+    # 254 MB, under the limit, but a forecast block holds at least 128
+    # rows: 650 MB.  Only sizes are computed.
+    cfg = EmbedConfig(dim=60, degree=4, horizon=1, n_fit=50)
+    assert cfg.n_features == 635_376
+    assert 8 * cfg.n_fit * cfg.n_features <= MAX_DESIGN_BYTES
+    assert forecast_block_rows(cfg.n_features) == 128
+    with pytest.raises(InfeasibleWindowError,
+                       match="forecast block of 128 rows x 635376 features"):
+        check_design_size(cfg)
+    # degree 1 has dim + 1 features: the most whose 128-row block fits,
+    # then one more
+    dim = MAX_DESIGN_BYTES // (8 * 128) - 1
+    check_design_size(EmbedConfig(dim=dim, degree=1, horizon=1, n_fit=1))
+    with pytest.raises(InfeasibleWindowError, match="forecast block"):
+        check_design_size(EmbedConfig(dim=dim + 1, degree=1, horizon=1,
+                                      n_fit=1))
+
+
+def test_embed_refuses_an_oversize_forecast_block(monkeypatch):
+    def no_features(*args, **kwargs):
+        raise AssertionError("features built for an oversize block")
+
+    monkeypatch.setattr(design_module, "feature_matrix", no_features)
+    with pytest.raises(InfeasibleWindowError, match="forecast block"):
+        embed(daily_series(np.ones(200)),
+              EmbedConfig(dim=60, degree=4, horizon=1, n_fit=50))
 
 
 def test_embed_refuses_an_oversize_design_before_building_it(monkeypatch):

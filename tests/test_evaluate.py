@@ -1,7 +1,7 @@
 """Window scoring, bucketing, and the fit-once protocol."""
 
 import math
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -115,10 +115,9 @@ def make_frame(actual, predicted, horizon=1, start_date=date(2002, 1, 1),
     n = actual.size
     times = np.arange(n)
     # the target of record i falls on start_date + i * day_step
-    dates = tuple(start_date + timedelta(days=day_step * (i - horizon))
-                  for i in range(n + horizon))
+    days = start_date.toordinal() + day_step * (np.arange(n + horizon) - horizon)
     return ForecastFrame(times=times, target_times=times + horizon,
-                         series_dates=dates, actual=actual,
+                         series_days=days, actual=actual,
                          predicted=np.asarray(predicted, dtype=float),
                          horizon=horizon)
 
@@ -248,7 +247,7 @@ def test_scores_near_1e158_are_finite():
     # squares of values near 1e158 overflow; the window sums are taken
     # after scaling each window by a power of two
     walk = gen_random_walk(3_000, 1.0, 0.0, seed=2)
-    huge = TimeSeries(walk.name, walk.dates, walk.values * 1e158)
+    huge = TimeSeries(walk.name, walk.days, walk.values * 1e158)
     assert np.abs(huge.values).max() > 2.0 ** 512  # its square overflows
     report = run_protocol(huge, ProtocolConfig(dim=2, degree=1, fit_window=300,
                                                anticipation=(7, 16),

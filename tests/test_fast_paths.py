@@ -7,7 +7,7 @@ number, or the same bytes.
 """
 
 import math
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -19,7 +19,9 @@ from maxentcast import (GAP_POLICIES, ForecastFrame, ProtocolConfig,
                         RandomWalkSpec, TimeSeries, WindowBuckets, clean,
                         generate, load_csv, run_protocol,
                         write_forecast_csvs)
+from maxentcast import ingest
 from maxentcast.cli import main
+from maxentcast.errors import ParseError
 from maxentcast.report import _CHUNK_ROWS
 
 MONDAY = date(2000, 1, 3)
@@ -33,9 +35,9 @@ def outcome(fn, *args, **kwargs):
         return ("raised", type(exc), str(exc), getattr(exc, "line_no", None),
                 getattr(exc, "when", None))
     if isinstance(result, TimeSeries):
-        assert all(type(d) is date for d in result.dates)
-        return ("series", result.name, result.dates, result.values.dtype,
-                result.values.tobytes())
+        assert result.days.dtype == np.int64
+        return ("series", result.name, result.days.tobytes(),
+                result.values.dtype, result.values.tobytes())
     return ("value", result)
 
 
@@ -169,6 +171,195 @@ def test_load_csv_matches_reference_day_first(tmp_path_factory, days,
     assert_same_load(path, date_format="%d/%m/%Y", on_bad_value=on_bad_value)
 
 
+# Raw files for both tokenizers.  A file of ASCII "\n"-ended lines without
+# quotes is split by load_csv itself; CR or CRLF endings, a quoted field or
+# a non-ASCII character send it through csv.reader.  str.strip removes
+# "\x0b", "\x0c" and "\x1c" to "\x1f" around a field; bytes.strip and
+# float do not remove the last four.
+PAD = st.one_of(st.just(""), st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f",
+                                      min_size=1, max_size=2))
+GOOD_DATE = st.dates(date(1999, 12, 27), date(2001, 1, 31)).map(date.isoformat)
+ODD_DATE = st.sampled_from(["2000-1-3", "2000-02-30", "20000103", "0000-01-03",
+                            "2000-13-01", "", "x"])
+GOOD_VALUE = st.floats(allow_nan=False, allow_infinity=False,
+                       width=32).map(repr)
+ODD_VALUE = st.sampled_from(["", "nan", "inf", "-inf", "NaN", "n/a", "1_0",
+                             "1,5", "1e400"])
+WIDE = st.sampled_from(["２０００-01-03", "１", "2000-01-0３"])
+OTHER = st.sampled_from(["", "a", "q,r", "b\nc"])
+HEADERS = ["date,value", "value,date", "date,value,date",
+           "x,date,value,value", "date, value"]
+
+
+@st.composite
+def raw_csv(draw):
+    """The text of a CSV file in one of several layouts."""
+    quoted = draw(st.booleans())
+    endings = draw(st.sampled_from([["\n"], ["\n"], ["\r\n"],
+                                    ["\n", "\r\n", "\r"]]))
+    odd, padded, wide = (draw(st.sampled_from([False, False, True]))
+                         for _ in range(3))
+    header = draw(st.sampled_from(HEADERS))
+    names = header.split(",")
+    cores = {"date": GOOD_DATE, "value": GOOD_VALUE}
+    if odd:
+        cores = {"date": st.one_of(GOOD_DATE, ODD_DATE),
+                 "value": st.one_of(GOOD_VALUE, ODD_VALUE)}
+    if wide:
+        cores = {name: st.one_of(core, core, WIDE)
+                 for name, core in cores.items()}
+
+    def field(name):
+        text = draw(cores.get(name, OTHER))
+        if padded:
+            text = draw(PAD) + text + draw(PAD)
+        if quoted and draw(st.booleans()):
+            return '"' + text.replace('"', '""') + '"'
+        return text.replace("\n", " ")
+
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["full"] * 6 + ["short", "long",
+                                                     "blank"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        fields = [field(name) for name in names]
+        if shape == "short":
+            fields = fields[:draw(st.integers(1, len(fields) - 1))]
+        elif shape == "long":
+            fields.append(field("value"))
+        lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(endings)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _tokenizers(monkeypatch):
+    """Count the chunks each tokenizer yields while the test runs."""
+    used = {"split": 0, "reader": 0}
+    for name, key in (("_split_chunks", "split"), ("_reader_chunks", "reader")):
+        original = getattr(ingest, name)
+
+        def counted(*args, _original=original, _key=key):
+            for chunk in _original(*args):
+                used[_key] += 1
+                yield chunk
+
+        monkeypatch.setattr(ingest, name, counted)
+    return used
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=raw_csv(), on_bad_value=st.sampled_from(["error", "nan"]))
+def test_both_tokenizers_match_reference(tmp_path_factory, text,
+                                         on_bad_value):
+    path = tmp_path_factory.mktemp("raw") / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_load(path, on_bad_value=on_bad_value)
+
+
+def test_plain_files_take_the_split_tokenizer(tmp_path, monkeypatch):
+    used = _tokenizers(monkeypatch)
+    rows = ["2000-01-03,1", "2000-01-04,2"]
+    assert_same_load(write_lines(tmp_path, ["date,value", *rows]))
+    assert used == {"split": 1, "reader": 0}
+    for text in ("date,value\r\n2000-01-03,1\r\n2000-01-04,2\r\n",
+                 'date,value\n"2000-01-03",1\n2000-01-04,2\n',
+                 "date,value\n2000-01-03,1\n2000-01-04,２\n"):
+        used.update(split=0, reader=0)
+        path = tmp_path / "other.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_load(path)
+        assert used["split"] == 0 and used["reader"] > 0
+
+
+def _day_lines(n):
+    """n fixed-width lines on consecutive days, 21 bytes each."""
+    first = MONDAY.toordinal()
+    return [f"{date.fromordinal(first + k).isoformat()},{10 + k % 90}.{k:06d}"
+            for k in range(n)]
+
+
+def _chunk_edges(monkeypatch, path):
+    """The first and last line of each chunk load_csv parses."""
+    edges = []
+    original = ingest._parse_fields
+
+    def spy(chunk, *args):
+        edges.append((int(chunk.lines[0]), int(chunk.lines[-1])))
+        return original(chunk, *args)
+
+    monkeypatch.setattr(ingest, "_parse_fields", spy)
+    try:
+        load_csv(path)
+    except ParseError:
+        pass
+    monkeypatch.setattr(ingest, "_parse_fields", original)
+    return edges
+
+
+def _edit(lines, line_no, kind):
+    """Break file line line_no (the header is line 1) without changing its
+    width, so every chunk keeps its lines."""
+    k = line_no - 2
+    day, value = lines[k].split(",")
+    if kind == "bad value":
+        value = "x" * len(value)
+    elif kind == "bad date":
+        day = day[:5] + "13" + day[7:]
+    else:  # a duplicate of the line before
+        day = lines[k - 1].split(",")[0]
+    lines[k] = f"{day},{value}"
+
+
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("kind", ["bad value", "bad date", "duplicate"])
+@pytest.mark.parametrize("edge", [0, 1])
+def test_errors_on_chunk_edges_match_reference(tmp_path, monkeypatch, crlf,
+                                               kind, edge):
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK_BYTES", 300)
+    monkeypatch.setattr(ingest, "_PARSE_CHUNK_ROWS", 16)
+    end = "\r\n" if crlf else "\n"
+    lines = _day_lines(100)
+    path = tmp_path / "in.csv"
+    path.write_bytes(("date,value" + end + end.join(lines) + end).encode())
+    edges = _chunk_edges(monkeypatch, path)
+    assert len(edges) > 3 and edges[0][0] == 2
+    assert all(a[1] < b[0] for a, b in zip(edges, edges[1:]))
+    for chunk in (1, len(edges) - 2):
+        line_no = edges[chunk][edge]
+        broken = list(lines)
+        _edit(broken, line_no, kind)
+        path.write_bytes(("date,value" + end + end.join(broken) + end)
+                         .encode())
+        seen = _chunk_edges(monkeypatch, path)
+        assert seen == edges[:len(seen)]  # the edit moved no chunk edge
+        for on_bad_value in ("error", "nan"):
+            result = assert_same_load(path, on_bad_value=on_bad_value)
+            if kind != "bad value" or on_bad_value == "error":
+                assert result[0] == "raised" and result[3] == line_no
+
+
+def test_errors_on_full_size_chunk_edges(tmp_path, monkeypatch):
+    lines = _day_lines(110_000)
+    path = tmp_path / "in.csv"
+    path.write_text("date,value\n" + "\n".join(lines) + "\n")
+    edges = _chunk_edges(monkeypatch, path)
+    assert len(edges) == 3
+    for kind, line_no in (("bad value", edges[1][0]),
+                          ("bad date", edges[0][1]),
+                          ("duplicate", edges[1][0])):
+        broken = list(lines)
+        _edit(broken, line_no, kind)
+        path.write_text("date,value\n" + "\n".join(broken) + "\n")
+        seen = _chunk_edges(monkeypatch, path)
+        assert seen == edges[:len(seen)]  # the edit moved no chunk edge
+        result = assert_same_load(path)
+        assert result[0] == "raised" and result[3] == line_no
+
+
 # --------------------------------------------------------------------- clean
 
 @pytest.mark.parametrize("offsets, values", [
@@ -182,8 +373,8 @@ def test_load_csv_matches_reference_day_first(tmp_path_factory, days,
     ([4, 5], [1.0, 2.0]),                             # Friday, Saturday
 ])
 def test_clean_cases(offsets, values):
-    dates = tuple(MONDAY + timedelta(days=k) for k in offsets)
-    assert_same_clean(TimeSeries("t", dates, np.array(values)))
+    days = MONDAY.toordinal() + np.array(offsets)
+    assert_same_clean(TimeSeries("t", days, np.array(values)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -192,8 +383,8 @@ def test_clean_cases(offsets, values):
                        min_size=40, max_size=40))
 def test_clean_matches_reference(days, values):
     days.sort()
-    dates = tuple(date(1999, 12, 30) + timedelta(days=k) for k in days)
-    assert_same_clean(TimeSeries("t", dates, np.array(values[:len(days)])))
+    series_days = date(1999, 12, 30).toordinal() + np.array(days)
+    assert_same_clean(TimeSeries("t", series_days, np.array(values[:len(days)])))
 
 
 # ---------------------------------------------------------------- CSV output
@@ -201,9 +392,8 @@ def test_clean_matches_reference(days, values):
 def _frame(values, horizon=3):
     n = len(values)
     times = np.arange(n)
-    dates = tuple(MONDAY + timedelta(days=k) for k in range(n + horizon))
     return ForecastFrame(times=times, target_times=times + horizon,
-                         series_dates=dates,
+                         series_days=MONDAY.toordinal() + np.arange(n + horizon),
                          actual=np.asarray(values, dtype=float),
                          predicted=-np.asarray(values, dtype=float),
                          horizon=horizon), n + horizon

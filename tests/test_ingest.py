@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from maxentcast import GAP_POLICIES, TimeSeries, clean, load_csv
 from maxentcast.errors import EmptySeriesError, GapError, ParseError
-
-from conftest import daily_series
+from maxentcast.ingest import MAX_DAY
 
 
 def test_load_three_rows_ascending(write_csv):
     path = write_csv(["1999-01-01,5.0", "1999-01-02,5.1", "1999-01-03,5.2"])
     s = load_csv(path)
     assert len(s) == 3
-    assert s.dates == (date(1999, 1, 1), date(1999, 1, 2), date(1999, 1, 3))
+    assert s.days.tolist() == [date(1999, 1, k).toordinal() for k in (1, 2, 3)]
+    assert s.days.dtype == np.int64
     assert s.values.tolist() == [5.0, 5.1, 5.2]
     assert s.name == "series"
 
@@ -75,7 +75,7 @@ def test_custom_columns_and_format(write_csv):
     path = write_csv(["02/01/1999,4.5", "03/01/1999,4.6"], header="when,rate")
     s = load_csv(path, date_col="when", value_col="rate",
                  date_format="%d/%m/%Y")
-    assert s.dates[0] == date(1999, 1, 2)
+    assert s.days[0] == date(1999, 1, 2).toordinal()
     assert s.values.tolist() == [4.5, 4.6]
 
 
@@ -84,41 +84,71 @@ def test_nonexistent_file():
         load_csv("/definitely/not/here.csv")
 
 
+MONDAY = date(2000, 1, 3).toordinal()
+
+
 def test_series_needs_two_rows():
     with pytest.raises(EmptySeriesError):
-        TimeSeries("x", (date(2000, 1, 3),), np.array([1.0]))
+        TimeSeries("x", [MONDAY], np.array([1.0]))
 
 
 def test_series_rejects_unsorted_dates():
-    with pytest.raises(ValueError):
-        TimeSeries("x", (date(2000, 1, 4), date(2000, 1, 3)),
-                   np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="strictly increase"):
+        TimeSeries("x", [MONDAY + 1, MONDAY], np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="strictly increase"):
+        TimeSeries("x", [MONDAY, MONDAY + 2, MONDAY + 2], np.ones(3))
+
+
+@pytest.mark.parametrize("days", [[0, 1], [MAX_DAY, MAX_DAY + 1],
+                                  [-5, MONDAY]])
+def test_series_rejects_days_outside_the_calendar(days):
+    # date.fromordinal takes 1 (0001-01-01) to 3,652,059 (9999-12-31)
+    with pytest.raises(ValueError, match="lie in"):
+        TimeSeries("x", days, np.array([1.0, 2.0]))
+    TimeSeries("x", [1, MAX_DAY], np.array([1.0, 2.0]))
+    assert MAX_DAY == date.max.toordinal() == 3_652_059
+
+
+def test_series_rejects_days_that_are_not_day_numbers():
+    with pytest.raises(TypeError):
+        TimeSeries("x", (date(2000, 1, 3), date(2000, 1, 4)), np.ones(2))
+    with pytest.raises(TypeError):
+        TimeSeries("x", [1.0, 2.0], np.ones(2))
+    with pytest.raises(ValueError, match="1-d"):
+        TimeSeries("x", [[1, 2]], np.ones(2))
 
 
 def test_series_rejects_infinities():
     with pytest.raises(ValueError):
-        TimeSeries("x", (date(2000, 1, 3), date(2000, 1, 4)),
-                   np.array([1.0, math.inf]))
+        TimeSeries("x", [MONDAY, MONDAY + 1], np.array([1.0, math.inf]))
 
 
 def test_series_values_read_only():
-    s = daily_series([1.0, 2.0, 3.0])
+    days = np.arange(MONDAY, MONDAY + 3)
+    s = TimeSeries("x", days, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         s.values[0] = 9.0
+    # the day numbers too, and they are a copy of the array given
+    with pytest.raises(ValueError):
+        s.days[0] = 9
+    assert s.days.dtype == np.int64 and not np.shares_memory(s.days, days)
 
 
 def _business_days(n, first="2000-01-03"):
-    """The first n business days from a Monday."""
+    """The day numbers of the first n business days from a Monday."""
     days = np.busday_offset(first, np.arange(n), roll="forward")
-    return tuple(d.item() for d in days)
+    return np.array([d.item().toordinal() for d in days])
+
+
+def _isoformat(series):
+    return [date.fromordinal(d).isoformat() for d in series.days.tolist()]
 
 
 def test_ffill_grid_skips_weekends():
     # 2000-01-03 and 2000-01-10 were Mondays
-    s = TimeSeries("t", (date(2000, 1, 3), date(2000, 1, 10)),
-                   np.array([1.0, 2.0]))
+    s = TimeSeries("t", [MONDAY, MONDAY + 7], np.array([1.0, 2.0]))
     out = clean(s, "ffill")
-    assert [d.isoformat() for d in out.dates] == [
+    assert _isoformat(out) == [
         "2000-01-03", "2000-01-04", "2000-01-05", "2000-01-06",
         "2000-01-07", "2000-01-10"]
     assert out.values.tolist() == [1.0, 1.0, 1.0, 1.0, 1.0, 2.0]
@@ -135,10 +165,10 @@ def test_ffill_replaces_missing_value():
 
 
 def test_ffill_fills_missing_business_day():
-    dates = (date(2000, 1, 3), date(2000, 1, 4), date(2000, 1, 6))
-    s = TimeSeries("t", dates, np.array([1.0, 2.0, 3.0]))
+    s = TimeSeries("t", [MONDAY, MONDAY + 1, MONDAY + 3],
+                   np.array([1.0, 2.0, 3.0]))
     out = clean(s, "ffill")
-    assert [d.isoformat() for d in out.dates] == [
+    assert _isoformat(out) == [
         "2000-01-03", "2000-01-04", "2000-01-05", "2000-01-06"]
     assert out.values.tolist() == [1.0, 2.0, 2.0, 3.0]
 
@@ -159,7 +189,7 @@ def test_drop_removes_missing_rows():
     s = _weekday_series([5.0, math.nan, 5.2])
     out = clean(s, "drop")
     assert out.values.tolist() == [5.0, 5.2]
-    assert len(out.dates) == 2
+    assert out.days.tolist() == [MONDAY, MONDAY + 2]
 
 
 def test_drop_needs_two_survivors():
@@ -200,7 +230,8 @@ def test_clean_is_idempotent(values, policy):
 
 
 def test_load_csv_order_insensitive(tmp_path):
-    rows = [f"{d.isoformat()},{i}.5" for i, d in enumerate(_business_days(37, "2001-01-01"))]
+    rows = [f"{date.fromordinal(d).isoformat()},{i}.5"
+            for i, d in enumerate(_business_days(37, "2001-01-01").tolist())]
     path = tmp_path / "perm.csv"
     path.write_text("date,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
     baseline = load_csv(path, name="p")

@@ -202,7 +202,7 @@ def test_forecast_alignment_on_ramp():
     assert frame.times.tolist() == list(range(25, 40))
     assert frame.target_times.tolist() == list(range(32, 47))
     # date of each record is the target's date, actual is v(t+7) = t+7
-    assert frame.target_date(0) == series.dates[32]
+    assert frame.target_date(0).toordinal() == series.days[32]
     assert frame.actual.tolist() == list(range(32, 47))
 
 

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import stat
-from datetime import datetime
+from datetime import date, datetime
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,8 +30,8 @@ from conftest import daily_series
 
 def write_series_csv(path: Path, series) -> None:
     lines = ["date,value"]
-    for day, v in zip(series.dates, series.values):
-        lines.append(f"{day.isoformat()},{float(v)!r}")
+    for day, v in zip(series.days.tolist(), series.values):
+        lines.append(f"{date.fromordinal(day).isoformat()},{float(v)!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -242,6 +242,28 @@ def test_report_doc_meta(walk_csv, tmp_path):
     assert doc["meta"]["generator"].startswith("maxentcast ")
 
 
+def test_report_meta_records_the_blas_thread_settings(walk_csv, tmp_path,
+                                                      monkeypatch):
+    result = run_from_config(small_config(walk_csv, tmp_path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    set_path = write_run_artifacts(result)["report"]
+    set_doc = json.loads(set_path.read_text(encoding="utf-8"))
+    assert set_doc["meta"]["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": None}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    unset_doc = build_report_doc(build_payload(result))
+    assert unset_doc["meta"]["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None,
+        "MKL_NUM_THREADS": None}
+    # meta only: the payload is the same whatever the settings
+    assert dumps_canonical(set_doc["payload"]) == dumps_canonical(
+        unset_doc["payload"])
+
+
 def test_write_run_artifacts(walk_csv, tmp_path):
     cfg = small_config(walk_csv, tmp_path / "run")
     result = run_from_config(cfg)
@@ -330,7 +352,8 @@ def test_day_first_cli_run_matches_reference(tmp_path, capsys):
     walk = gen_random_walk(2_500, 1.0, seed=12, name="dayfirst")
     path = tmp_path / "dayfirst.csv"
     path.write_text("date,value\n" + "".join(
-        f"{d:%d/%m/%Y},{float(v)!r}\n" for d, v in zip(walk.dates, walk.values)))
+        f"{date.fromordinal(d):%d/%m/%Y},{float(v)!r}\n"
+        for d, v in zip(walk.days.tolist(), walk.values)))
     out = tmp_path / "run"
     assert cli_main(["run", "--input", str(path), "--date-format", "%d/%m/%Y",
                      "--d", "2", "--np", "1", "--fit-window", "300",
@@ -378,12 +401,12 @@ def test_failed_walk_leaves_old_files(long_walk_csv, tmp_path, monkeypatch):
 
 def test_forecast_csvs_refuse_frames_they_cannot_stream(tmp_path):
     values = np.arange(10.0)
-    dates = daily_series(values).dates
+    days = daily_series(values).days
 
-    def frame(times, actual, series_dates=dates):
+    def frame(times, actual, series_days=days):
         times = np.asarray(times)
         return ForecastFrame(times=times, target_times=times + 1,
-                             series_dates=series_dates, actual=actual,
+                             series_days=series_days, actual=actual,
                              predicted=np.zeros(times.size), horizon=1)
 
     good = frame([0, 1, 2], values[1:4])
@@ -391,7 +414,7 @@ def test_forecast_csvs_refuse_frames_they_cannot_stream(tmp_path):
     wrong = frame([0, 1, 2], values[1:4] + 0.5)
     negative_zero = frame([-1, 0], np.array([-0.0, 1.0]))
     other = frame([0, 1, 2], values[1:4],
-                  daily_series(values, start=dates[0].replace(year=2001)).dates)
+                  daily_series(values, start=date(2001, 1, 3)).days)
     for frames, message in (([gappy], "consecutive"),
                             ([wrong], "actual values"),
                             ([negative_zero], "actual values"),

@@ -199,7 +199,7 @@ def test_batch_models_must_share_an_embedding():
 
 def test_year_buckets_need_increasing_targets():
     frame = ForecastFrame(times=np.array([2, 1]), target_times=np.array([3, 2]),
-                          series_dates=daily_series(np.zeros(5)).dates,
+                          series_days=daily_series(np.zeros(5)).days,
                           actual=np.array([1.0, 2.0]),
                           predicted=np.array([1.0, 2.0]), horizon=1)
     with pytest.raises(ValueError):
@@ -211,10 +211,11 @@ def test_frame_holds_views_not_copies():
     frame = run_protocol(series, ProtocolConfig(anticipation=(7,),
                                                 bucketing=WindowBuckets(50))
                          ).tracks[0].frame
-    assert frame.series_dates is series.dates
+    assert np.shares_memory(frame.series_days, series.days)
+    assert not frame.series_days.flags.writeable
     predicted = np.arange(4.0)
     small = ForecastFrame(times=np.arange(4), target_times=np.arange(4),
-                          series_dates=series.dates[:4], actual=predicted,
+                          series_days=series.days[:4], actual=predicted,
                           predicted=predicted, horizon=1)
     assert np.shares_memory(small.predicted, predicted)
     assert predicted.flags.writeable and not small.predicted.flags.writeable
