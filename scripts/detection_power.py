@@ -13,7 +13,7 @@ import time
 
 from maxentcast import (DetectorConfig, ProtocolConfig, RandomWalkSpec,
                         Regime, WindowBuckets, classify, gen_spliced,
-                        logistic_splice, run_protocol)
+                        logistic_splice, run_protocol, window_of_index)
 from maxentcast.synth import SPLICE_MAP_R, SPLICE_MAP_SCALE
 
 
@@ -34,8 +34,11 @@ def run_trial(seed: int, args) -> tuple[bool, int | None, int]:
     labels = classify(track.windows, DetectorConfig())
     flags = [k for k, lab in enumerate(labels)
              if lab.regime is Regime.PREDICTABLE]
-    truth_window = next(k for k, w in enumerate(track.windows)
-                        if w.end_index >= spliced.changepoint)
+    truth_window = window_of_index(
+        [(w.start_index, w.end_index) for w in track.windows],
+        spliced.changepoint)
+    if truth_window is None:  # no window holds the changepoint
+        return False, None, len(flags)
     hit = any(k >= truth_window for k in flags)
     localization = min(flags) - truth_window if flags else None
     false_flags = sum(1 for k in flags if k < truth_window)

@@ -31,7 +31,7 @@ from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      build_report_doc, detect_tracks, dumps_canonical,
                      forecast_csv_text, load_report, load_truth, parse_bucket,
                      run_from_config, summary_csv_text, verify_detection,
-                     write_forecast_csvs, write_json_atomic,
+                     window_of_index, write_forecast_csvs, write_json_atomic,
                      write_run_artifacts, write_text_atomic)
 from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
                     chaotic_quad_map_coefficients, gen_poly_map,
@@ -58,8 +58,8 @@ __all__ = [
     "TrackDetection", "build_payload", "build_report_doc", "detect_tracks",
     "dumps_canonical", "forecast_csv_text", "load_report", "load_truth",
     "parse_bucket", "run_from_config", "summary_csv_text", "verify_detection",
-    "write_forecast_csvs", "write_json_atomic", "write_run_artifacts",
-    "write_text_atomic",
+    "window_of_index", "write_forecast_csvs", "write_json_atomic",
+    "write_run_artifacts", "write_text_atomic",
     "PolyMapSpec", "RandomWalkSpec", "SplicedSeries", "SplicedSpec",
     "chaotic_quad_map_coefficients", "gen_poly_map", "gen_random_walk",
     "gen_spliced", "generate", "henon_map_coefficients",

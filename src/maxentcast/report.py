@@ -18,7 +18,8 @@ import secrets
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
-from itertools import islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator, Mapping, Sequence
 
@@ -103,40 +104,161 @@ def _clean_float(x: Any) -> Any:
     return v if math.isfinite(v) else None
 
 
-# The leaf types JSON writes as they are.
-_JSON_LEAVES = (str, int, bool, type(None))
+# The exact types whose values a list batch may hold to take the column
+# path of the encoder.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+_CONSTANT_TEXT = {None: "null", True: "true", False: "false"}
+
+# The encoder formats the items of a list this many at a time, and
+# write_json_atomic writes its text once about this many characters of it
+# are held.
+_JSON_BATCH_ROWS = 512
+_JSON_BATCH_CHARS = 1 << 16
 
 
-def _sanitize(obj: Any) -> Any:
-    # Exact types are tried before the ABC checks: a report has about 90k
-    # leaves, and an isinstance check against an ABC costs several times a
-    # type comparison.
+def _float_text(v: float) -> str:
+    return float.__repr__(v) if math.isfinite(v) else "null"
+
+
+def _leaf_text(obj: Any) -> str | None:
+    """The JSON text of a leaf, or None for a mapping, list or tuple.
+
+    Types are tried in this order: exact float, str, int, bool and None;
+    containers; float subclasses such as ``np.float64``; dates and
+    datetimes as ISO strings; str and int subclasses (``Regime``,
+    ``IntEnum``).  Anything else is a ``TypeError``.  Exact types come
+    first because a report has about 90k leaves, and an isinstance check
+    against an ABC costs several times a type comparison.
+    """
     kind = type(obj)
     if kind is float:
-        return obj if math.isfinite(obj) else None
-    if kind in _JSON_LEAVES:
-        return obj
-    if kind is dict or isinstance(obj, Mapping):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+        return _float_text(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return _CONSTANT_TEXT[obj]
+    if kind is dict or kind is list or isinstance(obj, (Mapping, list, tuple)):
+        return None
     if isinstance(obj, float):
-        return _clean_float(obj)
+        return _float_text(float(obj))
     if isinstance(obj, date):  # datetime too
-        return obj.isoformat()
-    return obj
+        return encode_basestring_ascii(obj.isoformat())
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} "
+                    "is not JSON serializable")
 
 
-# Sorted keys, indent 2, no NaN: the one encoder of every JSON artifact.
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+def _json_pieces(obj: Any, level: int = 0) -> Iterator[str]:
+    """The text of obj as ``json.dumps(obj, sort_keys=True, indent=2)``
+    writes it, in pieces, with non-finite floats as null, every key as
+    ``str(key)``, tuples as lists and dates as ISO strings."""
+    text = _leaf_text(obj)
+    if text is not None:
+        yield text
+    elif type(obj) is dict or isinstance(obj, Mapping):
+        yield from _dict_pieces(obj, level)
+    else:
+        yield from _list_pieces(
+            obj if type(obj) in (list, tuple) else list(obj), level)
 
-# write_json_atomic joins and writes this many encoder pieces at a time.
-_JSON_BATCH = 8192
+
+def _dict_pieces(mapping: Mapping, level: int) -> Iterator[str]:
+    # Keys collide as str(key), and the last value wins, as in a dict
+    # comprehension.
+    items = sorted({str(k): v for k, v in mapping.items()}.items(),
+                   key=itemgetter(0))
+    if not items:
+        yield "{}"
+        return
+    indent = "\n" + "  " * (level + 1)
+    head = "{" + indent
+    for key, value in items:
+        head += encode_basestring_ascii(key) + ": "
+        text = _leaf_text(value)
+        if text is None:
+            yield head
+            yield from _json_pieces(value, level + 1)
+        else:
+            yield head + text
+        head = "," + indent
+    yield "\n" + "  " * level + "}"
+
+
+def _list_pieces(seq: list | tuple, level: int) -> Iterator[str]:
+    if not seq:
+        yield "[]"
+        return
+    indent = "\n" + "  " * (level + 1)
+    sep = "," + indent
+    yield "[" + indent
+    for start in range(0, len(seq), _JSON_BATCH_ROWS):
+        batch = seq[start:start + _JSON_BATCH_ROWS]
+        if start:
+            yield sep
+        texts = _column_texts(batch)
+        if texts is None:
+            texts = _record_texts(batch, level + 1)
+        if texts is not None:
+            yield sep.join(texts)
+            continue
+        for i, item in enumerate(batch):
+            if i:
+                yield sep
+            yield from _json_pieces(item, level + 1)
+    yield "\n" + "  " * level + "]"
+
+
+def _column_texts(values: Sequence[Any]) -> list[str] | None:
+    """The JSON text of each value, all formatted by one C-level map when
+    they share one type; None unless every value is a scalar."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        finite = all(map(math.isfinite, values))
+        return list(map(float.__repr__ if finite else _float_text, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds <= _SCALAR_TYPES:
+        return list(map(_leaf_text, values))
+    return None
+
+
+def _record_texts(rows: Sequence[Any], level: int) -> Iterator[str] | None:
+    """The JSON text of each row of a batch of dicts that share one set of
+    str keys and hold only scalars, as one ``%`` template filled from the
+    formatted columns; None for any other batch."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    keys = rows[0].keys()
+    if (not keys or set(map(type, keys)) != {str}
+            or not all(map(keys.__eq__, map(dict.keys, rows)))):
+        return None
+    names = sorted(keys)
+    columns = []
+    for name in names:
+        texts = _column_texts(list(map(itemgetter(name), rows)))
+        if texts is None:
+            return None
+        columns.append(texts)
+    indent = "\n" + "  " * (level + 1)
+    template = ("{" + indent
+                + ("," + indent).join(
+                    encode_basestring_ascii(name).replace("%", "%%") + ": %s"
+                    for name in names)
+                + "\n" + "  " * level + "}")
+    return map(template.__mod__, zip(*columns))
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, fixed separators, no NaN."""
-    return "".join(_ENCODER.iterencode(_sanitize(obj)))
+    """Deterministic JSON text: sorted keys, indent 2, ASCII only,
+    non-finite floats as null."""
+    return "".join(_json_pieces(obj))
 
 
 @contextmanager
@@ -181,11 +303,16 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def write_json_atomic(path: str | Path, obj: Any) -> None:
     """Write ``dumps_canonical(obj)`` and a newline through
     :func:`atomic_writer`, streamed from the encoder a batch at a time."""
-    pieces = _ENCODER.iterencode(_sanitize(obj))
     with atomic_writer(path) as fh:
-        while batch := list(islice(pieces, _JSON_BATCH)):
-            fh.write("".join(batch).encode("utf-8"))
-        fh.write(b"\n")
+        batch, size = [], 0
+        for piece in _json_pieces(obj):
+            batch.append(piece)
+            size += len(piece)
+            if size >= _JSON_BATCH_CHARS:
+                fh.write("".join(batch).encode("ascii"))
+                batch, size = [], 0
+        batch.append("\n")
+        fh.write("".join(batch).encode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -465,14 +592,15 @@ def load_truth(path: str | Path) -> dict[str, Any]:
     return doc
 
 
-def _window_of_index(windows: Sequence[Mapping[str, Any]],
-                     series_index: int) -> int | None:
-    """First window whose target-index range reaches series_index; None
-    when the index lies before the first window or after the last."""
-    if not windows or series_index < windows[0]["start_index"]:
+def window_of_index(spans: Sequence[tuple[int, int]],
+                    series_index: int) -> int | None:
+    """First window, of windows given as ``(start_index, end_index)``
+    target-index ranges, whose range reaches series_index; None when the
+    index lies before the first window or after the last."""
+    if not spans or series_index < spans[0][0]:
         return None
-    for k, w in enumerate(windows):
-        if w["end_index"] >= series_index:
+    for k, (_, end) in enumerate(spans):
+        if end >= series_index:
             return k
     return None
 
@@ -502,7 +630,9 @@ def verify_detection(payload: Mapping[str, Any],
             entry["localization_error"] = None
             entry["false_flags"] = len(flagged)
         else:
-            truth_window = _window_of_index(windows, int(truth_index))
+            truth_window = window_of_index(
+                [(w["start_index"], w["end_index"]) for w in windows],
+                int(truth_index))
             entry["truth_window"] = truth_window
             if truth_window is None:
                 entry["hit"] = False

@@ -1,16 +1,19 @@
 """Reference implementations of the text I/O paths, kept as test oracles.
 
-These are the straightforward versions of ``load_csv``, ``clean`` and
-``forecast_csv_text`` (``csv.DictReader`` and ``strptime`` per row, a
-dict-and-set business-day grid, one ``format`` call per number).  The
-package's fast paths must return the same results, raise the same
+These are the straightforward versions of ``load_csv``, ``clean``,
+``forecast_csv_text`` and ``dumps_canonical`` (``csv.DictReader`` and
+``strptime`` per row, a dict-and-set business-day grid, one ``format`` call
+per number, a sanitizing copy fed to the standard library's JSON encoder).
+The package's fast paths must return the same results, raise the same
 exceptions with the same messages, and write the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+from collections.abc import Mapping
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -144,3 +147,32 @@ def series_csv_text(series) -> str:
     for d, v in zip(_dates(series.days), series.values):
         lines.append(f"{d.isoformat()},{format(float(v), '.17g')}")
     return "\n".join(lines) + "\n"
+
+
+# The leaf types JSON writes as they are.
+_JSON_LEAVES = (str, int, bool, type(None))
+
+
+def _sanitize(obj):
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind in _JSON_LEAVES:
+        return obj
+    if kind is dict or isinstance(obj, Mapping):
+        return {str(k): _sanitize(v) for k, v in obj.items()}
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        return [_sanitize(v) for v in obj]
+    if isinstance(obj, float):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, date):  # datetime too
+        return obj.isoformat()
+    return obj
+
+
+def dumps_canonical(obj) -> str:
+    """Sorted keys, indent 2, no NaN: the standard library's pure-Python
+    encoder on a sanitized copy."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2,
+                      allow_nan=False)

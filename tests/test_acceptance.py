@@ -21,7 +21,7 @@ from maxentcast import (DetectorConfig, EmbedConfig, ProtocolConfig,
                         gen_poly_map, gen_random_walk, gen_spliced,
                         henon_map_coefficients, load_csv, logistic_splice,
                         lstsq_min_norm, pinv, relative_mse, rng,
-                        run_protocol)
+                        run_protocol, window_of_index)
 from maxentcast.cli import main as cli_main
 
 
@@ -170,9 +170,10 @@ def test_criterion_5_detection_power_and_localization():
         labels = classify(track.windows, detector)
         flags = [k for k, lab in enumerate(labels)
                  if lab.regime is Regime.PREDICTABLE]
-        truth_window = next(k for k, w in enumerate(track.windows)
-                            if w.end_index >= spliced.changepoint)
-        if any(k >= truth_window for k in flags):
+        truth_window = window_of_index(
+            [(w.start_index, w.end_index) for w in track.windows],
+            spliced.changepoint)
+        if truth_window is not None and any(k >= truth_window for k in flags):
             hits += 1
             if abs(min(flags) - truth_window) <= 2:
                 within_two += 1

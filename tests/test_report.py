@@ -19,8 +19,9 @@ from maxentcast import (DetectorConfig, ForecastFrame, ProtocolConfig,
                         detect_tracks, dumps_canonical, gen_random_walk,
                         load_report, load_truth, parse_bucket,
                         run_from_config, summary_csv_text, verify_detection,
-                        write_forecast_csvs, write_json_atomic,
-                        write_run_artifacts, write_text_atomic)
+                        window_of_index, write_forecast_csvs,
+                        write_json_atomic, write_run_artifacts,
+                        write_text_atomic)
 from maxentcast import report as report_module
 from maxentcast.cli import main as cli_main
 from maxentcast.report import atomic_writer, bucket_text
@@ -307,7 +308,8 @@ def test_forecast_csv_floats_round_trip(walk_csv, tmp_path):
 
 def assert_artifacts_match_reference(result, paths) -> None:
     """Every forecast CSV is the reference writer's text, summary.csv is
-    summary_csv_text, and report.json is dumps_canonical of its document."""
+    summary_csv_text, and report.json is the reference encoder's text of
+    its document."""
     for track in result.report.tracks:
         text = paths[f"forecast_T{track.horizon}"].read_text(encoding="utf-8")
         assert text == reference_io.forecast_csv_text(track.frame)
@@ -315,7 +317,7 @@ def assert_artifacts_match_reference(result, paths) -> None:
             == summary_csv_text(result.report))
     text = paths["report"].read_text(encoding="utf-8")
     doc = {"meta": json.loads(text)["meta"], "payload": build_payload(result)}
-    assert text == dumps_canonical(doc) + "\n"
+    assert text == reference_io.dumps_canonical(doc) + "\n"
 
 
 LONG_PROTOCOL = ProtocolConfig(dim=2, degree=1, fit_window=300,
@@ -548,6 +550,14 @@ def test_verify_truth_before_coverage():
     assert track["localization_error"] is None
     assert out["hit"] is False
     assert out["false_flags"] == 2
+
+
+def test_window_of_index_outside_the_windows():
+    spans = [(707, 831), (832, 956)]
+    assert [window_of_index(spans, i)
+            for i in (100, 706, 707, 831, 832, 956, 957)] == [
+        None, None, 0, 0, 1, 1, None]
+    assert window_of_index([], 5) is None
 
 
 def test_verify_any_track_hit_wins():
