@@ -20,7 +20,7 @@ from numbers import Integral
 import numpy as np
 
 from .design import EmbedConfig, embed
-from .errors import DegenerateWindowError, InfeasibleWindowError
+from .errors import DegenerateWindowError
 from .ingest import TimeSeries
 from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, fit,
                     forecast_batch)
@@ -175,12 +175,10 @@ def _stacks(frame: ForecastFrame, bucketing: Bucketing):
             stacks.append((n - short, 1, short))
         return [f"w{i:03d}" for i in range(k + bool(short))], stacks
     if isinstance(bucketing, YearBuckets):
-        t = frame.target_times
-        if not (t[1:] > t[:-1]).all():
-            raise ValueError("year buckets need increasing target times")
+        days = frame.series.days[frame.first + frame.horizon:]
 
         def year(j: int) -> int:
-            return frame.target_date(j).year
+            return date.fromordinal(int(days[j])).year
 
         labels, stacks, lo = [], [], 0
         while lo < n:
@@ -219,8 +217,8 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     # indices and their day numbers, each looked up in one array operation.
     records = np.array([(lo + i * w, lo + (i + 1) * w - 1)
                         for lo, k, w in stacks for i in range(k)]).reshape(-1, 2)
-    index = frame.target_times[records]
-    days = frame.series_days[index]
+    index = frame.first + frame.horizon + records
+    days = frame.series.days[index]
     return [ErrorWindow(label=label, start=date.fromordinal(d0),
                         end=date.fromordinal(d1), start_index=i0,
                         end_index=i1, n_points=r1 - r0 + 1, rel_mse=r,
@@ -296,22 +294,11 @@ def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
     """Fit on the earliest fit_window constraints, separately for each
     anticipation value, then forecast everything after in one pass over
     the anchors and score per bucket."""
-    models: list[FittedModel] = []
-    counts: list[int] = []
-    for horizon in protocol.anticipation:
-        cfg = protocol.embed_config(horizon)
-        models.append(fit(embed(series, cfg), rank_tolerance=rank_tolerance,
-                          standardize=standardize))
-        first = cfg.span + protocol.fit_window  # the same for every horizon
-        last = len(series) - 1 - horizon
-        if last < first:
-            raise InfeasibleWindowError(
-                f"anticipation {horizon}: no out-of-sample anchors "
-                f"(first candidate {first}, last feasible {last})",
-                start=first, available=len(series))
-        counts.append(last - first + 1)
-    frames = forecast_batch(series, models, np.arange(first, first + max(counts)),
-                            counts)
+    models = [fit(embed(series, protocol.embed_config(horizon)),
+                  rank_tolerance=rank_tolerance, standardize=standardize)
+              for horizon in protocol.anticipation]
+    first = models[0].config.span + protocol.fit_window
+    frames = forecast_batch(series, models, first)
     tracks: list[ForecastTrack] = []
     for horizon, model, frame in zip(protocol.anticipation, models, frames):
         windows = error_by_period(frame, protocol.bucketing)

@@ -17,7 +17,6 @@ vectors only, never its own output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -203,96 +202,88 @@ def predict(model: FittedModel, features) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ForecastFrame:
-    """Aligned out-of-sample records.
+    """Aligned out-of-sample records of one model: one consecutive run of
+    anchors.
 
-    Entry j predicts the observation at target_times[j] =
-    times[j] + horizon from the delay vector anchored at times[j];
-    actual is indexed by the target.  series_days holds the day numbers
-    (``date.toordinal``) of the whole series, so record j falls on day
-    series_days[target_times[j]].  The arrays are read-only views of the
-    ones given, not copies.
+    Record j predicts, from the delay vector anchored at series row
+    first + j, the observation at row first + horizon + j; there are
+    predicted.size records.  actual is the read-only view of the series
+    values at those targets, and predicted a read-only view of the array
+    given.
     """
 
-    times: np.ndarray
-    target_times: np.ndarray
-    series_days: np.ndarray
-    actual: np.ndarray
-    predicted: np.ndarray
+    series: TimeSeries
+    first: int
     horizon: int
+    predicted: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "target_times", "series_days", "actual",
-                     "predicted"):
-            arr = np.asarray(getattr(self, name),
-                             dtype=float if name in ("actual", "predicted")
-                             else np.int64).view()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.times.size
-        if not all(getattr(self, name).shape == (n,) for name in
-                   ("times", "target_times", "actual", "predicted")):
-            raise ValueError("all record fields must be 1-d and share one length")
-        if self.series_days.ndim != 1:
-            raise ValueError("series_days must be 1-d")
-        if n and not (0 <= self.target_times.min()
-                      and self.target_times.max() < self.series_days.size):
-            raise ValueError("target_times must index series_days")
+        predicted = np.asarray(self.predicted, dtype=float).view()
+        predicted.setflags(write=False)
+        object.__setattr__(self, "predicted", predicted)
+        if predicted.ndim != 1:
+            raise ValueError("predicted must be 1-d")
+        if not (0 <= self.first and self.horizon >= 1 and self.first
+                + self.horizon + predicted.size <= len(self.series)):
+            raise ValueError(
+                f"{predicted.size} records from anchor {self.first} at horizon "
+                f"{self.horizon} do not fit a series of {len(self.series)} points")
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return int(self.predicted.size)
 
-    def target_date(self, j: int) -> date:
-        """The date of record j's target."""
-        return date.fromordinal(int(self.series_days[self.target_times[j]]))
+    @property
+    def actual(self) -> np.ndarray:
+        lo = self.first + self.horizon
+        return self.series.values[lo:lo + len(self)]
 
 
-def forecast_batch(series: TimeSeries, models, times,
-                   counts) -> list[ForecastFrame]:
+def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame]:
     """Direct predictions of several models from one pass over the anchors.
 
-    Model k predicts from the anchors times[:counts[k]].  The models share
-    one embedding (dim, lag, degree) and may differ in horizon and
+    Each model predicts from every anchor first, first + 1, ... whose target
+    lies in the series: len(series) - first - horizon of them.  The models
+    share one embedding (dim, lag, degree) and may differ in horizon and
     coefficients, so the delay vectors and features of each block of
     forecast_block_rows anchors are built once, in one reused buffer, and
     every model applies its own coefficients to them.  Each prediction
     uses the observed delay vector at its anchor; model output is never
-    fed back.
+    fed back.  A model with no anchor raises InfeasibleWindowError.
     """
     models = list(models)
-    counts = [int(c) for c in counts]
-    t = np.asarray(times, dtype=int)
-    if not models or len(counts) != len(models) or t.ndim != 1:
-        raise ValueError("need 1-d times and one anchor count per model")
+    if not models:
+        raise ValueError("need at least one model")
     cfg = models[0].config
     if any((m.config.dim, m.config.degree, m.config.lag)
            != (cfg.dim, cfg.degree, cfg.lag) for m in models):
         raise ValueError("models in one batch must share dim, degree and lag")
     values = series.values
     n_obs = len(series)
+    first = int(first)
+    if first < cfg.span:
+        raise InfeasibleWindowError(
+            f"anchor {first} comes before the embedding span {cfg.span}",
+            start=first, available=n_obs)
+    counts = [n_obs - first - m.config.horizon for m in models]
     for model, count in zip(models, counts):
-        if not 0 <= count <= t.size:
-            raise ValueError(f"anchor count {count} outside [0, {t.size}]")
-        own, horizon = t[:count], model.config.horizon
-        if count and (int(own.min()) < cfg.span
-                      or int(own.max()) + horizon > n_obs - 1):
+        if count < 1:
+            horizon = model.config.horizon
             raise InfeasibleWindowError(
-                f"anchors [{own.min()}, {own.max()}] with span {cfg.span} and "
-                f"horizon {horizon} do not fit a series of {n_obs} points",
-                start=int(own.min()), needed=int(own.max()) + horizon + 1,
-                available=n_obs)
-    actual = [values[t[:c] + m.config.horizon] for m, c in zip(models, counts)]
+                f"anticipation {horizon}: no out-of-sample anchors "
+                f"(first candidate {first}, last feasible {n_obs - 1 - horizon})",
+                start=first, available=n_obs)
+    # every model's targets run to the end of the series
+    if not np.isfinite(values[first - cfg.span:]).all():
+        raise ValueError("series has missing values in the forecast range; "
+                         "clean it first")
     predicted = [np.empty(c) for c in counts]
     rows = forecast_block_rows(cfg.n_features)
     block = np.empty((rows, cfg.n_features))
     stop = max(counts)
     for lo in range(0, stop, rows):
-        anchors = t[lo:min(lo + rows, stop)]
+        anchors = np.arange(first + lo, first + min(lo + rows, stop))
         delays = delay_matrix(values, anchors, cfg.dim, cfg.lag)
         live = [(k, min(c - lo, rows)) for k, c in enumerate(counts) if c > lo]
-        if not (np.isfinite(delays).all()
-                and all(np.isfinite(actual[k][lo:lo + m]).all() for k, m in live)):
-            raise ValueError("series has missing values in the forecast range; "
-                             "clean it first")
         features = feature_matrix(delays, cfg.degree, out=block[:anchors.size])
         # numpy applies a one-row product as a dot product, whose sum can
         # differ in the last bit from gemv's: a model whose last block is one
@@ -303,17 +294,17 @@ def forecast_batch(series: TimeSeries, models, times,
             if k not in ends:
                 predicted[k][lo:lo + m] = predict(models[k], features[:m])
         for k in ends:
-            tail = delay_matrix(values, t[lo - 64:lo + 1], cfg.dim, cfg.lag)
+            tail = delay_matrix(values, np.arange(first + lo - 64, first + lo + 1),
+                                cfg.dim, cfg.lag)
             predicted[k][lo - 64:lo + 1] = predict(
                 models[k], feature_matrix(tail, cfg.degree, out=block[:65]))
-    return [ForecastFrame(times=t[:c], target_times=t[:c] + m.config.horizon,
-                          series_days=series.days, actual=a, predicted=p,
-                          horizon=m.config.horizon)
-            for m, c, a, p in zip(models, counts, actual, predicted)]
+    return [ForecastFrame(series=series, first=first, horizon=m.config.horizon,
+                          predicted=p)
+            for m, p in zip(models, predicted)]
 
 
-def forecast_series(series: TimeSeries, model: FittedModel, times) -> ForecastFrame:
-    """Direct horizon-step predictions for every anchor index in times:
-    forecast_batch for one model.  An empty times yields an empty frame."""
-    t = np.asarray(list(times), dtype=int)
-    return forecast_batch(series, [model], t, [t.size])[0]
+def forecast_series(series: TimeSeries, model: FittedModel,
+                    first: int) -> ForecastFrame:
+    """Direct horizon-step predictions from every feasible anchor from
+    first on: forecast_batch for one model."""
+    return forecast_batch(series, [model], first)[0]

@@ -394,7 +394,7 @@ def build_payload(result: RunResult) -> dict[str, Any]:
     for track, detection in zip(report.tracks, result.detections):
         tracks.append({
             "horizon": track.horizon,
-            "n_forecasts": int(track.frame.times.size),
+            "n_forecasts": len(track.frame),
             "rel_mse": _clean_float(track.rel_mse),
             "baseline_rel_mse": _clean_float(track.baseline_rel_mse),
             "model": track.model.to_json_dict(),
@@ -477,40 +477,25 @@ def forecast_csv_text(days: np.ndarray, values: np.ndarray, start: int,
     return texts
 
 
-def _target_span(frame: ForecastFrame, values: np.ndarray) -> tuple[int, int]:
-    """The series rows [lo, hi) a frame's records target, checked to be
-    consecutive, with actual values the series values there bit for bit."""
-    t = frame.target_times
-    lo = int(t[0]) if t.size else 0
-    hi = lo + t.size
-    if t.size and not (t[1:] - t[:-1] == 1).all():
-        raise ValueError(f"T={frame.horizon}: forecast CSVs need consecutive "
-                         "target times")
-    if not np.array_equal(frame.actual.view(np.uint64),
-                          values[lo:hi].view(np.uint64)):
-        raise ValueError(f"T={frame.horizon}: actual values are not the "
-                         "series values at the targets")
-    return lo, hi
-
-
-def write_forecast_csvs(out_dir: str | Path, frames: Sequence[ForecastFrame],
-                        values: np.ndarray) -> list[Path]:
+def write_forecast_csvs(out_dir: str | Path,
+                        frames: Sequence[ForecastFrame]) -> list[Path]:
     """Write ``forecast_T<h>.csv`` for every frame in one chunked walk over
     the series rows, and return their paths in frame order.
 
-    The frames come from one series, whose values are ``values``, and
-    target consecutive rows, as ``run_protocol``'s do.  Each file is
-    streamed to its own temp file, and all are renamed when the walk is
-    done; if the walk fails, every temp file is removed and the old
-    forecast files stay as they were.
+    The frames must hold one series object, as ``run_protocol``'s do.
+    Each file is streamed to its own temp file, and all are renamed when
+    the walk is done; if the walk fails, every temp file is removed and the
+    old forecast files stay as they were.
     """
-    values = np.asarray(values, dtype=float)
-    days = frames[0].series_days if frames else np.empty(0, dtype=np.int64)
-    if not all(np.array_equal(frame.series_days, days) for frame in frames):
+    if not frames:
+        return []
+    series = frames[0].series
+    if any(frame.series is not series for frame in frames):
         raise ValueError("forecast frames must share one series")
-    spans = [_target_span(frame, values) for frame in frames]
-    tracks = [(lo, frame.predicted) for (lo, _), frame in zip(spans, frames)]
-    live = [(lo, hi) for lo, hi in spans if hi > lo]
+    tracks = [(frame.first + frame.horizon, frame.predicted)
+              for frame in frames]
+    live = [(lo, lo + predicted.size) for lo, predicted in tracks
+            if predicted.size]
     first = min((lo for lo, _ in live), default=0)
     last = max((hi for _, hi in live), default=0)
     paths = [Path(out_dir) / f"forecast_T{frame.horizon}.csv"
@@ -521,8 +506,8 @@ def write_forecast_csvs(out_dir: str | Path, frames: Sequence[ForecastFrame],
             fh.write(b"date,actual,predicted\n")
         for start in range(first, last, _CHUNK_ROWS):
             stop = min(start + _CHUNK_ROWS, last)
-            texts = forecast_csv_text(days[start:stop], values[start:stop],
-                                      start, tracks)
+            texts = forecast_csv_text(series.days[start:stop],
+                                      series.values[start:stop], start, tracks)
             for fh, text in zip(handles, texts):
                 fh.write(text)
     return paths
@@ -556,8 +541,7 @@ def write_run_artifacts(result: RunResult) -> dict[str, Path]:
     paths["report"] = report_path
 
     tracks = result.report.tracks
-    forecasts = write_forecast_csvs(out_dir, [t.frame for t in tracks],
-                                    result.series.values)
+    forecasts = write_forecast_csvs(out_dir, [t.frame for t in tracks])
     for track, p in zip(tracks, forecasts):
         paths[f"forecast_T{track.horizon}"] = p
 
@@ -570,6 +554,8 @@ def write_run_artifacts(result: RunResult) -> dict[str, Path]:
 def load_report(path: str | Path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SchemaMismatchError("report file does not hold a JSON object")
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise SchemaMismatchError("report file has no payload section")
@@ -584,6 +570,8 @@ def load_report(path: str | Path) -> dict[str, Any]:
 def load_truth(path: str | Path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SchemaMismatchError("truth file does not hold a JSON object")
     version = doc.get("schema_version")
     if version != TRUTH_SCHEMA_VERSION:
         raise SchemaMismatchError(

@@ -135,7 +135,8 @@ def _fmt(x: float) -> str:
 
 def forecast_csv_text(frame) -> str:
     lines = ["date,actual,predicted"]
-    days = _dates(frame.series_days[frame.target_times])
+    lo = frame.first + frame.horizon
+    days = _dates(frame.series.days[lo:lo + len(frame)])
     for day, actual, predicted in zip(days, frame.actual, frame.predicted):
         lines.append(f"{day.isoformat()},{_fmt(actual)},{_fmt(predicted)}")
     return "\n".join(lines) + "\n"

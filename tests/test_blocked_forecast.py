@@ -4,7 +4,9 @@
 copy of each term's first component times the rest) and the forecast that
 builds one (anchors, N_c) feature matrix.  ``forecast_series`` builds its
 features one block of anchors at a time; its predictions, and the fit
-features of ``embed``, must have the same bytes.  The comparisons hold
+features of ``embed``, must have the same bytes.  ``forecast_series``
+forecasts every anchor whose target lies in the series, so each anchor
+count is reached by trimming the series.  The comparisons hold
 for one BLAS thread, which ``conftest`` pins before numpy is imported.
 """
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_design as ref
-from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
+from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel, TimeSeries,
                         count_coefficients, embed, fit, forecast_series,
                         gen_random_walk, monomial_labels)
 from maxentcast.design import delay_matrix
@@ -57,6 +59,11 @@ def fitted(dim, degree, lag):
     return series, cfg, fit(embed(series, cfg))
 
 
+def trimmed(series, n):
+    """The first n points of a series."""
+    return TimeSeries(series.name, series.days[:n], series.values[:n])
+
+
 def anchor_counts(n_features):
     block = forecast_block_rows(n_features)
     return [1, 63, 64, 65, block - 1, block, block + 1, LONG]
@@ -69,7 +76,8 @@ def test_blocked_forecast_matches_whole_matrix(dim, degree, lag):
     first = cfg.span + cfg.n_fit
     for count in anchor_counts(cfg.n_features):
         times = range(first, first + count)
-        frame = forecast_series(series, model, times)
+        frame = forecast_series(trimmed(series, first + count + HORIZON),
+                                model, first)
         expected = ref.forecast_predicted(series.values, model.coefficients,
                                           times, dim, degree, lag)
         assert frame.predicted.tobytes() == expected.tobytes(), count
@@ -110,8 +118,8 @@ def test_blocked_forecast_matches_whole_matrix_past_the_floor():
     coefficients = rng.standard_normal(cfg.n_features)
     for count in (1, 64, 65, 127, 128, 129, 256, 257, 385):
         times = range(cfg.span, cfg.span + count)
-        frame = forecast_series(daily_series(values),
-                                model_for(coefficients, cfg), times)
+        frame = forecast_series(daily_series(values[:cfg.span + count + cfg.horizon]),
+                                model_for(coefficients, cfg), cfg.span)
         expected = ref.forecast_predicted(values, coefficients, times, 8, 5, 1)
         assert frame.predicted.tobytes() == expected.tobytes(), count
 
@@ -132,7 +140,7 @@ def test_blocked_forecast_matches_whole_matrix_on_any_values(geometry, data):
                                     elements=st.floats(-1e3, 1e3)))
     times = range(cfg.span, cfg.span + n_anchors)
     frame = forecast_series(daily_series(values), model_for(coefficients, cfg),
-                            times)
+                            cfg.span)
     expected = ref.forecast_predicted(values, coefficients, times,
                                       dim, degree, lag)
     assert frame.predicted.tobytes() == expected.tobytes()
@@ -140,7 +148,6 @@ def test_blocked_forecast_matches_whole_matrix_on_any_values(geometry, data):
 
 FORECAST_HASH = """
 import hashlib, json, sys
-import numpy as np
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
                         forecast_series, gen_random_walk, monomial_labels)
 from maxentcast.model import forecast_batch
@@ -155,10 +162,8 @@ for doc in json.load(sys.stdin):
 series = gen_random_walk(int(sys.argv[1]), 1.0, seed=int(sys.argv[2]))
 cfg = models[0].config
 first = cfg.span + cfg.n_fit
-frames = [forecast_series(series, models[0], range(first, len(series) - cfg.horizon))]
-counts = [len(series) - m.config.horizon - first for m in models]
-frames += forecast_batch(series, models, np.arange(first, first + max(counts)),
-                         counts)
+frames = [forecast_series(series, models[0], first)]
+frames += forecast_batch(series, models, first)
 print(hashlib.sha256(b"".join(f.predicted.tobytes() for f in frames)).hexdigest())
 """
 

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxentcast import (RandomWalkSpec, RunConfig, dumps_canonical, generate,
-                        load_csv)
+from maxentcast import (RandomWalkSpec, RunConfig, clean, dumps_canonical,
+                        generate, load_csv)
 from maxentcast import evaluate as evaluate_module
 from maxentcast.cli import _build_parser, _run_config, main
+from maxentcast.report import write_series_csv
 from maxentcast.synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE,
                               logistic_splice)
 
@@ -268,6 +269,36 @@ def big_walk_csv(write_csv):
                       for d, v in zip(np.datetime_as_string(days), values)])
 
 
+def test_forecast_rows_are_the_cleaned_series_rows(write_csv, tmp_path,
+                                                   capsys):
+    # 1,600 business days with 160 left out, which clean fills, and two
+    # Saturdays, which it keeps: each forecast file's date,actual text is
+    # the tail of the cleaned series as write_series_csv writes it
+    rng = np.random.default_rng(3)
+    days = np.busday_offset(np.datetime64("2000-01-03"), np.arange(1600),
+                            roll="forward")
+    kept = np.sort(np.concatenate([
+        [0], 1 + rng.choice(1599, size=1439, replace=False)]))
+    rows = [(str(d), v) for d, v in zip(days[kept],
+                                        np.cumsum(rng.standard_normal(1440)))]
+    rows += [("2001-06-02", 1.5), ("2003-03-08", -2.5)]
+    path = write_csv([f"{d},{float(v)!r}" for d, v in sorted(rows)])
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "run", "--input", str(path),
+                           "--out", str(out))
+    assert code == 0, err
+    cleaned = clean(load_csv(path))
+    assert len(cleaned) == 1602
+    write_series_csv(tmp_path / "cleaned.csv", cleaned)
+    series_rows = (tmp_path / "cleaned.csv").read_text().splitlines()[1:]
+    for horizon in (7, 10, 13, 16):
+        lines = (out / f"forecast_T{horizon}.csv").read_text().splitlines()
+        assert lines[0] == "date,actual,predicted"
+        assert len(lines) - 1 == len(cleaned) - 3 - 700 - horizon
+        assert ([line.rsplit(",", 1)[0] for line in lines[1:]]
+                == series_rows[-(len(lines) - 1):])
+
+
 def test_run_near_overflow_prints_no_numpy_warning(write_csv, tmp_path):
     # with --np 1 the features stay finite, but the fit residual and the
     # window sums of squares overflow; the run still completes
@@ -344,6 +375,23 @@ def test_verify_unknown_truth_schema(tmp_path, capsys):
                            "--truth", str(truth))
     assert code == 6
     assert stderr_json(err)["category"] == "schema"
+
+
+@pytest.mark.parametrize("which", ["report", "truth"])
+def test_verify_non_object_json_is_schema_error(which, tmp_path, capsys):
+    files = {"report": {"meta": {}, "payload": {"schema_version": 1,
+                                                "tracks": []}},
+             "truth": {"schema_version": 1, "changepoint_index": None}}
+    files[which] = [1, 2]
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify",
+                           "--report", str(tmp_path / "report.json"),
+                           "--truth", str(tmp_path / "truth.json"))
+    assert code == 6
+    line = stderr_json(err)
+    assert line["category"] == "schema"
+    assert line["error"] == "SchemaMismatchError"
 
 
 def test_verify_missing_report_is_ingest_error(tmp_path, capsys):

@@ -111,15 +111,14 @@ def test_baseline_horizon_validation():
 
 def make_frame(actual, predicted, horizon=1, start_date=date(2002, 1, 1),
                day_step=1):
+    """A frame whose records target the series rows after its first
+    horizon rows; the target of record i falls on start_date + i * day_step.
+    The series has one row after the last target."""
     actual = np.asarray(actual, dtype=float)
-    n = actual.size
-    times = np.arange(n)
-    # the target of record i falls on start_date + i * day_step
-    days = start_date.toordinal() + day_step * (np.arange(n + horizon) - horizon)
-    return ForecastFrame(times=times, target_times=times + horizon,
-                         series_days=days, actual=actual,
-                         predicted=np.asarray(predicted, dtype=float),
-                         horizon=horizon)
+    values = np.concatenate([np.zeros(horizon), actual, [0.0]])
+    days = start_date.toordinal() + day_step * (np.arange(values.size) - horizon)
+    return ForecastFrame(series=TimeSeries("t", days, values), first=0,
+                         horizon=horizon, predicted=predicted)
 
 
 def test_year_buckets_partition_by_calendar_year():

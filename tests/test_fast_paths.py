@@ -389,29 +389,22 @@ def test_clean_matches_reference(days, values):
 
 # ---------------------------------------------------------------- CSV output
 
-def _frame(values, horizon=3):
-    n = len(values)
-    times = np.arange(n)
-    return ForecastFrame(times=times, target_times=times + horizon,
-                         series_days=MONDAY.toordinal() + np.arange(n + horizon),
-                         actual=np.asarray(values, dtype=float),
-                         predicted=-np.asarray(values, dtype=float),
-                         horizon=horizon), n + horizon
-
-
 @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2 * 1024 + 7,
                                _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                                2 * _CHUNK_ROWS + 7])
 def test_forecast_csv_matches_reference(n, tmp_path):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, size=n)
-    special = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, 0.1]
-    values[:len(special)] = special[:n]
-    frame, n_dates = _frame(values)
-    # the series values: the frame's actual values at its targets, after
-    # the rows before its first target
-    series_values = np.concatenate([rng.standard_normal(n_dates - n), values])
-    [path] = write_forecast_csvs(tmp_path, [frame], series_values)
+    # a series holds no infinity; a prediction may
+    values[:5] = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, 0.1][:n]
+    predicted = -values
+    predicted[5:7] = [math.inf, -math.inf][:max(n - 5, 0)]
+    # three series rows come before the frame's first target
+    series = TimeSeries("t", MONDAY.toordinal() + np.arange(n + 3),
+                        np.concatenate([rng.standard_normal(3), values]))
+    frame = ForecastFrame(series=series, first=0, horizon=3,
+                          predicted=predicted)
+    [path] = write_forecast_csvs(tmp_path, [frame])
     assert path.name == "forecast_T3.csv"
     assert path.read_text(encoding="utf-8") == ref.forecast_csv_text(frame)
 
@@ -422,7 +415,7 @@ def test_forecast_csv_of_a_run_matches_reference(tmp_path):
                                                anticipation=(7, 16),
                                                bucketing=WindowBuckets(250)))
     frames = [track.frame for track in report.tracks]
-    paths = write_forecast_csvs(tmp_path, frames, walk.values)
+    paths = write_forecast_csvs(tmp_path, frames)
     for frame, path in zip(frames, paths):
         assert path.read_text(encoding="utf-8") == ref.forecast_csv_text(frame)
 

@@ -181,16 +181,20 @@ def test_predict_is_linear_in_coefficients():
 
 
 def test_forecast_empty_range():
-    series, _, model = quad_map_fit()
-    frame = forecast_series(series, model, range(0))
-    assert len(frame) == 0
+    # the last feasible anchor gives one record; past it there is none
+    series, cfg, model = quad_map_fit()
+    last = len(series) - 1 - cfg.horizon
+    assert len(forecast_series(series, model, last)) == 1
+    with pytest.raises(InfeasibleWindowError, match="no out-of-sample anchors"):
+        forecast_series(series, model, last + 1)
 
 
 def test_forecast_constant_series_is_exact():
     series = daily_series(np.full(40, 5.0))
     cfg = EmbedConfig(dim=3, degree=2, horizon=2, n_fit=12)
     model = fit(embed(series, cfg))
-    frame = forecast_series(series, model, range(14, 30))
+    frame = forecast_series(series, model, 14)
+    assert len(frame) == 24
     assert np.abs(frame.predicted - 5.0).max() < 1e-9
 
 
@@ -198,18 +202,20 @@ def test_forecast_alignment_on_ramp():
     series = daily_series(np.arange(60.0))
     cfg = EmbedConfig(dim=2, degree=1, horizon=7, n_fit=20)
     model = fit(embed(series, cfg))
-    frame = forecast_series(series, model, range(25, 40))
-    assert frame.times.tolist() == list(range(25, 40))
-    assert frame.target_times.tolist() == list(range(32, 47))
-    # date of each record is the target's date, actual is v(t+7) = t+7
-    assert frame.target_date(0).toordinal() == series.days[32]
-    assert frame.actual.tolist() == list(range(32, 47))
+    frame = forecast_series(series, model, 25)
+    # anchors 25..52 predict targets 32..59, the last row of the series;
+    # actual is v(t+7) = t+7
+    assert (frame.first, frame.horizon, len(frame)) == (25, 7, 28)
+    assert frame.actual.tolist() == list(range(32, 60))
+    assert np.allclose(frame.predicted, frame.actual)
 
 
 def test_forecast_out_of_range_anchor():
     series, _, model = quad_map_fit()
     with pytest.raises(InfeasibleWindowError):
-        forecast_series(series, model, range(200, 210))
+        forecast_series(series, model, 200)
+    with pytest.raises(InfeasibleWindowError, match="embedding span"):
+        forecast_series(series, model, 0)
 
 
 def test_fit_diagnostics_shape():

@@ -277,7 +277,7 @@ def test_write_run_artifacts(walk_csv, tmp_path):
         csv_path = paths[f"forecast_T{track.horizon}"]
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "date,actual,predicted"
-        assert len(lines) - 1 == track.frame.times.size
+        assert len(lines) - 1 == len(track.frame)
         day, actual, predicted = lines[1].split(",")
         datetime.fromisoformat(day)
         assert float(actual) == track.frame.actual[0]
@@ -293,13 +293,15 @@ def test_forecast_csv_floats_round_trip(walk_csv, tmp_path):
     cfg = small_config(walk_csv, tmp_path)
     result = run_from_config(cfg)
     frames = [track.frame for track in result.report.tracks]
-    paths = write_forecast_csvs(tmp_path, frames, result.series.values)
+    paths = write_forecast_csvs(tmp_path, frames)
+    days = result.series.days
     for frame, path in zip(frames, paths):
         lines = path.read_text().strip().split("\n")[1:]
         assert len(lines) == len(frame)
         for j, line in enumerate(lines):
             day, a_txt, p_txt = line.split(",")
-            assert day == frame.target_date(j).isoformat()
+            target = frame.first + frame.horizon + j
+            assert day == date.fromordinal(int(days[target])).isoformat()
             assert float(a_txt) == frame.actual[j]
             assert float(p_txt) == frame.predicted[j]
 
@@ -394,7 +396,7 @@ def test_failed_walk_leaves_old_files(long_walk_csv, tmp_path, monkeypatch):
     shifted = [dataclasses.replace(f, predicted=f.predicted + 1.0)
                for f in frames]
     with pytest.raises(RuntimeError, match="disk on fire"):
-        write_forecast_csvs(tmp_path, shifted, result.series.values)
+        write_forecast_csvs(tmp_path, shifted)
     assert len(calls) == 2
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert not list(tmp_path.glob("*.tmp"))
@@ -402,29 +404,15 @@ def test_failed_walk_leaves_old_files(long_walk_csv, tmp_path, monkeypatch):
 
 
 def test_forecast_csvs_refuse_frames_they_cannot_stream(tmp_path):
+    # frames of two series objects, even with equal rows, are refused
     values = np.arange(10.0)
-    days = daily_series(values).days
-
-    def frame(times, actual, series_days=days):
-        times = np.asarray(times)
-        return ForecastFrame(times=times, target_times=times + 1,
-                             series_days=series_days, actual=actual,
-                             predicted=np.zeros(times.size), horizon=1)
-
-    good = frame([0, 1, 2], values[1:4])
-    gappy = frame([0, 2, 4], values[[1, 3, 5]])
-    wrong = frame([0, 1, 2], values[1:4] + 0.5)
-    negative_zero = frame([-1, 0], np.array([-0.0, 1.0]))
-    other = frame([0, 1, 2], values[1:4],
-                  daily_series(values, start=date(2001, 1, 3)).days)
-    for frames, message in (([gappy], "consecutive"),
-                            ([wrong], "actual values"),
-                            ([negative_zero], "actual values"),
-                            ([good, other], "one series")):
-        with pytest.raises(ValueError, match=message):
-            write_forecast_csvs(tmp_path, frames, values)
-        assert list(tmp_path.iterdir()) == []
-    [path] = write_forecast_csvs(tmp_path, [good], values)
+    good = ForecastFrame(series=daily_series(values), first=0, horizon=1,
+                         predicted=np.zeros(3))
+    other = dataclasses.replace(good, series=daily_series(values))
+    with pytest.raises(ValueError, match="one series"):
+        write_forecast_csvs(tmp_path, [good, other])
+    assert list(tmp_path.iterdir()) == []
+    [path] = write_forecast_csvs(tmp_path, [good])
     assert path.read_text() == reference_io.forecast_csv_text(good)
 
 

@@ -11,6 +11,7 @@ before numpy is imported.
 """
 
 import math
+from datetime import date
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def window_rows(windows) -> list[tuple]:
 
 def reference_rows(rows) -> list[tuple]:
     return [(*row[:6], bits(row[6]), bits(row[7]), row[8]) for row in rows]
+
+
+def targets(frame) -> tuple[list[date], np.ndarray]:
+    """The date and the series index of each record's target."""
+    index = frame.first + frame.horizon + np.arange(len(frame))
+    return [date.fromordinal(int(d)) for d in frame.series.days[index]], index
 
 
 def assert_matches_reference(series, protocol, **fit_args):
@@ -123,9 +130,9 @@ def test_scoring_matches_per_window_reference(n, width, horizon, day_step,
     predicted[rng.integers(0, n, size=n_bad)] = rng.choice(
         [np.nan, np.inf, -np.inf], size=n_bad)
     frame = make_frame(actual, predicted, horizon, day_step=day_step)
-    target_dates = [frame.target_date(j) for j in range(n)]
+    target_dates, target_index = targets(frame)
     for bucketing in (WindowBuckets(width), YearBuckets(), WindowBuckets(n)):
-        expected = ref.windows(target_dates, frame.target_times, actual,
+        expected = ref.windows(target_dates, target_index, actual,
                                predicted, bucketing, horizon)
         assert (window_rows(error_by_period(frame, bucketing))
                 == reference_rows(expected)), bucketing
@@ -154,8 +161,7 @@ def test_acceptance_seed_scores_keep_their_bits(monkeypatch):
               for track in run_protocol(series, protocol, **fit_args).tracks]
 
     def unscaled(frame, bucketing):
-        dates = [frame.target_date(j) for j in range(len(frame))]
-        return reference_rows(ref.windows(dates, frame.target_times,
+        return reference_rows(ref.windows(*targets(frame),
                                           frame.actual, frame.predicted,
                                           bucketing, frame.horizon,
                                           scaled=False))
@@ -168,24 +174,26 @@ def test_acceptance_seed_scores_keep_their_bits(monkeypatch):
 
 
 def test_shared_pass_matches_whole_matrix():
-    # every model of the batch ends its anchors near a block edge
+    # every model of the batch ends its anchors near a block edge: model k
+    # has len(series) - first - horizon of them, so its horizon sets its count
     dim, degree = 6, 3
     block = forecast_block_rows(84)
     counts = [2 * block + 1, 2 * block, block + 1, block - 1, 65, 64, 1]
-    horizons = range(1, len(counts) + 1)
     rng = np.random.default_rng(8)
     span = dim - 1
-    values = np.cumsum(rng.standard_normal(span + max(counts) + len(counts)))
+    values = np.cumsum(rng.standard_normal(span + max(counts) + 1))
+    horizons = [values.size - span - count for count in counts]
     models = [model_for(rng.standard_normal(84),
                         EmbedConfig(dim=dim, degree=degree, horizon=h, n_fit=1))
               for h in horizons]
-    times = np.arange(span, span + max(counts))
-    frames = forecast_batch(daily_series(values), models, times, counts)
+    frames = forecast_batch(daily_series(values), models, span)
     for model, count, frame in zip(models, counts, frames):
+        assert len(frame) == count
+        times = np.arange(span, span + count)
         expected = reference_design.forecast_predicted(
-            values, model.coefficients, times[:count], dim, degree, 1)
+            values, model.coefficients, times, dim, degree, 1)
         assert frame.predicted.tobytes() == expected.tobytes(), count
-        target = times[:count] + model.config.horizon
+        target = times + model.config.horizon
         assert frame.actual.tobytes() == values[target].tobytes()
 
 
@@ -194,16 +202,7 @@ def test_batch_models_must_share_an_embedding():
     b = model_for(np.ones(6), EmbedConfig(dim=2, degree=2, horizon=2, n_fit=1))
     series = daily_series(np.arange(20.0))
     with pytest.raises(ValueError):
-        forecast_batch(series, [a, b], np.arange(1, 10), [9, 9])
-
-
-def test_year_buckets_need_increasing_targets():
-    frame = ForecastFrame(times=np.array([2, 1]), target_times=np.array([3, 2]),
-                          series_days=daily_series(np.zeros(5)).days,
-                          actual=np.array([1.0, 2.0]),
-                          predicted=np.array([1.0, 2.0]), horizon=1)
-    with pytest.raises(ValueError):
-        error_by_period(frame, YearBuckets())
+        forecast_batch(series, [a, b], 1)
 
 
 def test_frame_holds_views_not_copies():
@@ -211,11 +210,12 @@ def test_frame_holds_views_not_copies():
     frame = run_protocol(series, ProtocolConfig(anticipation=(7,),
                                                 bucketing=WindowBuckets(50))
                          ).tracks[0].frame
-    assert np.shares_memory(frame.series_days, series.days)
-    assert not frame.series_days.flags.writeable
+    assert frame.series is series
+    assert np.shares_memory(frame.actual, series.values)
+    assert not frame.actual.flags.writeable
+    assert frame.actual.tobytes() == series.values[710:].tobytes()
     predicted = np.arange(4.0)
-    small = ForecastFrame(times=np.arange(4), target_times=np.arange(4),
-                          series_days=series.days[:4], actual=predicted,
-                          predicted=predicted, horizon=1)
+    small = ForecastFrame(series=series, first=0, horizon=1,
+                          predicted=predicted)
     assert np.shares_memory(small.predicted, predicted)
     assert predicted.flags.writeable and not small.predicted.flags.writeable
