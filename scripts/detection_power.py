@@ -12,12 +12,12 @@ import collections
 import time
 
 from maxentcast import (DetectorConfig, ProtocolConfig, RandomWalkSpec,
-                        Regime, WindowBuckets, classify, gen_spliced,
-                        logistic_splice, run_protocol, window_of_index)
+                        Regime, WindowBuckets, classify, detection_outcome,
+                        gen_spliced, logistic_splice, run_protocol)
 from maxentcast.synth import SPLICE_MAP_R, SPLICE_MAP_SCALE
 
 
-def run_trial(seed: int, args) -> tuple[bool, int | None, int]:
+def run_trial(seed: int, args) -> dict:
     spec = logistic_splice(RandomWalkSpec(n=args.splice, sigma=args.sigma,
                                           seed=seed),
                            args.n_points - args.splice,
@@ -34,15 +34,9 @@ def run_trial(seed: int, args) -> tuple[bool, int | None, int]:
     labels = classify(track.windows, DetectorConfig())
     flags = [k for k, lab in enumerate(labels)
              if lab.regime is Regime.PREDICTABLE]
-    truth_window = window_of_index(
-        [(w.start_index, w.end_index) for w in track.windows],
+    return detection_outcome(
+        [(w.start_index, w.end_index) for w in track.windows], flags,
         spliced.changepoint)
-    if truth_window is None:  # no window holds the changepoint
-        return False, None, len(flags)
-    hit = any(k >= truth_window for k in flags)
-    localization = min(flags) - truth_window if flags else None
-    false_flags = sum(1 for k in flags if k < truth_window)
-    return hit, localization, false_flags
 
 
 def main() -> None:
@@ -68,11 +62,11 @@ def main() -> None:
     false_total = 0
     localizations = collections.Counter()
     for seed in range(args.seed0, args.seed0 + args.n_series):
-        hit, localization, false_flags = run_trial(seed, args)
-        hits += hit
-        false_total += false_flags
-        if hit:
-            localizations[localization] += 1
+        outcome = run_trial(seed, args)
+        hits += outcome["hit"]
+        false_total += outcome["false_flags"]
+        if outcome["hit"]:
+            localizations[outcome["localization_error"]] += 1
     elapsed = time.perf_counter() - t0
 
     print(f"trials: {args.n_series}, hit rate {hits}/{args.n_series}")

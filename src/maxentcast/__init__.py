@@ -12,7 +12,8 @@ from ._version import __version__
 from .design import (DesignMatrix, EmbedConfig, count_coefficients,
                      delay_matrix, embed, feature_matrix, monomial_labels,
                      monomial_terms)
-from .detect import DetectorConfig, Regime, RegimeLabel, changepoints, classify
+from .detect import (DetectorConfig, Regime, RegimeLabel, changepoints,
+                     classify, detection_outcome)
 from .errors import (DegenerateMatrixError, DegenerateWindowError,
                      DimensionMismatchError, DivergentOrbitError,
                      EmptySeriesError, GapError, InfeasibleWindowError,
@@ -27,12 +28,11 @@ from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
                     forecast_batch, forecast_series, lstsq_min_norm, pinv,
                     predict)
 from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
-                     RunResult, TrackDetection, build_payload,
-                     build_report_doc, detect_tracks, dumps_canonical,
-                     forecast_csv_text, load_report, load_truth, parse_bucket,
-                     run_from_config, summary_csv_text, verify_detection,
-                     window_of_index, write_forecast_csvs, write_json_atomic,
-                     write_run_artifacts, write_text_atomic)
+                     RunResult, build_payload, build_report_doc,
+                     dumps_canonical, forecast_csv_text, load_report,
+                     load_truth, parse_bucket, run_from_config,
+                     summary_csv_text, verify_detection, write_forecast_csvs,
+                     write_json_atomic, write_run_artifacts, write_text_atomic)
 from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
                     chaotic_quad_map_coefficients, gen_poly_map,
                     gen_random_walk, gen_spliced, generate,
@@ -43,6 +43,7 @@ __all__ = [
     "DesignMatrix", "EmbedConfig", "count_coefficients", "delay_matrix",
     "embed", "feature_matrix", "monomial_labels", "monomial_terms",
     "DetectorConfig", "Regime", "RegimeLabel", "changepoints", "classify",
+    "detection_outcome",
     "DegenerateMatrixError", "DegenerateWindowError", "DimensionMismatchError",
     "DivergentOrbitError", "EmptySeriesError", "GapError",
     "InfeasibleWindowError", "MaxentcastError", "NumericalFailureError",
@@ -55,11 +56,11 @@ __all__ = [
     "forecast_series",
     "lstsq_min_norm", "pinv", "predict",
     "REPORT_SCHEMA_VERSION", "TRUTH_SCHEMA_VERSION", "RunConfig", "RunResult",
-    "TrackDetection", "build_payload", "build_report_doc", "detect_tracks",
-    "dumps_canonical", "forecast_csv_text", "load_report", "load_truth",
-    "parse_bucket", "run_from_config", "summary_csv_text", "verify_detection",
-    "window_of_index", "write_forecast_csvs", "write_json_atomic",
-    "write_run_artifacts", "write_text_atomic",
+    "build_payload", "build_report_doc", "dumps_canonical",
+    "forecast_csv_text", "load_report", "load_truth", "parse_bucket",
+    "run_from_config", "summary_csv_text", "verify_detection",
+    "write_forecast_csvs", "write_json_atomic", "write_run_artifacts",
+    "write_text_atomic",
     "PolyMapSpec", "RandomWalkSpec", "SplicedSeries", "SplicedSpec",
     "chaotic_quad_map_coefficients", "gen_poly_map", "gen_random_walk",
     "gen_spliced", "generate", "henon_map_coefficients",

@@ -3,7 +3,7 @@
 Exit codes map error families to stable categories so callers can branch
 without parsing messages:
 
-    0  success
+    0  success, also when the reader of stdout closes it early
     1  unexpected internal error
     2  usage or configuration error
     3  ingest error (unreadable file, parse failure, calendar gaps)
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -276,14 +277,18 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         return EXIT_OK
+    commands = {"run": _cmd_run, "synth": _cmd_synth, "verify": _cmd_verify}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, and the command did its work; with
+        # stdout on devnull, the flush at exit cannot fail (exit code 120).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except BaseException as exc:  # noqa: BLE001 - CLI boundary
         if isinstance(exc, KeyboardInterrupt):
             raise

@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
+from typing import Any
 
 from .evaluate import ErrorWindow
 
@@ -38,8 +39,8 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class RegimeLabel:
-    window_index: int
-    window_label: str
+    """The label of the window at the same position in the window list."""
+
     regime: Regime
     score: float  # rel_mse / baseline_rel_mse; NaN for degenerate windows
 
@@ -53,10 +54,9 @@ def classify(windows: Sequence[ErrorWindow],
     scores = [w.score_ratio for w in windows]
     raw = [s < config.theta for s in scores]  # False for NaN
     kept = _min_run_filter(raw, config.min_run)
-    return [RegimeLabel(window_index=i, window_label=w.label,
-                        regime=Regime.PREDICTABLE if k else Regime.STOCHASTIC,
+    return [RegimeLabel(regime=Regime.PREDICTABLE if k else Regime.STOCHASTIC,
                         score=s)
-            for i, (w, s, k) in enumerate(zip(windows, scores, kept))]
+            for s, k in zip(scores, kept)]
 
 
 def _min_run_filter(flags: list[bool], min_run: int) -> list[bool]:
@@ -82,3 +82,28 @@ def changepoints(labels: Sequence[RegimeLabel]) -> list[int]:
         raise ValueError("no labels")
     return [i for i in range(1, len(labels))
             if labels[i].regime != labels[i - 1].regime]
+
+
+def detection_outcome(spans: Sequence[tuple[int, int]], flagged: Sequence[int],
+                      changepoint: int | None) -> dict[str, Any]:
+    """Compare one track's flagged windows with a true changepoint.
+
+    spans are the windows' ``(start_index, end_index)`` target-index ranges
+    in order, flagged the positions of the PREDICTABLE windows.  The truth
+    window is the first whose range reaches the changepoint; there is none
+    for a changepoint that is None or outside the windows.  Flags at or
+    after it are hits, all others false flags; hit is None without a
+    changepoint.  localization_error is the first flag less the truth
+    window, None without either."""
+    truth = None
+    if changepoint is not None and spans and changepoint >= spans[0][0]:
+        truth = next((k for k, (_, end) in enumerate(spans)
+                      if end >= changepoint), None)
+    late = [k for k in flagged if truth is not None and k >= truth]
+    return {
+        "truth_window": truth,
+        "hit": None if changepoint is None else bool(late),
+        "false_flags": len(flagged) - len(late),
+        "localization_error": (min(flagged) - truth
+                               if flagged and truth is not None else None),
+    }

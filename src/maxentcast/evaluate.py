@@ -141,8 +141,8 @@ class ErrorWindow:
     """Scores for one bucket of forecast records.
 
     Degenerate buckets (too few points or zero variance for either score)
-    are kept in place with NaN scores and the marker set, so window
-    indices always partition the record range.
+    are kept in place with NaN scores, so window indices always partition
+    the record range.
     """
 
     label: str
@@ -150,10 +150,18 @@ class ErrorWindow:
     end: date
     start_index: int          # series index of the first target in the bucket
     end_index: int            # series index of the last target
-    n_points: int
     rel_mse: float
     baseline_rel_mse: float
-    degenerate: bool
+
+    @property
+    def n_points(self) -> int:
+        return self.end_index - self.start_index + 1
+
+    @property
+    def degenerate(self) -> bool:
+        """True unless both scores are finite."""
+        return not (math.isfinite(self.rel_mse)
+                    and math.isfinite(self.baseline_rel_mse))
 
     @property
     def score_ratio(self) -> float:
@@ -221,12 +229,9 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     days = frame.series.days[index]
     return [ErrorWindow(label=label, start=date.fromordinal(d0),
                         end=date.fromordinal(d1), start_index=i0,
-                        end_index=i1, n_points=r1 - r0 + 1, rel_mse=r,
-                        baseline_rel_mse=b,
-                        degenerate=not (math.isfinite(r) and math.isfinite(b)))
-            for label, (r0, r1), (i0, i1), (d0, d1), r, b
-            in zip(labels, records.tolist(), index.tolist(), days.tolist(),
-                   rel, base)]
+                        end_index=i1, rel_mse=r, baseline_rel_mse=b)
+            for label, (i0, i1), (d0, d1), r, b
+            in zip(labels, index.tolist(), days.tolist(), rel, base)]
 
 
 @dataclass(frozen=True)
@@ -271,20 +276,19 @@ class ProtocolConfig:
 class ForecastTrack:
     """Everything the protocol produced for one anticipation value."""
 
-    horizon: int
     model: FittedModel
     frame: ForecastFrame
     windows: tuple[ErrorWindow, ...]
     rel_mse: float            # over the whole out-of-sample stretch
     baseline_rel_mse: float
 
+    @property
+    def horizon(self) -> int:
+        return self.frame.horizon
+
 
 @dataclass(frozen=True)
 class PredictabilityReport:
-    series_name: str
-    protocol: ProtocolConfig
-    rank_tolerance: float
-    standardized: bool
     tracks: tuple[ForecastTrack, ...]
 
 
@@ -300,14 +304,11 @@ def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
     first = models[0].config.span + protocol.fit_window
     frames = forecast_batch(series, models, first)
     tracks: list[ForecastTrack] = []
-    for horizon, model, frame in zip(protocol.anticipation, models, frames):
+    for model, frame in zip(models, frames):
         windows = error_by_period(frame, protocol.bucketing)
-        overall, base = _score_frame(frame, 0, 1, len(frame), horizon)
-        tracks.append(ForecastTrack(horizon=horizon, model=model, frame=frame,
+        overall, base = _score_frame(frame, 0, 1, len(frame), frame.horizon)
+        tracks.append(ForecastTrack(model=model, frame=frame,
                                     windows=tuple(windows),
                                     rel_mse=float(overall[0]),
                                     baseline_rel_mse=float(base[0])))
-    return PredictabilityReport(series_name=series.name, protocol=protocol,
-                                rank_tolerance=float(rank_tolerance),
-                                standardized=bool(standardize),
-                                tracks=tuple(tracks))
+    return PredictabilityReport(tracks=tuple(tracks))

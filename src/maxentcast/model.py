@@ -92,7 +92,6 @@ class FittedModel:
 
     coefficients: np.ndarray
     config: EmbedConfig
-    feature_labels: tuple[str, ...]
     diagnostics: FitDiagnostics
     standardized: bool = False
 
@@ -100,12 +99,16 @@ class FittedModel:
         coef = np.array(self.coefficients, dtype=float)
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "feature_labels", tuple(self.feature_labels))
         if coef.ndim != 1 or coef.size != self.config.n_features:
             raise ValueError(
                 f"expected {self.config.n_features} coefficients, got {coef.size}")
         if not np.isfinite(coef).all():
             raise ValueError("coefficients must be finite")
+
+    @property
+    def feature_labels(self) -> tuple[str, ...]:
+        """The name of each coefficient's feature column."""
+        return monomial_labels(self.config.dim, self.config.degree)
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,7 +184,6 @@ def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
     return FittedModel(
         coefficients=coef,
         config=dm.config,
-        feature_labels=monomial_labels(dm.config.dim, dm.config.degree),
         diagnostics=FitDiagnostics(rank=rank, singular_values=s,
                                    residual_norm=_norm(W @ coef - y)),
         standardized=standardize,

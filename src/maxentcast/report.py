@@ -19,6 +19,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring_ascii
+from numbers import Integral
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator, Mapping, Sequence
@@ -27,7 +28,8 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from .csvtext import csv_rows, date_fields, float_fields, text_fields
-from .detect import DetectorConfig, Regime, RegimeLabel, changepoints, classify
+from .detect import (DetectorConfig, Regime, RegimeLabel, changepoints,
+                     classify, detection_outcome)
 from .errors import SchemaMismatchError
 from .evaluate import (PredictabilityReport, ProtocolConfig, WindowBuckets,
                        YearBuckets, run_protocol)
@@ -316,31 +318,12 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
 
 
 @dataclass(frozen=True)
-class TrackDetection:
-    """Detector output attached to one forecast track."""
-
-    horizon: int
-    labels: tuple[RegimeLabel, ...]
-    changepoint_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RunResult:
     series: TimeSeries
     report: PredictabilityReport
-    detections: tuple[TrackDetection, ...]
+    labels: tuple[tuple[RegimeLabel, ...], ...]  # one per window, per track
     config: RunConfig
     n_interpolated: int  # rows that clean filled in
-
-
-def detect_tracks(report: PredictabilityReport,
-                  detector: DetectorConfig) -> tuple[TrackDetection, ...]:
-    out = []
-    for track in report.tracks:
-        labels = tuple(classify(track.windows, detector))
-        cps = tuple(changepoints(list(labels)))
-        out.append(TrackDetection(track.horizon, labels, cps))
-    return tuple(out)
 
 
 def run_from_config(config: RunConfig) -> RunResult:
@@ -351,8 +334,9 @@ def run_from_config(config: RunConfig) -> RunResult:
     report = run_protocol(series, config.protocol,
                           rank_tolerance=config.rank_tolerance,
                           standardize=config.standardize)
-    detections = detect_tracks(report, config.detector)
-    return RunResult(series=series, report=report, detections=detections,
+    labels = tuple(tuple(classify(track.windows, config.detector))
+                   for track in report.tracks)
+    return RunResult(series=series, report=report, labels=labels,
                      config=config,
                      n_interpolated=len(series) - (len(raw) - raw.n_missing))
 
@@ -371,19 +355,19 @@ def _window_payload(window) -> dict[str, Any]:
     }
 
 
-def _detection_payload(detection: TrackDetection, windows) -> dict[str, Any]:
-    labels = [{
-        "window": lab.window_label,
-        "regime": lab.regime.value,
-        "score": _clean_float(lab.score),
-    } for lab in detection.labels]
+def _detection_payload(labels: Sequence[RegimeLabel],
+                       windows) -> dict[str, Any]:
     cps = [{
         "window_index": i,
         "window": windows[i].label,
         "date": windows[i].start.isoformat(),
-        "to_regime": detection.labels[i].regime.value,
-    } for i in detection.changepoint_indices]
-    return {"labels": labels, "changepoints": cps}
+        "to_regime": labels[i].regime.value,
+    } for i in changepoints(labels)]
+    return {"labels": [{
+        "window": w.label,
+        "regime": lab.regime.value,
+        "score": _clean_float(lab.score),
+    } for w, lab in zip(windows, labels)], "changepoints": cps}
 
 
 def build_payload(result: RunResult) -> dict[str, Any]:
@@ -391,7 +375,7 @@ def build_payload(result: RunResult) -> dict[str, Any]:
     series = result.series
     report = result.report
     tracks = []
-    for track, detection in zip(report.tracks, result.detections):
+    for track, labels in zip(report.tracks, result.labels):
         tracks.append({
             "horizon": track.horizon,
             "n_forecasts": len(track.frame),
@@ -399,7 +383,7 @@ def build_payload(result: RunResult) -> dict[str, Any]:
             "baseline_rel_mse": _clean_float(track.baseline_rel_mse),
             "model": track.model.to_json_dict(),
             "windows": [_window_payload(w) for w in track.windows],
-            "detection": _detection_payload(detection, track.windows),
+            "detection": _detection_payload(labels, track.windows),
         })
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -551,94 +535,65 @@ def write_run_artifacts(result: RunResult) -> dict[str, Path]:
     return paths
 
 
+def _read(doc: Any, key: str, kind: type | tuple[type, ...],
+          where: str) -> Any:
+    """doc[key] of a loaded report or truth, which must be a kind and not a
+    bool; anything else is a SchemaMismatchError."""
+    if not isinstance(doc, Mapping) or key not in doc:
+        raise SchemaMismatchError(f"{where} is not a JSON object with {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SchemaMismatchError(f"{where}.{key} has the wrong type: {value!r}")
+    return value
+
+
+def _versioned(doc: Any, version: int, where: str) -> dict[str, Any]:
+    found = _read(doc, "schema_version", Integral, where)
+    if found != version:
+        raise SchemaMismatchError(
+            f"{where} schema version {found!r}, expected {version}")
+    return doc
+
+
 def load_report(path: str | Path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaMismatchError("report file does not hold a JSON object")
-    payload = doc.get("payload")
-    if not isinstance(payload, dict):
-        raise SchemaMismatchError("report file has no payload section")
-    version = payload.get("schema_version")
-    if version != REPORT_SCHEMA_VERSION:
-        raise SchemaMismatchError(
-            f"report schema version {version!r}, expected "
-            f"{REPORT_SCHEMA_VERSION}")
-    return payload
+    return _versioned(_read(doc, "payload", dict, "report"),
+                      REPORT_SCHEMA_VERSION, "report payload")
 
 
 def load_truth(path: str | Path) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaMismatchError("truth file does not hold a JSON object")
-    version = doc.get("schema_version")
-    if version != TRUTH_SCHEMA_VERSION:
-        raise SchemaMismatchError(
-            f"truth schema version {version!r}, expected "
-            f"{TRUTH_SCHEMA_VERSION}")
-    return doc
-
-
-def window_of_index(spans: Sequence[tuple[int, int]],
-                    series_index: int) -> int | None:
-    """First window, of windows given as ``(start_index, end_index)``
-    target-index ranges, whose range reaches series_index; None when the
-    index lies before the first window or after the last."""
-    if not spans or series_index < spans[0][0]:
-        return None
-    for k, (_, end) in enumerate(spans):
-        if end >= series_index:
-            return k
-    return None
+        return _versioned(json.load(fh), TRUTH_SCHEMA_VERSION, "truth")
 
 
 def verify_detection(payload: Mapping[str, Any],
                      truth: Mapping[str, Any]) -> dict[str, Any]:
-    """Compare a report's detections against generator ground truth.
-
-    For a truth with a changepoint: a hit is a PREDICTABLE window at or
-    after the window containing the changepoint; localization error is
-    (first flagged window - truth window), in windows.  Windows flagged
-    strictly before the truth window count as false flags.  A changepoint
-    outside the windows' target range has no truth window, no hit, and
-    every flag is false.  For a truth without a changepoint every flagged
-    window is a false flag and hit is null.
-    """
-    truth_index = truth.get("changepoint_index")
-    tracks_out = []
-    any_hit: bool | None = None if truth_index is None else False
-    for track in payload["tracks"]:
-        windows = track["windows"]
-        flagged = [k for k, lab in enumerate(track["detection"]["labels"])
-                   if lab["regime"] == Regime.PREDICTABLE.value]
-        entry: dict[str, Any] = {"horizon": track["horizon"]}
-        if truth_index is None:
-            entry["hit"] = None
-            entry["localization_error"] = None
-            entry["false_flags"] = len(flagged)
-        else:
-            truth_window = window_of_index(
-                [(w["start_index"], w["end_index"]) for w in windows],
-                int(truth_index))
-            entry["truth_window"] = truth_window
-            if truth_window is None:
-                entry["hit"] = False
-                entry["localization_error"] = None
-                entry["false_flags"] = len(flagged)
-            else:
-                hits = [k for k in flagged if k >= truth_window]
-                entry["hit"] = bool(hits)
-                entry["false_flags"] = len(flagged) - len(hits)
-                if flagged:
-                    entry["localization_error"] = min(flagged) - truth_window
-                else:
-                    entry["localization_error"] = None
-                if entry["hit"]:
-                    any_hit = True
-        tracks_out.append(entry)
+    """The :func:`~maxentcast.detect.detection_outcome` of each track of a
+    report against generator ground truth; the run hits when any track
+    does.  Without a changepoint the tracks get no ``truth_window`` and the
+    run a null hit.  A key read here that is missing or holds a value of
+    the wrong JSON type is a SchemaMismatchError."""
+    changepoint = _read(truth, "changepoint_index", (Integral, type(None)),
+                        "truth")
+    tracks = []
+    for k, track in enumerate(_read(payload, "tracks", list, "payload")):
+        at = f"tracks[{k}]"
+        labels = _read(_read(track, "detection", Mapping, at), "labels", list,
+                       f"{at}.detection")
+        spans = [(_read(w, "start_index", Integral, f"{at}.windows[{i}]"),
+                  _read(w, "end_index", Integral, f"{at}.windows[{i}]"))
+                 for i, w in enumerate(_read(track, "windows", list, at))]
+        flagged = [i for i, lab in enumerate(labels)
+                   if _read(lab, "regime", str, f"{at}.detection.labels[{i}]")
+                   == Regime.PREDICTABLE.value]
+        outcome = detection_outcome(spans, flagged, changepoint)
+        if changepoint is None:
+            del outcome["truth_window"]
+        tracks.append({"horizon": _read(track, "horizon", Integral, at),
+                       **outcome})
     return {
-        "hit": any_hit,
-        "false_flags": sum(t["false_flags"] for t in tracks_out),
-        "tracks": tracks_out,
+        "hit": None if changepoint is None else any(t["hit"] for t in tracks),
+        "false_flags": sum(t["false_flags"] for t in tracks),
+        "tracks": tracks,
     }

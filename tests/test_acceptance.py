@@ -17,11 +17,11 @@ import pytest
 from maxentcast import (DetectorConfig, EmbedConfig, ProtocolConfig,
                         RandomWalkSpec, Regime, WindowBuckets,
                         chaotic_quad_map_coefficients, classify,
-                        changepoints, clean, count_coefficients, embed, fit,
-                        gen_poly_map, gen_random_walk, gen_spliced,
-                        henon_map_coefficients, load_csv, logistic_splice,
-                        lstsq_min_norm, pinv, relative_mse, rng,
-                        run_protocol, window_of_index)
+                        changepoints, clean, count_coefficients,
+                        detection_outcome, embed, fit, gen_poly_map,
+                        gen_random_walk, gen_spliced, henon_map_coefficients,
+                        load_csv, logistic_splice, lstsq_min_norm, pinv,
+                        relative_mse, rng, run_protocol)
 from maxentcast.cli import main as cli_main
 
 
@@ -170,12 +170,12 @@ def test_criterion_5_detection_power_and_localization():
         labels = classify(track.windows, detector)
         flags = [k for k, lab in enumerate(labels)
                  if lab.regime is Regime.PREDICTABLE]
-        truth_window = window_of_index(
-            [(w.start_index, w.end_index) for w in track.windows],
+        outcome = detection_outcome(
+            [(w.start_index, w.end_index) for w in track.windows], flags,
             spliced.changepoint)
-        if truth_window is not None and any(k >= truth_window for k in flags):
+        if outcome["hit"]:
             hits += 1
-            if abs(min(flags) - truth_window) <= 2:
+            if abs(outcome["localization_error"]) <= 2:
                 within_two += 1
     elapsed = time.perf_counter() - t0
     ok = hits >= 95 and within_two >= 90 and elapsed < budget_s

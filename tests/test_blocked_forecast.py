@@ -26,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 import reference_design as ref
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel, TimeSeries,
                         count_coefficients, embed, fit, forecast_series,
-                        gen_random_walk, monomial_labels)
+                        gen_random_walk)
 from maxentcast.design import delay_matrix
 from maxentcast.model import forecast_block_rows
 
@@ -102,7 +102,6 @@ def test_block_rows_fill_the_budget_in_multiples_of_64():
 def model_for(coefficients, cfg):
     n = cfg.n_features
     return FittedModel(coefficients=coefficients, config=cfg,
-                       feature_labels=monomial_labels(cfg.dim, cfg.degree),
                        diagnostics=FitDiagnostics(rank=n,
                                                   singular_values=np.ones(n),
                                                   residual_norm=0.0))
@@ -149,14 +148,13 @@ def test_blocked_forecast_matches_whole_matrix_on_any_values(geometry, data):
 FORECAST_HASH = """
 import hashlib, json, sys
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
-                        forecast_series, gen_random_walk, monomial_labels)
+                        forecast_series, gen_random_walk)
 from maxentcast.model import forecast_batch
 models = []
 for doc in json.load(sys.stdin):
     cfg = EmbedConfig(**doc["config"])
     models.append(FittedModel(
         coefficients=doc["coefficients"], config=cfg,
-        feature_labels=monomial_labels(cfg.dim, cfg.degree),
         diagnostics=FitDiagnostics(rank=0, singular_values=(),
                                    residual_norm=0.0)))
 series = gen_random_walk(int(sys.argv[1]), 1.0, seed=int(sys.argv[2]))

@@ -394,6 +394,67 @@ def test_verify_non_object_json_is_schema_error(which, tmp_path, capsys):
     assert line["error"] == "SchemaMismatchError"
 
 
+NO_TRACKS = {"schema_version": 1, "tracks": []}
+
+# case: (report payload, truth less its schema version)
+MALFORMED = {
+    "no tracks": ({"schema_version": 1}, {"changepoint_index": 250}),
+    "no end_index": ({"schema_version": 1, "tracks": [{
+        "horizon": 7, "windows": [{"start_index": 0}],
+        "detection": {"labels": [{"regime": "STOCHASTIC"}]}}]},
+        {"changepoint_index": 250}),
+    "string changepoint": (NO_TRACKS, {"changepoint_index": "abc"}),
+    "float changepoint": (NO_TRACKS, {"changepoint_index": 2.7}),
+    "bool changepoint": (NO_TRACKS, {"changepoint_index": True}),
+    "no changepoint": (NO_TRACKS, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_verify_malformed_report_or_truth_is_schema_error(case, tmp_path,
+                                                          capsys):
+    payload, truth = MALFORMED[case]
+    (tmp_path / "report.json").write_text(
+        json.dumps({"meta": {}, "payload": payload}))
+    (tmp_path / "truth.json").write_text(
+        json.dumps({"schema_version": 1, **truth}))
+    code, out, err = run_cli(capsys, "verify",
+                             "--report", str(tmp_path / "report.json"),
+                             "--truth", str(tmp_path / "truth.json"))
+    assert (code, out) == (6, "")
+    line = stderr_json(err)
+    assert (line["category"], line["error"]) == ("schema",
+                                                 "SchemaMismatchError")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_closed_stdout_exits_zero_without_a_message(command, tmp_path,
+                                                    capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--kind", "spliced", "--n", "1200", "--seed", "1",
+                 "--splice", "800", "--out", str(data)]) == 0
+    run = ["run", "--input", str(data / "series.csv"), "--d", "1", "--np",
+           "1", "--fit-window", "200", "--bucket", "window:100",
+           "--out", str(out)]
+    if command == "verify":
+        assert main(run) == 0
+    capsys.readouterr()
+    argv = {"run": run,
+            "verify": ["verify", "--report", str(out / "report.json"),
+                       "--truth", str(data / "truth.json")]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "maxentcast", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (out / "report.json").is_file()
+
+
 def test_verify_missing_report_is_ingest_error(tmp_path, capsys):
     truth = tmp_path / "truth.json"
     truth.write_text(json.dumps({"schema_version": 1,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxentcast import DetectorConfig, Regime, changepoints, classify
+from maxentcast import (DetectorConfig, Regime, RegimeLabel, changepoints,
+                        classify, detection_outcome)
 from maxentcast.detect import _min_run_filter
 
 from conftest import make_window
@@ -16,6 +17,12 @@ from conftest import make_window
 def windows_from_ratios(ratios, base=1.0):
     return [make_window(r * base, base, label=f"w{k:03d}", start_index=10 * k)
             for k, r in enumerate(ratios)]
+
+
+def flagged(labels) -> set[int]:
+    """Positions of the PREDICTABLE labels."""
+    return {k for k, lab in enumerate(labels)
+            if lab.regime is Regime.PREDICTABLE}
 
 
 def regimes(ratios, theta=0.5, min_run=2):
@@ -51,8 +58,8 @@ def test_short_runs_are_suppressed():
 
 
 def test_degenerate_windows_are_stochastic_with_nan_score():
-    win = [make_window(math.nan, math.nan, degenerate=True),
-           make_window(0.01, 1.0)]
+    win = [make_window(math.nan, math.nan), make_window(0.01, 1.0)]
+    assert [w.degenerate for w in win] == [True, False]
     labels = classify(win, DetectorConfig(theta=0.5, min_run=1))
     assert labels[0].regime is Regime.STOCHASTIC
     assert math.isnan(labels[0].score)
@@ -74,10 +81,11 @@ def test_infinite_baseline_is_stochastic():
     assert labels[1].regime is Regime.PREDICTABLE
 
 
-def test_labels_carry_window_identity():
-    labels = classify(windows_from_ratios([0.1, 0.1]), DetectorConfig())
-    assert [lab.window_index for lab in labels] == [0, 1]
-    assert [lab.window_label for lab in labels] == ["w000", "w001"]
+def test_labels_follow_the_window_order():
+    labels = classify(windows_from_ratios([0.9, 0.25, 0.1]), DetectorConfig())
+    assert labels == [RegimeLabel(Regime.STOCHASTIC, 0.9),
+                      RegimeLabel(Regime.PREDICTABLE, 0.25),
+                      RegimeLabel(Regime.PREDICTABLE, 0.1)]
 
 
 def test_classify_requires_windows():
@@ -129,14 +137,10 @@ ratio_lists = st.lists(
 def test_lower_theta_never_adds_flags(ratios, data):
     lo = data.draw(st.floats(min_value=0.01, max_value=0.98))
     hi = data.draw(st.floats(min_value=lo, max_value=0.99))
-    flagged_lo = {lab.window_index
-                  for lab in classify(windows_from_ratios(ratios),
-                                      DetectorConfig(theta=lo, min_run=2))
-                  if lab.regime is Regime.PREDICTABLE}
-    flagged_hi = {lab.window_index
-                  for lab in classify(windows_from_ratios(ratios),
-                                      DetectorConfig(theta=hi, min_run=2))
-                  if lab.regime is Regime.PREDICTABLE}
+    flagged_lo = flagged(classify(windows_from_ratios(ratios),
+                                  DetectorConfig(theta=lo, min_run=2)))
+    flagged_hi = flagged(classify(windows_from_ratios(ratios),
+                                  DetectorConfig(theta=hi, min_run=2)))
     assert flagged_lo <= flagged_hi
 
 
@@ -144,16 +148,10 @@ def test_lower_theta_never_adds_flags(ratios, data):
 @given(ratios=ratio_lists,
        min_run=st.integers(min_value=1, max_value=6))
 def test_larger_min_run_never_adds_flags(ratios, min_run):
-    flagged_small = {lab.window_index
-                     for lab in classify(
-                         windows_from_ratios(ratios),
-                         DetectorConfig(min_run=min_run))
-                     if lab.regime is Regime.PREDICTABLE}
-    flagged_large = {lab.window_index
-                     for lab in classify(
-                         windows_from_ratios(ratios),
-                         DetectorConfig(min_run=min_run + 1))
-                     if lab.regime is Regime.PREDICTABLE}
+    flagged_small = flagged(classify(windows_from_ratios(ratios),
+                                     DetectorConfig(min_run=min_run)))
+    flagged_large = flagged(classify(windows_from_ratios(ratios),
+                                     DetectorConfig(min_run=min_run + 1)))
     assert flagged_large <= flagged_small
 
 
@@ -171,8 +169,7 @@ def test_changepoint_count_matches_adjacent_differences(ratios):
 def test_classify_is_deterministic(ratios):
     first = classify(windows_from_ratios(ratios), DetectorConfig())
     second = classify(windows_from_ratios(ratios), DetectorConfig())
-    assert [(a.window_index, a.regime) for a in first] == \
-        [(b.window_index, b.regime) for b in second]
+    assert [a.regime for a in first] == [b.regime for b in second]
 
 
 @settings(max_examples=400, deadline=None)
@@ -184,3 +181,26 @@ def test_min_run_filter_keeps_exactly_the_long_runs(flags, min_run):
         n = len(list(run))
         expected += [flag and n >= min_run] * n
     assert _min_run_filter(flags, min_run) == expected
+
+
+# ------------------------------------------------------- detection outcome
+
+def test_detection_outcome_outside_the_windows():
+    # the truth window is the first window whose range reaches the
+    # changepoint; before the first window and after the last there is none
+    spans = [(707, 831), (832, 956)]
+    assert [detection_outcome(spans, [], i)["truth_window"]
+            for i in (100, 706, 707, 831, 832, 956, 957)] == [
+        None, None, 0, 0, 1, 1, None]
+    assert detection_outcome([], [], 5) == {
+        "truth_window": None, "hit": False, "false_flags": 0,
+        "localization_error": None}
+
+
+def test_detection_outcome_without_a_truth_window_counts_every_flag_false():
+    spans = [(707, 831), (832, 956)]
+    for changepoint, hit in ((100, False), (957, False), (None, None)):
+        assert detection_outcome(spans, [0, 1], changepoint) == {
+            "truth_window": None, "hit": hit, "false_flags": 2,
+            "localization_error": None}
+

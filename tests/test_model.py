@@ -123,7 +123,7 @@ QUAD_COEFFS = (0.3, 0.5, 0.0, 0.0, -0.2, 0.0)  # 0.3 + 0.5 v1 - 0.2 v1 v2
 
 def hand_model(coefficients, cfg):
     return FittedModel(coefficients=np.asarray(coefficients, dtype=float),
-                       config=cfg, feature_labels=monomial_labels(cfg.dim, cfg.degree),
+                       config=cfg,
                        diagnostics=FitDiagnostics(rank=0, singular_values=(),
                                                   residual_norm=math.nan))
 

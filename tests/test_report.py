@@ -16,12 +16,11 @@ import reference_io
 from maxentcast import (DetectorConfig, ForecastFrame, ProtocolConfig,
                         RunConfig, SchemaMismatchError, WindowBuckets,
                         YearBuckets, build_payload, build_report_doc,
-                        detect_tracks, dumps_canonical, gen_random_walk,
+                        changepoints, dumps_canonical, gen_random_walk,
                         load_report, load_truth, parse_bucket,
                         run_from_config, summary_csv_text, verify_detection,
-                        window_of_index, write_forecast_csvs,
-                        write_json_atomic, write_run_artifacts,
-                        write_text_atomic)
+                        write_forecast_csvs, write_json_atomic,
+                        write_run_artifacts, write_text_atomic)
 from maxentcast import report as report_module
 from maxentcast.cli import main as cli_main
 from maxentcast.report import atomic_writer, bucket_text
@@ -435,14 +434,18 @@ def test_summary_csv_blank_fields_for_degenerate_windows():
     assert summary_csv_text(report) == "period,T,rel_mse,baseline\nw000,7,,\n"
 
 
-def test_detect_tracks_aligns_with_windows(walk_csv, tmp_path):
+def test_run_labels_align_with_windows(walk_csv, tmp_path):
     cfg = small_config(walk_csv, tmp_path)
     result = run_from_config(cfg)
-    for track, detection in zip(result.report.tracks, result.detections):
-        assert detection.horizon == track.horizon
-        assert len(detection.labels) == len(track.windows)
-        for i in detection.changepoint_indices:
-            assert 0 <= i < len(track.windows)
+    assert len(result.labels) == len(result.report.tracks)
+    payload = build_payload(result)
+    for track, labels, doc in zip(result.report.tracks, result.labels,
+                                  payload["tracks"]):
+        assert len(labels) == len(track.windows)
+        assert [lab["window"] for lab in doc["detection"]["labels"]] == [
+            w.label for w in track.windows]
+        assert [cp["window_index"] for cp in doc["detection"]["changepoints"]
+                ] == changepoints(labels)
 
 
 # ----------------------------------------------------------- file loading
@@ -483,48 +486,45 @@ def fake_payload(flag_sets, window_ends=(99, 199, 299, 399), first_start=0):
     return {"tracks": tracks}
 
 
+def verified(hit, *tracks):
+    """A verify result: the run's hit, and each track's horizon-7 entry
+    from (hit, false_flags, localization_error[, truth_window])."""
+    entries = [dict(zip(("hit", "false_flags", "localization_error",
+                         "truth_window"), t), horizon=7) for t in tracks]
+    return {"hit": hit, "false_flags": sum(t[1] for t in tracks),
+            "tracks": entries}
+
+
 def test_verify_exact_hit():
     out = verify_detection(fake_payload([{2}]),
                            {"changepoint_index": 250})
-    assert out["hit"] is True
-    assert out["false_flags"] == 0
-    track = out["tracks"][0]
-    assert track["truth_window"] == 2
-    assert track["localization_error"] == 0
+    assert out == verified(True, (True, 0, 0, 2))
 
 
 def test_verify_late_hit_and_early_false_flag():
+    # the localization error is the earliest flag less the truth window
     out = verify_detection(fake_payload([{0, 3}]),
                            {"changepoint_index": 250})
-    track = out["tracks"][0]
-    assert track["hit"] is True
-    assert track["false_flags"] == 1
-    assert track["localization_error"] == 0 - 2  # earliest flag minus truth
+    assert out == verified(True, (True, 1, 0 - 2, 2))
 
 
 def test_verify_miss():
     out = verify_detection(fake_payload([set()]),
                            {"changepoint_index": 250})
-    assert out["hit"] is False
-    assert out["tracks"][0]["localization_error"] is None
-    assert out["false_flags"] == 0
+    assert out == verified(False, (False, 0, None, 2))
 
 
 def test_verify_no_changepoint_truth():
+    # without a changepoint no track has a truth_window key
     out = verify_detection(fake_payload([{1, 2}]),
                            {"changepoint_index": None})
-    assert out["hit"] is None
-    assert out["false_flags"] == 2
-    assert out["tracks"][0]["hit"] is None
+    assert out == verified(None, (None, 2, None))
 
 
 def test_verify_truth_beyond_coverage():
     out = verify_detection(fake_payload([{1}]),
                            {"changepoint_index": 5000})
-    track = out["tracks"][0]
-    assert track["truth_window"] is None
-    assert track["hit"] is False
-    assert out["false_flags"] == 1
+    assert out == verified(False, (False, 1, None, None))
 
 
 def test_verify_truth_before_coverage():
@@ -532,24 +532,28 @@ def test_verify_truth_before_coverage():
     out = verify_detection(fake_payload([{0, 2}], window_ends=(831, 956, 1081),
                                         first_start=707),
                            {"changepoint_index": 100})
-    track = out["tracks"][0]
-    assert track["truth_window"] is None
-    assert track["hit"] is False
-    assert track["localization_error"] is None
-    assert out["hit"] is False
-    assert out["false_flags"] == 2
-
-
-def test_window_of_index_outside_the_windows():
-    spans = [(707, 831), (832, 956)]
-    assert [window_of_index(spans, i)
-            for i in (100, 706, 707, 831, 832, 956, 957)] == [
-        None, None, 0, 0, 1, 1, None]
-    assert window_of_index([], 5) is None
+    assert out == verified(False, (False, 2, None, None))
 
 
 def test_verify_any_track_hit_wins():
     payload = fake_payload([set(), {3}])
     out = verify_detection(payload, {"changepoint_index": 250})
-    assert out["hit"] is True
-    assert [t["hit"] for t in out["tracks"]] == [False, True]
+    assert out == verified(True, (False, 0, None, 2), (True, 0, 1, 2))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("tracks", 0), []), (("tracks", 0, "horizon"), "7"),
+    (("tracks", 0, "windows", 1, "start_index"), False),
+    (("tracks", 0, "detection"), []),
+    (("tracks", 0, "detection", "labels", 2, "regime"), 1)])
+def test_verify_refuses_a_value_of_the_wrong_json_type(path, value):
+    # with a changepoint and without one
+    for truth in (250, None):
+        payload = fake_payload([{2}])
+        *parents, key = path
+        node = payload
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        with pytest.raises(SchemaMismatchError):
+            verify_detection(payload, {"changepoint_index": truth})
