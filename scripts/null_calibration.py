@@ -9,6 +9,7 @@ median score near 1.
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
@@ -45,8 +46,8 @@ def main() -> None:
             flagged += sum(1 for lab in labels
                            if lab.regime is Regime.PREDICTABLE)
             total += len(labels)
-            scores.extend(w.rel_mse / w.baseline_rel_mse
-                          for w in track.windows if not w.degenerate)
+            scores.extend(lab.score for lab in labels
+                          if not math.isnan(lab.score))
     elapsed = time.perf_counter() - t0
 
     scores = np.asarray(scores)

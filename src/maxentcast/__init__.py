@@ -34,10 +34,10 @@ from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      summary_csv_text, verify_detection, write_forecast_csvs,
                      write_json_atomic, write_run_artifacts, write_text_atomic)
 from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
-                    chaotic_quad_map_coefficients, gen_poly_map,
-                    gen_random_walk, gen_spliced, generate,
-                    henon_map_coefficients, logistic_map_coefficients,
-                    logistic_splice, rescale_map_coefficients)
+                    chaotic_quad_map_coefficients, gen_random_walk,
+                    gen_spliced, generate, henon_map_coefficients,
+                    logistic_map_coefficients, logistic_splice,
+                    rescale_map_coefficients)
 
 __all__ = [
     "DesignMatrix", "EmbedConfig", "count_coefficients", "delay_matrix",
@@ -62,8 +62,8 @@ __all__ = [
     "write_forecast_csvs", "write_json_atomic", "write_run_artifacts",
     "write_text_atomic",
     "PolyMapSpec", "RandomWalkSpec", "SplicedSeries", "SplicedSpec",
-    "chaotic_quad_map_coefficients", "gen_poly_map", "gen_random_walk",
-    "gen_spliced", "generate", "henon_map_coefficients",
-    "logistic_map_coefficients", "logistic_splice", "rescale_map_coefficients",
+    "chaotic_quad_map_coefficients", "gen_random_walk", "gen_spliced",
+    "generate", "henon_map_coefficients", "logistic_map_coefficients",
+    "logistic_splice", "rescale_map_coefficients",
     "rng", "__version__",
 ]

@@ -165,7 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--map-scale", type=float, default=SPLICE_MAP_SCALE,
                        help="auto map amplitude in units of sigma "
                             "(default %(default)s)")
-    synth.add_argument("--name", default=None, help="series name")
     synth.add_argument("--out", default=".", help="output directory")
 
     verify = sub.add_parser(
@@ -202,7 +201,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    name = args.name or args.kind
     truth: dict = {"schema_version": TRUTH_SCHEMA_VERSION, "kind": args.kind,
                    "n": args.n, "seed": args.seed, "changepoint_index": None}
     if args.kind == "walk":
@@ -223,8 +221,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         if args.splice is None:
             raise ValueError("--kind spliced needs --splice")
-        if not 1 <= args.splice < args.n:
-            raise ValueError("--splice must be inside the series")
         walk = RandomWalkSpec(n=args.splice, sigma=args.sigma, x0=args.x0,
                               seed=args.seed)
         noise = (0.01 * args.sigma if args.noise_sigma is None
@@ -236,7 +232,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             spec = SplicedSpec(walk, PolyMapSpec(
                 n=args.n - args.splice, dim=args.dim,
                 coefficients=args.coeffs, noise_sigma=noise,
-                seed=args.seed + 1, bound=args.bound), args.splice)
+                seed=args.seed + 1, bound=args.bound))
         map_spec = spec.second
         truth["changepoint_index"] = spec.splice_index
         truth["params"] = {
@@ -246,7 +242,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                     "noise_sigma": noise, "seed": map_spec.seed},
         }
 
-    series = generate(spec, name=name)
+    series = generate(spec)
     out_dir = Path(args.out)
     series_path = out_dir / "series.csv"
     truth_path = out_dir / "truth.json"

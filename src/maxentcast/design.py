@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InfeasibleWindowError, NumericalFailureError
+from .errors import InfeasibleWindowError, NumericalFailureError, check_int
 from .ingest import TimeSeries
 
 
@@ -36,10 +35,8 @@ class EmbedConfig:
 
     def __post_init__(self):
         for field_name in ("dim", "degree", "horizon", "n_fit", "lag"):
-            v = getattr(self, field_name)
-            if not isinstance(v, Integral) or v < 1:
-                raise ValueError(f"{field_name} must be an integer >= 1, got {v!r}")
-            object.__setattr__(self, field_name, int(v))
+            object.__setattr__(self, field_name,
+                               check_int(field_name, getattr(self, field_name)))
 
     @property
     def span(self) -> int:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 from typing import Any
 
+from .errors import check_int
 from .evaluate import ErrorWindow
 
 
@@ -32,9 +32,7 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
-        if not isinstance(self.min_run, Integral) or self.min_run < 1:
-            raise ValueError(f"min_run must be an integer >= 1, got {self.min_run!r}")
-        object.__setattr__(self, "min_run", int(self.min_run))
+        object.__setattr__(self, "min_run", check_int("min_run", self.min_run))
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,11 @@ def detection_outcome(spans: Sequence[tuple[int, int]], flagged: Sequence[int],
     for a changepoint that is None or outside the windows.  Flags at or
     after it are hits, all others false flags; hit is None without a
     changepoint.  localization_error is the first flag less the truth
-    window, None without either."""
+    window, None without either.  A flagged position outside the spans is
+    a ValueError."""
+    if any(not 0 <= k < len(spans) for k in flagged):
+        raise ValueError(f"flagged positions {list(flagged)} must lie in "
+                         f"range({len(spans)})")
     truth = None
     if changepoint is not None and spans and changepoint >= spans[0][0]:
         truth = next((k for k, (_, end) in enumerate(spans)

@@ -1,6 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
 
 from __future__ import annotations
+
+from numbers import Integral
+
+
+def check_int(name: str, value, minimum: int = 1) -> int:
+    """value as an int; a ValueError unless it is an integer >= minimum."""
+    if not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class MaxentcastError(Exception):

@@ -15,12 +15,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
-from numbers import Integral
 
 import numpy as np
 
 from .design import EmbedConfig, embed
-from .errors import DegenerateWindowError
+from .errors import DegenerateWindowError, check_int
 from .ingest import TimeSeries
 from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, fit,
                     forecast_batch)
@@ -98,15 +97,10 @@ def relative_mse(actual, predicted) -> float:
     return float(num[0]) / float(denom[0])
 
 
-def _check_horizon(horizon) -> None:
-    if not isinstance(horizon, Integral) or horizon < 1:
-        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
-
-
 def baseline_error(actual, horizon: int) -> float:
     """relative_mse of the naive matched-horizon forecast
     v_hat(t + horizon) = v(t), over this window's actuals."""
-    _check_horizon(horizon)
+    check_int("horizon", horizon)
     a = np.asarray(actual, dtype=float)
     if a.ndim != 1:
         raise ValueError("actual must be 1-d")
@@ -128,9 +122,7 @@ class WindowBuckets:
     width: int
 
     def __post_init__(self):
-        if not isinstance(self.width, Integral) or self.width < 2:
-            raise ValueError(f"window width must be an integer >= 2, got {self.width!r}")
-        object.__setattr__(self, "width", int(self.width))
+        object.__setattr__(self, "width", check_int("window width", self.width, 2))
 
 
 Bucketing = YearBuckets | WindowBuckets
@@ -214,7 +206,7 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     if len(frame) == 0:
         raise ValueError("no forecast records to score")
     h = frame.horizon
-    _check_horizon(h)
+    check_int("horizon", h)
     if not np.isfinite(frame.actual).all():
         raise ValueError("scores need finite actual values")
     labels, stacks = _stacks(frame, bucketing)
@@ -254,18 +246,15 @@ class ProtocolConfig:
         if not isinstance(self.bucketing, (YearBuckets, WindowBuckets)):
             raise ValueError("bucketing must be YearBuckets() or "
                              f"WindowBuckets(width), got {self.bucketing!r}")
-        object.__setattr__(self, "anticipation", tuple(int(t) for t in self.anticipation))
+        object.__setattr__(self, "anticipation", tuple(
+            check_int("anticipation", t) for t in self.anticipation))
         if not self.anticipation:
             raise ValueError("anticipation set must be nonempty")
-        if any(t < 1 for t in self.anticipation):
-            raise ValueError("every anticipation must be >= 1")
         if len(set(self.anticipation)) != len(self.anticipation):
             raise ValueError("anticipation values must be distinct")
         for field_name in ("dim", "degree", "fit_window", "lag"):
-            v = getattr(self, field_name)
-            if not isinstance(v, Integral) or v < 1:
-                raise ValueError(f"{field_name} must be an integer >= 1, got {v!r}")
-            object.__setattr__(self, field_name, int(v))
+            object.__setattr__(self, field_name,
+                               check_int(field_name, getattr(self, field_name)))
 
     def embed_config(self, horizon: int) -> EmbedConfig:
         return EmbedConfig(dim=self.dim, degree=self.degree, horizon=horizon,

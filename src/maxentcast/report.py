@@ -573,7 +573,8 @@ def verify_detection(payload: Mapping[str, Any],
     report against generator ground truth; the run hits when any track
     does.  Without a changepoint the tracks get no ``truth_window`` and the
     run a null hit.  A key read here that is missing or holds a value of
-    the wrong JSON type is a SchemaMismatchError."""
+    the wrong JSON type, or a track without one label per window, is a
+    SchemaMismatchError."""
     changepoint = _read(truth, "changepoint_index", (Integral, type(None)),
                         "truth")
     tracks = []
@@ -584,6 +585,9 @@ def verify_detection(payload: Mapping[str, Any],
         spans = [(_read(w, "start_index", Integral, f"{at}.windows[{i}]"),
                   _read(w, "end_index", Integral, f"{at}.windows[{i}]"))
                  for i, w in enumerate(_read(track, "windows", list, at))]
+        if len(labels) != len(spans):
+            raise SchemaMismatchError(
+                f"{at} has {len(labels)} labels for {len(spans)} windows")
         flagged = [i for i, lab in enumerate(labels)
                    if _read(lab, "regime", str, f"{at}.detection.labels[{i}]")
                    == Regime.PREDICTABLE.value]

@@ -11,15 +11,14 @@ across platforms.  Synthetic series carry consecutive calendar dates from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
-from numbers import Integral
 
 import numpy as np
 
 from . import rng
 from .design import count_coefficients, monomial_terms
-from .errors import DivergentOrbitError
+from .errors import DivergentOrbitError, check_int
 from .ingest import TimeSeries
 
 # The day number (date.toordinal) of 2000-01-01, the first synthetic day.
@@ -44,16 +43,17 @@ def _infer_degree(dim: int, n_coefficients: int) -> int:
 
 @dataclass(frozen=True)
 class RandomWalkSpec:
+    """v(0) = x0, v(t+1) = v(t) + sigma * eps(t) with eps the seed's normals."""
+
     n: int
     sigma: float
     x0: float = 0.0
     seed: int = 0
 
-    kind = "random_walk"
+    kind = "walk"
 
     def __post_init__(self):
-        if not isinstance(self.n, Integral) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        check_int("n", self.n)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not np.isfinite(self.x0):
@@ -79,17 +79,15 @@ class PolyMapSpec:
     seed: int = 0
     bound: float = 1e6
 
-    kind = "poly_map"
+    kind = "map"
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients",
                            tuple(float(c) for c in self.coefficients))
         if self.init is not None:
             object.__setattr__(self, "init", tuple(float(x) for x in self.init))
-        if not isinstance(self.n, Integral) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.dim, Integral) or self.dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        check_int("n", self.n)
+        check_int("dim", self.dim)
         _infer_degree(self.dim, len(self.coefficients))
         if self.init is not None and len(self.init) < self.dim:
             raise ValueError(f"init needs at least dim={self.dim} values")
@@ -101,21 +99,18 @@ class PolyMapSpec:
 
 @dataclass(frozen=True)
 class SplicedSpec:
+    """first, then second continuing from first's tail (its own x0 or init
+    is ignored), so there is no level jump at the handover."""
+
     first: RandomWalkSpec | PolyMapSpec
     second: RandomWalkSpec | PolyMapSpec
-    splice_index: int
 
     kind = "spliced"
 
-    def __post_init__(self):
-        total = self.first.n + self.second.n
-        if self.splice_index != self.first.n:
-            raise ValueError(
-                f"splice_index {self.splice_index} must equal the first "
-                f"segment's length {self.first.n}")
-        if not 0 < self.splice_index < total:
-            raise ValueError(
-                f"splice_index {self.splice_index} must be interior to (0, {total})")
+    @property
+    def splice_index(self) -> int:
+        """The first index governed by second."""
+        return self.first.n
 
     @property
     def n(self) -> int:
@@ -128,128 +123,93 @@ class SplicedSeries:
     changepoint: int  # first index governed by the second spec
 
 
-def _continue_poly_map(history, coefficients, dim: int, n_new: int,
-                       noise_sigma: float = 0.0, seed: int = 0,
-                       bound: float = 1e6, step_offset: int = 0) -> np.ndarray:
-    """Iterate the map forward from the tail of history.
-
-    Returns only the n_new new values.  step_offset is the absolute index
-    of the first new value in the caller's series, used for error reports.
-    """
-    coefficients = np.asarray(coefficients, dtype=float)
-    degree = _infer_degree(dim, coefficients.size)
-    terms = monomial_terms(dim, degree)
-    history = np.asarray(history, dtype=float)
+def _continue_poly_map(spec: PolyMapSpec, history: np.ndarray,
+                       n_new: int) -> np.ndarray:
+    """Iterate the map forward from the tail of history; n_new new values,
+    the first at index len(history) of the caller's series."""
+    dim = spec.dim
+    terms = monomial_terms(dim, _infer_degree(dim, len(spec.coefficients)))
     if history.size < dim:
         raise ValueError(f"history of {history.size} values cannot seed a dim-{dim} map")
     window = list(history[-dim:])
-    eps = rng.normals(seed, n_new) if noise_sigma > 0 else None
+    eps = rng.normals(spec.seed, n_new) if spec.noise_sigma > 0 else None
     out = np.empty(n_new)
-    coef_list = coefficients.tolist()
+    coefs = spec.coefficients
     for j in range(n_new):
-        acc = coef_list[0]
-        for c, term in zip(coef_list[1:], terms[1:]):
+        acc = coefs[0]
+        for c, term in zip(coefs[1:], terms[1:]):
             prod = 1.0
             for i in term:
                 prod *= window[-1 - i]  # component i is the i-th lag back
             acc += c * prod
-        if noise_sigma > 0:
-            acc += noise_sigma * eps[j]
-        if not np.isfinite(acc) or abs(acc) > bound:
+        if spec.noise_sigma > 0:
+            acc += spec.noise_sigma * eps[j]
+        if not np.isfinite(acc) or abs(acc) > spec.bound:
             bad = acc if np.isfinite(acc) else float("inf")
-            raise DivergentOrbitError(step_offset + j, bad, bound)
+            raise DivergentOrbitError(history.size + j, bad, spec.bound)
         out[j] = acc
         window = window[1:] + [acc]
     return out
 
 
-def _walk_values(n: int, sigma: float, x0: float, seed: int) -> np.ndarray:
-    steps = rng.normals(seed, n - 1) if n > 1 else np.empty(0)
-    values = np.empty(n)
-    values[0] = x0
-    if n > 1:
-        values[1:] = x0 + sigma * np.cumsum(steps)
-    return values
+def _extend(spec, history: np.ndarray, n_new: int) -> np.ndarray:
+    """n_new values of spec's process continuing from history."""
+    if isinstance(spec, RandomWalkSpec):
+        return history[-1] + spec.sigma * np.cumsum(rng.normals(spec.seed, n_new))
+    if isinstance(spec, PolyMapSpec):
+        return _continue_poly_map(spec, history, n_new)
+    raise ValueError(f"unknown generator spec {spec!r}")
 
 
-def _continue_walk(last: float, n_new: int, sigma: float, seed: int) -> np.ndarray:
-    return last + sigma * np.cumsum(rng.normals(seed, n_new))
+def _values(spec) -> np.ndarray:
+    """A spec's values: a splice is its first segment's values extended by
+    its second spec, any other spec its opening values extended by itself."""
+    if isinstance(spec, SplicedSpec):
+        head = _values(spec.first)
+        return np.concatenate([head, _extend(spec.second, head, spec.second.n)])
+    if isinstance(spec, RandomWalkSpec):
+        head = np.array([spec.x0], dtype=float)
+    elif isinstance(spec, PolyMapSpec):
+        if spec.init is None:
+            raise ValueError("a standalone poly map spec needs init values")
+        if spec.n < len(spec.init):
+            raise ValueError(f"n={spec.n} is shorter than init ({len(spec.init)} values)")
+        head = np.array(spec.init, dtype=float)
+    else:
+        raise ValueError(f"unknown generator spec {spec!r}")
+    return np.concatenate([head, _extend(spec, head, spec.n - head.size)])
+
+
+def generate(spec, name: str | None = None) -> TimeSeries:
+    """The series a spec describes, on consecutive days from 2000-01-01.
+
+    The default name is walk-s<seed> or map-s<seed>, and spliced for a
+    splice."""
+    values = _values(spec)
+    if name is None:
+        name = (spec.kind if isinstance(spec, SplicedSpec)
+                else f"{spec.kind}-s{spec.seed}")
+    return TimeSeries(name, _index_days(values.size), values)
 
 
 def gen_random_walk(n: int, sigma: float, x0: float = 0.0, seed: int = 0,
                     name: str | None = None) -> TimeSeries:
     """Gaussian random walk: v(0) = x0, v(t+1) = v(t) + sigma * eps(t)."""
-    spec = RandomWalkSpec(n=n, sigma=sigma, x0=x0, seed=seed)
-    if spec.n < 2:
-        raise ValueError("a standalone walk needs n >= 2")
-    return TimeSeries(name or f"walk-s{seed}", _index_days(n),
-                      _walk_values(n, sigma, x0, seed))
-
-
-def gen_poly_map(n: int, dim: int, coefficients, init, noise_sigma: float = 0.0,
-                 seed: int = 0, bound: float = 1e6,
-                 name: str | None = None) -> TimeSeries:
-    """Emit init, then iterate the polynomial delay map out to length n."""
-    spec = PolyMapSpec(n=n, dim=dim, coefficients=tuple(coefficients),
-                       init=tuple(init), noise_sigma=noise_sigma, seed=seed,
-                       bound=bound)
-    if spec.n < 2:
-        raise ValueError("a standalone map series needs n >= 2")
-    return TimeSeries(name or f"polymap-s{seed}", _index_days(n),
-                      _spec_values(spec))
-
-
-def _spec_values(spec) -> np.ndarray:
-    if isinstance(spec, RandomWalkSpec):
-        return _walk_values(spec.n, spec.sigma, spec.x0, spec.seed)
-    if isinstance(spec, PolyMapSpec):
-        if spec.init is None:
-            raise ValueError("a standalone poly map spec needs init values")
-        if spec.n < len(spec.init):
-            raise ValueError(f"n={spec.n} is shorter than init ({len(spec.init)} values)")
-        new = _continue_poly_map(spec.init, spec.coefficients, spec.dim,
-                                 spec.n - len(spec.init), spec.noise_sigma,
-                                 spec.seed, spec.bound, step_offset=len(spec.init))
-        return np.concatenate([np.asarray(spec.init, dtype=float), new])
-    raise ValueError(f"unknown generator spec {spec!r}")
-
-
-def _continue_values(history: np.ndarray, spec, step_offset: int) -> np.ndarray:
-    if isinstance(spec, RandomWalkSpec):
-        return _continue_walk(float(history[-1]), spec.n, spec.sigma, spec.seed)
-    if isinstance(spec, PolyMapSpec):
-        return _continue_poly_map(history, spec.coefficients, spec.dim, spec.n,
-                                  spec.noise_sigma, spec.seed, spec.bound,
-                                  step_offset=step_offset)
-    raise ValueError(f"unknown generator spec {spec!r}")
+    return generate(RandomWalkSpec(n=n, sigma=sigma, x0=x0, seed=seed), name)
 
 
 def gen_spliced(first, second, splice_index: int | None = None,
                 name: str = "spliced") -> SplicedSeries:
-    """Concatenate two generated segments with a level-continuous splice.
-
-    The second generator continues from the first segment's tail (its own
-    x0/init is ignored), so there is no level jump at the handover.
-    Returns the series and the true changepoint: the first index governed
-    by the second spec.
-    """
-    spec = SplicedSpec(first=first, second=second,
-                       splice_index=first.n if splice_index is None else splice_index)
-    a = _spec_values(first)
-    b = _continue_values(a, second, step_offset=spec.splice_index)
-    values = np.concatenate([a, b])
-    series = TimeSeries(name, _index_days(spec.n), values)
-    return SplicedSeries(series=series, changepoint=spec.splice_index)
-
-
-def generate(spec, name: str | None = None) -> TimeSeries:
-    """Build the series described by any generator spec."""
-    if isinstance(spec, SplicedSpec):
-        return gen_spliced(spec.first, spec.second, spec.splice_index,
-                           name=name or "spliced").series
-    values = _spec_values(spec)
-    return TimeSeries(name or f"{spec.kind}-s{spec.seed}",
-                      _index_days(spec.n), values)
+    """The series of SplicedSpec(first, second) and its true changepoint,
+    the first index governed by second.  splice_index, if given, must be
+    first.n."""
+    spec = SplicedSpec(first, second)
+    if splice_index is not None and splice_index != spec.splice_index:
+        raise ValueError(
+            f"splice_index {splice_index} must equal the first "
+            f"segment's length {first.n}")
+    return SplicedSeries(series=generate(spec, name),
+                         changepoint=spec.splice_index)
 
 
 def logistic_map_coefficients(r: float) -> tuple[float, float, float]:
@@ -329,11 +289,14 @@ def logistic_splice(walk: RandomWalkSpec, n_map: int, noise_sigma: float,
     conjugated to map_scale * walk.sigma wide around the walk's last value
     so the deterministic half continues from where the walk stops.  The
     map's noise seed is walk.seed + 1."""
-    walk_end = float(_walk_values(walk.n, walk.sigma, walk.x0, walk.seed)[-1])
-    scale = map_scale * walk.sigma
-    coeffs = rescale_map_coefficients(logistic_map_coefficients(map_r), 1,
-                                      walk_end - 0.5 * scale, scale)
-    second = PolyMapSpec(n=n_map, dim=1, coefficients=coeffs,
+    # The unplaced map is built first, so that a bad setting is refused
+    # before the walk is generated.
+    second = PolyMapSpec(n=n_map, dim=1,
+                         coefficients=logistic_map_coefficients(map_r),
                          noise_sigma=noise_sigma, seed=walk.seed + 1,
                          bound=bound)
-    return SplicedSpec(first=walk, second=second, splice_index=walk.n)
+    walk_end = float(_values(walk)[-1])
+    scale = map_scale * walk.sigma
+    coeffs = rescale_map_coefficients(second.coefficients, 1,
+                                      walk_end - 0.5 * scale, scale)
+    return SplicedSpec(walk, replace(second, coefficients=coeffs))

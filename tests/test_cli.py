@@ -407,6 +407,13 @@ MALFORMED = {
     "float changepoint": (NO_TRACKS, {"changepoint_index": 2.7}),
     "bool changepoint": (NO_TRACKS, {"changepoint_index": True}),
     "no changepoint": (NO_TRACKS, {}),
+    "more labels than windows": ({"schema_version": 1, "tracks": [{
+        "horizon": 7, "windows": [{"start_index": 0, "end_index": 99},
+                                  {"start_index": 100, "end_index": 199}],
+        "detection": {"labels": [{"regime": "STOCHASTIC"},
+                                 {"regime": "STOCHASTIC"},
+                                 {"regime": "PREDICTABLE"}]}}]},
+        {"changepoint_index": 150}),
 }
 
 

@@ -204,3 +204,8 @@ def test_detection_outcome_without_a_truth_window_counts_every_flag_false():
             "truth_window": None, "hit": hit, "false_flags": 2,
             "localization_error": None}
 
+
+@pytest.mark.parametrize("flagged", [[2], [5], [-1], [0, 2]])
+def test_detection_outcome_refuses_a_flag_outside_the_windows(flagged):
+    with pytest.raises(ValueError, match="must lie in range"):
+        detection_outcome([(0, 99), (100, 199)], flagged, 150)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxentcast import (PolyMapSpec, ProtocolConfig, RandomWalkSpec,
-                        WindowBuckets, YearBuckets, baseline_error,
-                        TimeSeries, error_by_period, gen_random_walk,
-                        gen_spliced, relative_mse, run_protocol)
+from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
+                        ProtocolConfig, RandomWalkSpec, WindowBuckets,
+                        YearBuckets, baseline_error, TimeSeries,
+                        error_by_period, gen_random_walk, gen_spliced,
+                        relative_mse, run_protocol)
 from maxentcast.errors import DegenerateWindowError, InfeasibleWindowError
 from maxentcast.model import ForecastFrame
 from maxentcast.rng import normals
@@ -199,6 +200,33 @@ def test_minimal_protocol_point_count():
 def test_protocol_rejects_empty_anticipation():
     with pytest.raises(ValueError):
         ProtocolConfig(anticipation=())
+
+
+@pytest.mark.parametrize("anticipation", [(7.5, 10.9), ("7",), (7, 0)])
+def test_protocol_refuses_an_anticipation_that_is_not_an_integer(anticipation):
+    with pytest.raises(ValueError,
+                       match="anticipation must be an integer >= 1, got "):
+        ProtocolConfig(anticipation=anticipation)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EmbedConfig(dim=2, degree=2, horizon=7.5, n_fit=10),
+     "horizon must be an integer >= 1, got 7.5"),
+    (lambda: ProtocolConfig(fit_window=0),
+     "fit_window must be an integer >= 1, got 0"),
+    (lambda: WindowBuckets(1), "window width must be an integer >= 2, got 1"),
+    (lambda: DetectorConfig(min_run=2.0),
+     "min_run must be an integer >= 1, got 2.0"),
+    (lambda: baseline_error(np.arange(10.0), 0),
+     "horizon must be an integer >= 1, got 0"),
+    (lambda: RandomWalkSpec(n="5", sigma=1.0),
+     "n must be an integer >= 1, got '5'"),
+    (lambda: PolyMapSpec(n=5, dim=0, coefficients=(0.0, 1.0)),
+     "dim must be an integer >= 1, got 0")])
+def test_integer_settings_share_one_message(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bucketing", ["year", "window:125", None, 125])

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel, embed, fit,
-                        forecast_series, gen_poly_map, lstsq_min_norm,
-                        monomial_labels, pinv, predict)
+from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
+                        PolyMapSpec, embed, fit, forecast_series, generate,
+                        lstsq_min_norm, monomial_labels, pinv, predict)
 from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
                                InfeasibleWindowError, NumericalFailureError)
 from maxentcast.model import _norm
@@ -134,7 +134,8 @@ def held_out_rows(series, start, n_rows, horizon=1):
 
 
 def quad_map_fit(n_fit=100, n=154):
-    series = gen_poly_map(n, 2, QUAD_COEFFS, init=[1.5, 1.5])
+    series = generate(PolyMapSpec(n=n, dim=2, coefficients=QUAD_COEFFS,
+                                  init=(1.5, 1.5)))
     cfg = EmbedConfig(dim=2, degree=2, horizon=1, n_fit=n_fit)
     dm = embed(series, cfg)
     return series, cfg, fit(dm)

@@ -541,6 +541,19 @@ def test_verify_any_track_hit_wins():
     assert out == verified(True, (False, 0, None, 2), (True, 0, 1, 2))
 
 
+@pytest.mark.parametrize("labels", [
+    # unrefused, the third label reads as a hit in a window that is not there
+    ["STOCHASTIC", "STOCHASTIC", "PREDICTABLE"],
+    ["PREDICTABLE"]])
+def test_verify_refuses_a_track_without_one_label_per_window(labels):
+    payload = fake_payload([set()], window_ends=(99, 199))
+    payload["tracks"][0]["detection"]["labels"] = [{"regime": r}
+                                                   for r in labels]
+    for truth in (150, None):
+        with pytest.raises(SchemaMismatchError, match="labels for 2 windows"):
+            verify_detection(payload, {"changepoint_index": truth})
+
+
 @pytest.mark.parametrize("path, value", [
     (("tracks", 0), []), (("tracks", 0, "horizon"), "7"),
     (("tracks", 0, "windows", 1, "start_index"), False),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from maxentcast import (DivergentOrbitError, EmbedConfig, PolyMapSpec,
                         RandomWalkSpec, SplicedSpec,
                         chaotic_quad_map_coefficients, embed, fit,
-                        gen_poly_map, gen_random_walk, gen_spliced, generate,
+                        gen_random_walk, gen_spliced, generate,
                         henon_map_coefficients, logistic_map_coefficients,
                         logistic_splice, monomial_terms,
                         rescale_map_coefficients, rng)
@@ -42,6 +42,12 @@ def eval_poly_map(coefficients, dim, window):
 
 
 # ---------------------------------------------------------------- walks
+
+def test_walk_is_the_cumulative_sum_of_the_seed_normals():
+    v = generate(RandomWalkSpec(n=6, sigma=1.5, x0=3.0, seed=9)).values
+    assert v[0] == 3.0
+    assert v[1:].tobytes() == (3.0 + 1.5 * np.cumsum(rng.normals(9, 5))).tobytes()
+
 
 def test_walk_deterministic_and_seed_sensitive():
     a = gen_random_walk(200, 1.5, x0=3.0, seed=9)
@@ -76,12 +82,14 @@ def test_walk_dates_are_consecutive_days():
 # ------------------------------------------------------------- poly maps
 
 def test_identity_map_is_fixed():
-    s = gen_poly_map(10, 1, (0.0, 1.0), init=(0.7,))
+    s = generate(PolyMapSpec(n=10, dim=1, coefficients=(0.0, 1.0), init=(0.7,)))
     assert np.array_equal(s.values, np.full(10, 0.7))
 
 
 def test_logistic_orbit_frozen():
-    s = gen_poly_map(5, 1, logistic_map_coefficients(3.9), init=(0.2,))
+    s = generate(PolyMapSpec(n=5, dim=1,
+                             coefficients=logistic_map_coefficients(3.9),
+                             init=(0.2,)))
     assert s.values.tolist() == list(LOGISTIC_39_FROM_02)
     # and the orbit tracks the algebraic recurrence to rounding error
     v = 0.2
@@ -94,7 +102,7 @@ def test_logistic_orbit_frozen():
 def test_doubling_map_divergence_bookkeeping():
     # v(t) = 2^t from v(0)=1 first exceeds the default 1e6 bound at t=20
     with pytest.raises(DivergentOrbitError) as exc:
-        gen_poly_map(40, 1, (0.0, 2.0), init=(1.0,))
+        generate(PolyMapSpec(n=40, dim=1, coefficients=(0.0, 2.0), init=(1.0,)))
     assert exc.value.step == 20
     assert exc.value.value == 2.0 ** 20
     assert exc.value.bound == 1e6
@@ -103,10 +111,10 @@ def test_doubling_map_divergence_bookkeeping():
 def test_map_noise_reproducible_and_active():
     args = dict(n=50, dim=1, coefficients=logistic_map_coefficients(3.6),
                 init=(0.3,))
-    clean = gen_poly_map(**args)
-    n1 = gen_poly_map(**args, noise_sigma=0.01, seed=5)
-    n2 = gen_poly_map(**args, noise_sigma=0.01, seed=5)
-    n3 = gen_poly_map(**args, noise_sigma=0.01, seed=6)
+    clean = generate(PolyMapSpec(**args))
+    n1 = generate(PolyMapSpec(**args, noise_sigma=0.01, seed=5))
+    n2 = generate(PolyMapSpec(**args, noise_sigma=0.01, seed=5))
+    n3 = generate(PolyMapSpec(**args, noise_sigma=0.01, seed=6))
     assert np.array_equal(n1.values, n2.values)
     assert not np.array_equal(n1.values, clean.values)
     assert not np.array_equal(n1.values, n3.values)
@@ -116,7 +124,7 @@ def test_map_noise_reproducible_and_active():
 
 def test_henon_layout_matches_manual_iteration():
     coefs = henon_map_coefficients()
-    s = gen_poly_map(60, 2, coefs, init=(0.1, 0.1))
+    s = generate(PolyMapSpec(n=60, dim=2, coefficients=coefs, init=(0.1, 0.1)))
     v = s.values
     for t in range(2, 60):
         manual = 1.0 - 1.4 * v[t - 1] ** 2 + 0.3 * v[t - 2]
@@ -127,7 +135,7 @@ def test_henon_layout_matches_manual_iteration():
 def test_chaotic_quad_layout_matches_manual_iteration(dim):
     coefs = chaotic_quad_map_coefficients(dim, a=1.76, b=0.1)
     init = tuple(0.05 * (i + 1) for i in range(dim))
-    s = gen_poly_map(80, dim, coefs, init=init)
+    s = generate(PolyMapSpec(n=80, dim=dim, coefficients=coefs, init=init))
     v = s.values
     for t in range(dim, 80):
         manual = 1.76 - v[t - dim + 1] ** 2 - 0.1 * v[t - dim]
@@ -142,8 +150,11 @@ def test_poly_map_spec_validation():
     with pytest.raises(ValueError):
         PolyMapSpec(n=10, dim=1, coefficients=(0.0, 1.0), init=(1.0,),
                     noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        gen_poly_map(2, 1, (0.0, 1.0), init=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="shorter than init"):
+        generate(PolyMapSpec(n=2, dim=1, coefficients=(0.0, 1.0),
+                             init=(1.0, 2.0, 3.0)))
+    with pytest.raises(ValueError, match="needs init values"):
+        generate(PolyMapSpec(n=2, dim=1, coefficients=(0.0, 1.0)))
 
 
 def test_continue_poly_map_needs_enough_history():
@@ -181,7 +192,7 @@ def test_logistic_splice_places_the_map_at_the_walk_end():
     placed = rescale_map_coefficients(logistic_map_coefficients(3.7), 1,
                                       end - 40.0, 80.0)
     assert spec == SplicedSpec(walk, PolyMapSpec(
-        n=200, dim=1, coefficients=placed, noise_sigma=0.03, seed=9), 300)
+        n=200, dim=1, coefficients=placed, noise_sigma=0.03, seed=9))
     v = generate(spec).values
     assert abs(v[300:] - end).max() <= 40.0 + 1.0
 
@@ -201,10 +212,12 @@ def test_splice_walk_walk_is_level_continuous():
 def test_splice_index_must_match_first_length():
     first = RandomWalkSpec(n=50, sigma=1.0, seed=0)
     second = RandomWalkSpec(n=30, sigma=1.0, seed=1)
-    with pytest.raises(ValueError):
-        SplicedSpec(first=first, second=second, splice_index=40)
-    with pytest.raises(ValueError):
-        gen_spliced(first, second, splice_index=80)
+    # the spec derives its changepoint; gen_spliced accepts only that one
+    assert SplicedSpec(first, second).splice_index == 50
+    assert gen_spliced(first, second, splice_index=50).changepoint == 50
+    for wrong in (40, 80):
+        with pytest.raises(ValueError, match="must equal the first"):
+            gen_spliced(first, second, splice_index=wrong)
 
 
 def test_splice_second_map_without_init_uses_first_tail():
@@ -212,26 +225,25 @@ def test_splice_second_map_without_init_uses_first_tail():
     sp = gen_spliced(PolyMapSpec(n=40, dim=2, coefficients=coefs,
                                  init=(0.1, 0.1)),
                      PolyMapSpec(n=40, dim=2, coefficients=coefs))
-    whole = gen_poly_map(80, 2, coefs, init=(0.1, 0.1))
+    whole = generate(PolyMapSpec(n=80, dim=2, coefficients=coefs,
+                                 init=(0.1, 0.1)))
     assert np.array_equal(sp.series.values, whole.values)
 
 
-# -------------------------------------------------------------- dispatch
+# ---------------------------------------------------------------- names
 
-def test_generate_dispatch_matches_direct_calls():
+def test_generate_default_names():
     walk_spec = RandomWalkSpec(n=30, sigma=1.0, x0=2.0, seed=8)
     # affine contraction toward 2.0: stable from any handover level
-    map_spec = PolyMapSpec(n=30, dim=1, coefficients=(1.0, 0.5), init=(0.4,))
-    spliced_spec = SplicedSpec(first=walk_spec, second=map_spec,
-                               splice_index=30)
-    assert np.array_equal(generate(walk_spec).values,
-                          gen_random_walk(30, 1.0, x0=2.0, seed=8).values)
-    assert np.array_equal(generate(map_spec).values,
-                          gen_poly_map(30, 1, (1.0, 0.5), (0.4,)).values)
-    assert np.array_equal(
-        generate(spliced_spec).values,
-        gen_spliced(walk_spec, map_spec).series.values)
-    with pytest.raises(ValueError):
+    map_spec = PolyMapSpec(n=30, dim=1, coefficients=(1.0, 0.5), init=(0.4,),
+                           seed=3)
+    assert generate(walk_spec).name == "walk-s8"
+    assert gen_random_walk(30, 1.0, seed=8).name == "walk-s8"
+    assert generate(map_spec).name == "map-s3"
+    assert generate(SplicedSpec(walk_spec, map_spec)).name == "spliced"
+    assert gen_spliced(walk_spec, map_spec).series.name == "spliced"
+    assert generate(walk_spec, "w").name == "w"
+    with pytest.raises(ValueError, match="unknown generator spec"):
         generate("not a spec")
 
 
@@ -271,7 +283,8 @@ def test_rescale_rejects_zero_scale():
 
 def test_generated_map_coefficients_recoverable():
     coefs = henon_map_coefficients()
-    series = gen_poly_map(400, 2, coefs, init=(0.1, 0.1), seed=0)
+    series = generate(PolyMapSpec(n=400, dim=2, coefficients=coefs,
+                                  init=(0.1, 0.1)))
     cfg = EmbedConfig(dim=2, degree=2, horizon=1, n_fit=200)
     model = fit(embed(series, cfg, start=150))
     assert np.max(np.abs(model.coefficients - np.asarray(coefs))) < 1e-6
