@@ -229,9 +229,6 @@ def embed(series: TimeSeries, config: EmbedConfig,
             f"needs indices up to {last_needed}, series has {n_obs}",
             start=start, n_rows=config.n_fit, needed=last_needed + 1,
             available=n_obs)
-    used = values[start - config.span: last_needed + 1]
-    if not np.isfinite(used).all():
-        raise ValueError("series has missing values inside the fit window; clean it first")
     times = np.arange(start, start + config.n_fit)
     features = feature_matrix(delay_matrix(values, times, config.dim, config.lag),
                               config.degree)

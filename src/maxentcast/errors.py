@@ -30,9 +30,9 @@ class EmptySeriesError(MaxentcastError):
 
 
 class GapError(MaxentcastError):
-    """A missing observation could not be repaired under the active policy."""
+    """A gap in a series could not be repaired under the active policy."""
 
-    def __init__(self, when, reason: str = "missing value"):
+    def __init__(self, when, reason: str):
         super().__init__(f"{when}: {reason}")
         self.when = when
         self.reason = reason

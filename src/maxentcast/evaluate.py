@@ -201,14 +201,12 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     """Score every bucket of a forecast frame; buckets partition the records.
 
     The naive baseline is evaluated at the frame's horizon, the lead of the
-    model forecasts.  The frame's actual values must be finite.
+    model forecasts.
     """
     if len(frame) == 0:
         raise ValueError("no forecast records to score")
     h = frame.horizon
     check_int("horizon", h)
-    if not np.isfinite(frame.actual).all():
-        raise ValueError("scores need finite actual values")
     labels, stacks = _stacks(frame, bucketing)
     scores = [_score_frame(frame, lo, k, w, h) for lo, k, w in stacks]
     rel = np.concatenate([r for r, _ in scores]).tolist()

@@ -1,5 +1,9 @@
 """CSV ingestion and gap repair for daily rate series.
 
+Every value read is finite: a value that is not fails the load.  A gap is
+a business day with no row, absent from the file between its first and
+last dates, and :func:`clean` is the one place that repairs gaps.
+
 Observations are treated as equally spaced in *index* time once cleaned:
 one step per row, calendar gaps carry no weight.  Everything downstream
 (embedding, fitting, scoring) works purely on row indices; dates are kept,
@@ -40,10 +44,9 @@ class TimeSeries:
     """Ordered daily observations.
 
     ``days`` holds each row's date as its ``date.toordinal`` day number
-    (1 is 0001-01-01), int64 and strictly increasing.  ``values`` may
-    contain NaN (a recorded-but-missing observation) until :func:`clean`
-    has run; it never contains infinities.  There are at least two rows.
-    Both arrays are read-only copies of the ones given.
+    (1 is 0001-01-01), int64, each after the one before.  ``values`` are
+    finite.  There are at least two rows.  Both arrays are read-only
+    copies of the ones given.
     """
 
     name: str
@@ -71,8 +74,8 @@ class TimeSeries:
                              f"before {days[k + 1]})")
         if not (1 <= days[0] and days[-1] <= MAX_DAY):
             raise ValueError(f"days must lie in [1, {MAX_DAY}]")
-        if np.isinf(values).any():
-            raise ValueError("values must be finite (NaN allowed before cleaning)")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -81,11 +84,11 @@ class TimeSeries:
         if not isinstance(other, TimeSeries):
             return NotImplemented
         return (self.name == other.name and np.array_equal(self.days, other.days)
-                and np.array_equal(self.values, other.values, equal_nan=True))
+                and np.array_equal(self.values, other.values))
 
-    @property
-    def n_missing(self) -> int:
-        return int(np.isnan(self.values).sum())
+    # Every value is finite, so no row is missing.  The benchmark's tracer
+    # (perfbench/tracer.py, _filled) still reads this count.
+    n_missing = 0
 
 
 # load_csv parses the rows of a file this many bytes of whole lines, or
@@ -109,26 +112,21 @@ class _Fields(NamedTuple):
 
 def load_csv(path, date_col: str = DEFAULT_DATE_COL,
              value_col: str = DEFAULT_VALUE_COL,
-             date_format: str = DEFAULT_DATE_FORMAT, on_bad_value: str = "error",
-             name: str | None = None) -> TimeSeries:
-    """Read (date, value) rows into a TimeSeries sorted by date.
+             date_format: str = DEFAULT_DATE_FORMAT) -> TimeSeries:
+    """Read (date, value) rows into a TimeSeries sorted by date and named
+    after the file's stem.
 
-    ``on_bad_value`` controls rows whose value does not parse to a finite
-    float: "error" raises ParseError naming the line, "nan" records the
-    observation as missing so that :func:`clean` decides its fate.  Rows
-    whose date does not parse always raise, since they cannot be placed.
-    The first failing line of the file is reported, its date before its
-    value.  Duplicate dates raise ParseError.  Rows are read as
-    ``csv.DictReader`` reads them: blank lines are skipped, missing
-    trailing fields read as empty, and a repeated header name refers to
-    its last column.
+    A row whose date does not parse, or whose value does not parse to a
+    finite float, raises ParseError naming the first failing line of the
+    file, its date checked before its value.  Duplicate dates raise
+    ParseError.  Rows are read as ``csv.DictReader`` reads them: blank
+    lines are skipped, missing trailing fields read as empty, and a
+    repeated header name refers to its last column.
 
     The file is read once.  An ASCII file without quotes, CR or NUL is
     split on "\n" and "," a chunk of lines at a time, as csv.reader would
     split it; any other file goes through csv.reader.
     """
-    if on_bad_value not in ("error", "nan"):
-        raise ValueError(f"on_bad_value must be 'error' or 'nan', got {on_bad_value!r}")
     path = Path(path)
     data = path.read_bytes()
     if not data:
@@ -161,12 +159,11 @@ def load_csv(path, date_col: str = DEFAULT_DATE_COL,
     n = 0
     for chunk in chunks:
         m = chunk.lines.size
-        days[n:n + m], values[n:n + m] = _parse_fields(
-            chunk, date_format, on_bad_value == "error")
+        days[n:n + m], values[n:n + m] = _parse_fields(chunk, date_format)
         lines[n:n + m] = chunk.lines
         n += m
     days, values, lines = days[:n], values[:n], lines[:n]
-    if np.isnan(values).all():
+    if n == 0:
         raise EmptySeriesError(f"{path}: no usable rows")
     if not (np.diff(days) > 0).all():
         order = np.argsort(days, kind="stable")
@@ -176,8 +173,7 @@ def load_csv(path, date_col: str = DEFAULT_DATE_COL,
             k = int(repeated[0] + 1)
             raise ParseError(int(lines[k]),
                              f"duplicate date {date.fromordinal(int(days[k]))}")
-    return TimeSeries(name=name if name is not None else path.stem,
-                      days=days, values=values)
+    return TimeSeries(name=path.stem, days=days, values=values)
 
 
 def _split_chunks(data: bytes, start: int, columns: tuple[int, int]):
@@ -250,13 +246,13 @@ def _fields(numbered_rows, columns: tuple[int, int]) -> _Fields:
     return _Fields(np.array(lines, dtype=np.int64), dates, values)
 
 
-def _parse_fields(chunk: _Fields, date_format: str,
-                  strict: bool) -> tuple[np.ndarray, np.ndarray]:
+def _parse_fields(chunk: _Fields,
+                  date_format: str) -> tuple[np.ndarray, np.ndarray]:
     """The day numbers and values of a chunk's rows.  Raises ParseError at
     the chunk's first bad line, its date checked before its value; a value
-    that is not a finite float is bad when strict and NaN when not."""
+    that is not a finite float is bad."""
     days, bad_date = _parse_dates(chunk.dates, date_format)
-    values, bad_value = _parse_values(chunk.values, strict)
+    values, bad_value = _parse_values(chunk.values)
     bad = min((b for b in (bad_date, bad_value) if b is not None),
               default=None, key=lambda b: b[0])
     if bad is not None:
@@ -301,10 +297,9 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _parse_values(fields: list[str], strict: bool):
+def _parse_values(fields: list[str]):
     """Floats of value fields once stripped, and the index and message of
-    the first that is not finite when strict (None otherwise); not strict,
-    such a field becomes NaN."""
+    the first that is not finite (None when all are)."""
     n = len(fields)
     try:
         # float strips what str.strip does but "\x1c" to "\x1f", which make
@@ -315,51 +310,37 @@ def _parse_values(fields: list[str], strict: bool):
                              dtype=np.float64, count=n)
     bad = ~np.isfinite(values)
     if bad.any():
-        if strict:
-            i = int(bad.argmax())
-            return values, (i, f"bad value {fields[i].strip()!r}")
-        values[bad] = math.nan
+        i = int(bad.argmax())
+        return values, (i, f"bad value {fields[i].strip()!r}")
     return values, None
 
 
 def clean(series: TimeSeries, policy: str = DEFAULT_GAP_POLICY) -> TimeSeries:
-    """Repair missing observations.
+    """Repair the gaps of a series: the business days absent between its
+    first and last dates.
 
-    A gap is a NaN value or a business day absent between the first and
-    last dates.  "ffill" carries the previous value forward, "drop"
-    removes the missing rows, "error" raises GapError at the first gap.
-    Weekend rows already present are kept as-is.  Idempotent per policy:
-    cleaning a clean series returns it unchanged.
+    "ffill" fills each absent day with the value of the day before,
+    "drop" uses the rows as they are, "error" raises GapError at the first
+    absent day.  Weekend rows already present are kept as-is.  Under
+    "drop", and for a series without a gap, the series itself is returned.
     """
     if policy not in GAP_POLICIES:
         raise ValueError(f"unknown gap policy {policy!r}; expected one of {GAP_POLICIES}")
+    if policy == "drop":
+        return series
     # The grid: every business day from the first date to the last, plus the
     # weekend days the series has.  Day 1, 0001-01-01, was a Monday.
     days = series.days
     span = np.arange(days[0], days[-1] + 1)
-    on_grid = (span - 1) % 7 < 5
-    on_grid[days - days[0]] = True
-    grid = span[on_grid]
-    row = np.full(grid.size, -1)  # the series row on each grid day, -1 if absent
-    row[np.searchsorted(grid, days)] = np.arange(len(series))
-    value = np.where(row >= 0, series.values[row], math.nan)
-    gap = np.isnan(value)
-
-    if policy == "error":
-        if gap.any():
-            k = int(gap.argmax())
-            raise GapError(date.fromordinal(int(grid[k])),
-                           "missing value" if row[k] >= 0 else "missing business day")
+    present = np.zeros(span.size, dtype=bool)
+    present[days - days[0]] = True
+    on_grid = present | ((span - 1) % 7 < 5)
+    present = present[on_grid]
+    if present.all():
         return series
-
-    if policy == "ffill":
-        if gap[0]:
-            raise GapError(date.fromordinal(int(days[0])),
-                           "gap before any observed value")
-        keep = slice(None)
-        source = np.maximum.accumulate(np.where(gap, 0, np.arange(grid.size)))
-    else:  # drop
-        keep = source = np.flatnonzero(~gap)
-        if keep.size < 2:
-            raise EmptySeriesError("fewer than two observations left after dropping gaps")
-    return TimeSeries(series.name, grid[keep], value[source])
+    grid = span[on_grid]
+    if policy == "error":
+        raise GapError(date.fromordinal(int(grid[present.argmin()])),
+                       "missing business day")
+    # the last row at or before each grid day; the first day is a row
+    return TimeSeries(series.name, grid, series.values[np.cumsum(present) - 1])

@@ -274,10 +274,6 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
                 f"anticipation {horizon}: no out-of-sample anchors "
                 f"(first candidate {first}, last feasible {n_obs - 1 - horizon})",
                 start=first, available=n_obs)
-    # every model's targets run to the end of the series
-    if not np.isfinite(values[first - cfg.span:]).all():
-        raise ValueError("series has missing values in the forecast range; "
-                         "clean it first")
     predicted = [np.empty(c) for c in counts]
     rows = forecast_block_rows(cfg.n_features)
     block = np.empty((rows, cfg.n_features))

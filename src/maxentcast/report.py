@@ -338,7 +338,7 @@ def run_from_config(config: RunConfig) -> RunResult:
                    for track in report.tracks)
     return RunResult(series=series, report=report, labels=labels,
                      config=config,
-                     n_interpolated=len(series) - (len(raw) - raw.n_missing))
+                     n_interpolated=len(series) - len(raw))
 
 
 def _window_payload(window) -> dict[str, Any]:

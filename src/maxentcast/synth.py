@@ -184,7 +184,10 @@ def generate(spec, name: str | None = None) -> TimeSeries:
     """The series a spec describes, on consecutive days from 2000-01-01.
 
     The default name is walk-s<seed> or map-s<seed>, and spliced for a
-    splice."""
+    splice.  A spec of fewer than two points is refused: a TimeSeries has
+    at least two rows."""
+    if isinstance(spec, (RandomWalkSpec, PolyMapSpec, SplicedSpec)):
+        check_int("n", spec.n, 2)
     values = _values(spec)
     if name is None:
         name = (spec.kind if isinstance(spec, SplicedSpec)

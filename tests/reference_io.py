@@ -24,10 +24,7 @@ from maxentcast.errors import EmptySeriesError, GapError, ParseError
 
 
 def load_csv(path, date_col: str = "date", value_col: str = "value",
-             date_format: str = "%Y-%m-%d", on_bad_value: str = "error",
-             name: str | None = None) -> TimeSeries:
-    if on_bad_value not in ("error", "nan"):
-        raise ValueError(f"on_bad_value must be 'error' or 'nan', got {on_bad_value!r}")
+             date_format: str = "%Y-%m-%d") -> TimeSeries:
     path = Path(path)
     rows: list[tuple[date, float, int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -45,30 +42,28 @@ def load_csv(path, date_col: str = "date", value_col: str = "value",
                 when = datetime.strptime(raw_date, date_format).date()
             except ValueError as exc:
                 raise ParseError(line_no, f"bad date {raw_date!r}: {exc}") from exc
-            rows.append((when, _parse_value(raw_value, line_no, on_bad_value), line_no))
-    if not rows or all(math.isnan(v) for _, v, _ in rows):
+            rows.append((when, _parse_value(raw_value, line_no), line_no))
+    if not rows:
         raise EmptySeriesError(f"{path}: no usable rows")
     rows.sort(key=lambda r: r[0])
     for (d1, _, _), (d2, _, line_no) in zip(rows, rows[1:]):
         if d1 == d2:
             raise ParseError(line_no, f"duplicate date {d2}")
     return TimeSeries(
-        name=name if name is not None else path.stem,
+        name=path.stem,
         days=np.array([r[0].toordinal() for r in rows], dtype=np.int64),
         values=np.array([r[1] for r in rows]),
     )
 
 
-def _parse_value(raw: str, line_no: int, on_bad_value: str) -> float:
+def _parse_value(raw: str, line_no: int) -> float:
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
     if math.isfinite(value):
         return value
-    if on_bad_value == "error":
-        raise ParseError(line_no, f"bad value {raw!r}")
-    return math.nan
+    raise ParseError(line_no, f"bad value {raw!r}")
 
 
 def business_days(first: date, last: date) -> list[date]:

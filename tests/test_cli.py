@@ -156,6 +156,26 @@ def test_synth_spliced_requires_interior_splice(tmp_path, capsys):
     assert stderr_json(err)["category"] == "config"
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("walk", []),
+    ("map", ["--coeffs", "0,1", "--init", "0.7"]),
+])
+def test_synth_of_one_point_is_a_config_error(kind, extra, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "synth", "--kind", kind, "--n", "1",
+                             "--seed", "3", "--out", str(tmp_path), *extra)
+    assert code == 2 and out == ""
+    assert stderr_json(err) == {
+        "category": "config", "error": "ValueError",
+        "message": "n must be an integer >= 2, got 1"}
+    assert not (tmp_path / "series.csv").exists()
+    # a two-point splice of one walk point and one map point is fine
+    code, _, _ = run_cli(capsys, "synth", "--kind", "spliced", "--n", "2",
+                         "--splice", "1", "--seed", "3",
+                         "--out", str(tmp_path))
+    assert code == 0
+    assert len(load_csv(tmp_path / "series.csv")) == 2
+
+
 # -------------------------------------------------------------------- run
 
 @pytest.fixture()

@@ -156,14 +156,6 @@ def test_embed_start_before_span_is_infeasible():
         embed(s, EmbedConfig(dim=3, degree=1, horizon=1, n_fit=2), start=1)
 
 
-def test_embed_rejects_nan_in_window():
-    values = np.arange(20.0)
-    values[5] = math.nan
-    s = daily_series(values)
-    with pytest.raises(ValueError):
-        embed(s, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=10))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.integers(min_value=1, max_value=4),

@@ -27,7 +27,9 @@ def test_load_shuffled_rows_sorts(write_csv):
     ordered = write_csv(["1999-01-01,5.0", "1999-01-02,5.1", "1999-01-03,5.2"])
     shuffled = write_csv(["1999-01-03,5.2", "1999-01-01,5.0", "1999-01-02,5.1"],
                          name="shuffled.csv")
-    assert load_csv(ordered, name="x") == load_csv(shuffled, name="x")
+    a, b = load_csv(ordered), load_csv(shuffled)
+    assert (a.name, b.name) == ("series", "shuffled")
+    assert a == TimeSeries("series", b.days, b.values)
 
 
 def test_bad_value_raises_with_line_number(write_csv):
@@ -38,19 +40,22 @@ def test_bad_value_raises_with_line_number(write_csv):
     assert "n/a" in str(err.value)
 
 
-def test_bad_value_as_nan_is_kept_in_band(write_csv):
-    path = write_csv(["1999-01-01,5.0", "1999-01-02,n/a", "1999-01-03,5.2"])
-    s = load_csv(path, on_bad_value="nan")
-    assert len(s) == 3
-    assert math.isnan(s.values[1])
-    assert s.n_missing == 1
-
-
 def test_bad_date_always_raises(write_csv):
     path = write_csv(["1999-01-01,5.0", "not-a-date,5.1"])
     with pytest.raises(ParseError) as err:
-        load_csv(path, on_bad_value="nan")
+        load_csv(path)
     assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("kwargs", [{"on_bad_value": "nan"},
+                                    {"on_bad_value": "error"},
+                                    {"name": "x"}])
+def test_load_csv_has_no_bad_value_or_name_setting(write_csv, kwargs):
+    # a value that is not finite always fails the load, and a series is
+    # named after its file
+    path = write_csv(["1999-01-01,5.0", "1999-01-04,5.1"])
+    with pytest.raises(TypeError):
+        load_csv(path, **kwargs)
 
 
 def test_duplicate_dates_raise(write_csv):
@@ -123,6 +128,14 @@ def test_series_rejects_infinities():
         TimeSeries("x", [MONDAY, MONDAY + 1], np.array([1.0, math.inf]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_refuses_values_that_are_not_finite(bad):
+    for values in ([bad, 1.0], [1.0, bad]):
+        with pytest.raises(ValueError, match="values must be finite"):
+            TimeSeries("x", [MONDAY, MONDAY + 1], np.array(values))
+    assert TimeSeries.n_missing == 0
+
+
 def test_series_values_read_only():
     days = np.arange(MONDAY, MONDAY + 3)
     s = TimeSeries("x", days, np.array([1.0, 2.0, 3.0]))
@@ -159,9 +172,14 @@ def _weekday_series(values):
                       np.array(values, dtype=float))
 
 
+# Monday, then Thursday: Tuesday 2000-01-04 and Wednesday are absent.
+GAPPY = TimeSeries("t", [MONDAY, MONDAY + 3], np.array([5.0, 5.2]))
+
+
 def test_ffill_replaces_missing_value():
-    s = _weekday_series([5.0, math.nan, 5.2])
-    assert clean(s, "ffill").values.tolist() == [5.0, 5.0, 5.2]
+    out = clean(GAPPY, "ffill")
+    assert out.days.tolist() == [MONDAY, MONDAY + 1, MONDAY + 2, MONDAY + 3]
+    assert out.values.tolist() == [5.0, 5.0, 5.0, 5.2]
 
 
 def test_ffill_fills_missing_business_day():
@@ -176,33 +194,19 @@ def test_ffill_fills_missing_business_day():
 def test_clean_series_unchanged_under_every_policy():
     s = _weekday_series([5.0, 5.1, 5.2, 5.3])
     for policy in GAP_POLICIES:
-        assert clean(s, policy) == s
-
-
-def test_leading_gap_cannot_ffill():
-    s = _weekday_series([math.nan, 5.1, 5.2])
-    with pytest.raises(GapError):
-        clean(s, "ffill")
+        assert clean(s, policy) is s
 
 
 def test_drop_removes_missing_rows():
-    s = _weekday_series([5.0, math.nan, 5.2])
-    out = clean(s, "drop")
-    assert out.values.tolist() == [5.0, 5.2]
-    assert out.days.tolist() == [MONDAY, MONDAY + 2]
-
-
-def test_drop_needs_two_survivors():
-    s = _weekday_series([5.0, math.nan, math.nan])
-    with pytest.raises(EmptySeriesError):
-        clean(s, "drop")
+    # the rows are used as they are: drop has nothing to remove
+    assert clean(GAPPY, "drop") is GAPPY
 
 
 def test_error_policy_names_first_gap():
-    s = _weekday_series([5.0, math.nan, 5.2])
     with pytest.raises(GapError) as err:
-        clean(s, "error")
+        clean(GAPPY, "error")
     assert err.value.when == date(2000, 1, 4)
+    assert str(err.value) == "2000-01-04: missing business day"
 
 
 def test_unknown_policy_rejected():
@@ -213,20 +217,18 @@ def test_unknown_policy_rejected():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    values=st.lists(
-        st.one_of(st.floats(min_value=-50, max_value=50), st.just(math.nan)),
-        min_size=2, max_size=40),
+    offsets=st.lists(st.integers(0, 60), min_size=2, max_size=40, unique=True),
     policy=st.sampled_from(GAP_POLICIES),
 )
-def test_clean_is_idempotent(values, policy):
-    if math.isnan(values[0]):
-        values[0] = 0.0  # leading gaps are a separate, tested error path
-    s = _weekday_series(values)
+def test_clean_is_idempotent(offsets, policy):
+    # any days, weekends among them, so business days may be absent
+    days = MONDAY + np.sort(offsets)
+    s = TimeSeries("t", days, np.arange(days.size) * 0.5)
     try:
         once = clean(s, policy)
-    except (GapError, EmptySeriesError):
+    except GapError:
         return
-    assert clean(once, policy) == once
+    assert clean(once, policy) is once
 
 
 def test_load_csv_order_insensitive(tmp_path):
@@ -234,10 +236,10 @@ def test_load_csv_order_insensitive(tmp_path):
             for i, d in enumerate(_business_days(37, "2001-01-01").tolist())]
     path = tmp_path / "perm.csv"
     path.write_text("date,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    baseline = load_csv(path, name="p")
+    baseline = load_csv(path)
     rng = np.random.default_rng(2024)
     for _ in range(8):
         rng.shuffle(rows)
         path.write_text("date,value\n" + "\n".join(rows) + "\n",
                         encoding="utf-8")
-        assert load_csv(path, name="p") == baseline
+        assert load_csv(path) == baseline
