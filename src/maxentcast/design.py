@@ -204,8 +204,7 @@ def check_design_size(config: EmbedConfig) -> None:
         what = "fit design" if config.n_fit >= block else "forecast block"
         raise InfeasibleWindowError(
             f"a {what} of {rows} rows x {n_features} features takes "
-            f"{size:,} bytes, over the limit of {MAX_DESIGN_BYTES:,}",
-            n_rows=rows)
+            f"{size:,} bytes, over the limit of {MAX_DESIGN_BYTES:,}")
 
 
 def embed(series: TimeSeries, config: EmbedConfig,
@@ -226,9 +225,7 @@ def embed(series: TimeSeries, config: EmbedConfig,
     if start < config.span or last_needed > n_obs - 1:
         raise InfeasibleWindowError(
             f"window start={start}, n_fit={config.n_fit}, horizon={config.horizon} "
-            f"needs indices up to {last_needed}, series has {n_obs}",
-            start=start, n_rows=config.n_fit, needed=last_needed + 1,
-            available=n_obs)
+            f"needs indices up to {last_needed}, series has {n_obs}")
     times = np.arange(start, start + config.n_fit)
     features = feature_matrix(delay_matrix(values, times, config.dim, config.lag),
                               config.degree)

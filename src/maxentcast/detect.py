@@ -32,6 +32,7 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
+        object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "min_run", check_int("min_run", self.min_run))
 
 

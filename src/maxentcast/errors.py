@@ -22,7 +22,6 @@ class ParseError(MaxentcastError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-        self.reason = reason
 
 
 class EmptySeriesError(MaxentcastError):
@@ -35,19 +34,10 @@ class GapError(MaxentcastError):
     def __init__(self, when, reason: str):
         super().__init__(f"{when}: {reason}")
         self.when = when
-        self.reason = reason
 
 
 class InfeasibleWindowError(MaxentcastError):
     """The requested fit or forecast window does not fit inside the series."""
-
-    def __init__(self, message: str, *, start=None, n_rows=None, needed=None,
-                 available=None):
-        super().__init__(message)
-        self.start = start
-        self.n_rows = n_rows
-        self.needed = needed
-        self.available = available
 
 
 class DegenerateMatrixError(MaxentcastError):

@@ -264,16 +264,14 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     first = int(first)
     if first < cfg.span:
         raise InfeasibleWindowError(
-            f"anchor {first} comes before the embedding span {cfg.span}",
-            start=first, available=n_obs)
+            f"anchor {first} comes before the embedding span {cfg.span}")
     counts = [n_obs - first - m.config.horizon for m in models]
     for model, count in zip(models, counts):
         if count < 1:
             horizon = model.config.horizon
             raise InfeasibleWindowError(
                 f"anticipation {horizon}: no out-of-sample anchors "
-                f"(first candidate {first}, last feasible {n_obs - 1 - horizon})",
-                start=first, available=n_obs)
+                f"(first candidate {first}, last feasible {n_obs - 1 - horizon})")
     predicted = [np.empty(c) for c in counts]
     rows = forecast_block_rows(cfg.n_features)
     block = np.empty((rows, cfg.n_features))

@@ -68,7 +68,8 @@ def bucket_text(bucketing: YearBuckets | WindowBuckets) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     """Everything needed to reproduce a pipeline run on one input file,
-    every setting checked when the config is built."""
+    every setting checked and stored as a JSON value when the config is
+    built; a path-like path is stored as its ``os.fspath``."""
 
     input_path: str
     date_col: str = DEFAULT_DATE_COL
@@ -85,6 +86,9 @@ class RunConfig:
         if self.gap_policy not in GAP_POLICIES:
             raise ValueError(f"gap_policy must be one of {GAP_POLICIES}")
         check_rank_tolerance(self.rank_tolerance)
+        object.__setattr__(self, "input_path", os.fspath(self.input_path))
+        object.__setattr__(self, "out_dir", os.fspath(self.out_dir))
+        object.__setattr__(self, "rank_tolerance", float(self.rank_tolerance))
 
     def to_payload(self) -> dict[str, Any]:
         """Every setting in one flat mapping, the protocol's and the
@@ -98,12 +102,6 @@ class RunConfig:
                        bucket=bucket_text(protocol.bucketing),
                        theta=detector.theta, min_run=detector.min_run)
         return payload
-
-
-def _clean_float(x: Any) -> Any:
-    """JSON-safe float: NaN and infinities become null."""
-    v = float(x)
-    return v if math.isfinite(v) else None
 
 
 # The exact types whose values a list batch may hold to take the column
@@ -123,15 +121,8 @@ def _float_text(v: float) -> str:
 
 
 def _leaf_text(obj: Any) -> str | None:
-    """The JSON text of a leaf, or None for a mapping, list or tuple.
-
-    Types are tried in this order: exact float, str, int, bool and None;
-    containers; float subclasses such as ``np.float64``; dates and
-    datetimes as ISO strings; str and int subclasses (``Regime``,
-    ``IntEnum``).  Anything else is a ``TypeError``.  Exact types come
-    first because a report has about 90k leaves, and an isinstance check
-    against an ABC costs several times a type comparison.
-    """
+    """The JSON text of a str, int, float, bool or None, None for a dict or
+    list, and a ``TypeError`` for any other type, subclasses included."""
     kind = type(obj)
     if kind is float:
         return _float_text(obj)
@@ -141,39 +132,29 @@ def _leaf_text(obj: Any) -> str | None:
         return int.__repr__(obj)
     if kind is bool or obj is None:
         return _CONSTANT_TEXT[obj]
-    if kind is dict or kind is list or isinstance(obj, (Mapping, list, tuple)):
+    if kind is dict or kind is list:
         return None
-    if isinstance(obj, float):
-        return _float_text(float(obj))
-    if isinstance(obj, date):  # datetime too
-        return encode_basestring_ascii(obj.isoformat())
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} "
                     "is not JSON serializable")
 
 
 def _json_pieces(obj: Any, level: int = 0) -> Iterator[str]:
     """The text of obj as ``json.dumps(obj, sort_keys=True, indent=2)``
-    writes it, in pieces, with non-finite floats as null, every key as
-    ``str(key)``, tuples as lists and dates as ISO strings."""
+    writes it, in pieces, with non-finite floats as null."""
     text = _leaf_text(obj)
     if text is not None:
         yield text
-    elif type(obj) is dict or isinstance(obj, Mapping):
+    elif type(obj) is dict:
         yield from _dict_pieces(obj, level)
     else:
-        yield from _list_pieces(
-            obj if type(obj) in (list, tuple) else list(obj), level)
+        yield from _list_pieces(obj, level)
 
 
-def _dict_pieces(mapping: Mapping, level: int) -> Iterator[str]:
-    # Keys collide as str(key), and the last value wins, as in a dict
-    # comprehension.
-    items = sorted({str(k): v for k, v in mapping.items()}.items(),
-                   key=itemgetter(0))
+def _dict_pieces(mapping: dict, level: int) -> Iterator[str]:
+    for key in mapping:
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    items = sorted(mapping.items(), key=itemgetter(0))
     if not items:
         yield "{}"
         return
@@ -191,7 +172,7 @@ def _dict_pieces(mapping: Mapping, level: int) -> Iterator[str]:
     yield "\n" + "  " * level + "}"
 
 
-def _list_pieces(seq: list | tuple, level: int) -> Iterator[str]:
+def _list_pieces(seq: list, level: int) -> Iterator[str]:
     if not seq:
         yield "[]"
         return
@@ -259,7 +240,7 @@ def _record_texts(rows: Sequence[Any], level: int) -> Iterator[str] | None:
 
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON text: sorted keys, indent 2, ASCII only,
-    non-finite floats as null."""
+    non-finite floats as null.  Types outside JSON's are a TypeError."""
     return "".join(_json_pieces(obj))
 
 
@@ -349,8 +330,8 @@ def _window_payload(window) -> dict[str, Any]:
         "start_index": window.start_index,
         "end_index": window.end_index,
         "n_points": window.n_points,
-        "rel_mse": _clean_float(window.rel_mse),
-        "baseline_rel_mse": _clean_float(window.baseline_rel_mse),
+        "rel_mse": window.rel_mse,
+        "baseline_rel_mse": window.baseline_rel_mse,
         "degenerate": window.degenerate,
     }
 
@@ -366,7 +347,7 @@ def _detection_payload(labels: Sequence[RegimeLabel],
     return {"labels": [{
         "window": w.label,
         "regime": lab.regime.value,
-        "score": _clean_float(lab.score),
+        "score": lab.score,
     } for w, lab in zip(windows, labels)], "changepoints": cps}
 
 
@@ -379,8 +360,8 @@ def build_payload(result: RunResult) -> dict[str, Any]:
         tracks.append({
             "horizon": track.horizon,
             "n_forecasts": len(track.frame),
-            "rel_mse": _clean_float(track.rel_mse),
-            "baseline_rel_mse": _clean_float(track.baseline_rel_mse),
+            "rel_mse": track.rel_mse,
+            "baseline_rel_mse": track.baseline_rel_mse,
             "model": track.model.to_json_dict(),
             "windows": [_window_payload(w) for w in track.windows],
             "detection": _detection_payload(labels, track.windows),

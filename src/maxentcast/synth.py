@@ -91,8 +91,11 @@ class PolyMapSpec:
         _infer_degree(self.dim, len(self.coefficients))
         if self.init is not None and len(self.init) < self.dim:
             raise ValueError(f"init needs at least dim={self.dim} values")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not np.isfinite(self.coefficients + (self.init or ())).all():
+            raise ValueError("coefficients and init values must be finite")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative, "
+                             f"got {self.noise_sigma!r}")
         if not self.bound > 0:
             raise ValueError("bound must be positive")
 

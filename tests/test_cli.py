@@ -176,6 +176,36 @@ def test_synth_of_one_point_is_a_config_error(kind, extra, tmp_path, capsys):
     assert len(load_csv(tmp_path / "series.csv")) == 2
 
 
+MAP = ["--kind", "map", "--n", "10", "--coeffs", "0,3.5,-3.5", "--init", "0.3"]
+SPLICED = ["--kind", "spliced", "--n", "100", "--splice", "50"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (MAP + ["--noise-sigma", "nan"],
+     "noise_sigma must be finite and nonnegative, got nan"),
+    (MAP + ["--noise-sigma", "inf"],
+     "noise_sigma must be finite and nonnegative, got inf"),
+    (SPLICED + ["--noise-sigma", "nan"],
+     "noise_sigma must be finite and nonnegative, got nan"),
+    (SPLICED + ["--map-r", "nan"],
+     "coefficients and init values must be finite"),
+    (SPLICED + ["--coeffs", "0,inf"],
+     "coefficients and init values must be finite"),
+    (["--kind", "map", "--n", "10", "--coeffs", "0,nan,-3.5", "--init", "0.3"],
+     "coefficients and init values must be finite"),
+    (["--kind", "map", "--n", "10", "--coeffs", "0,3.5,-3.5", "--init", "nan"],
+     "coefficients and init values must be finite"),
+])
+def test_synth_non_finite_setting_is_a_config_error(argv, message, tmp_path,
+                                                    capsys):
+    code, out, err = run_cli(capsys, "synth", *argv, "--seed", "1",
+                             "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert stderr_json(err) == {"category": "config", "error": "ValueError",
+                                "message": message}
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------------- run
 
 @pytest.fixture()

@@ -71,38 +71,16 @@ def test_bucket_text_round_trip():
 # ----------------------------------------------------------- canonical json
 
 def test_dumps_canonical_key_order_and_types():
-    a = dumps_canonical({"b": 1, "a": (1, 2)})
-    b = dumps_canonical({"a": [1, 2], "b": 1})
+    a = dumps_canonical({"b": 1, "a": [1, 2.5, "x", True, None]})
+    b = dumps_canonical({"a": [1, 2.5, "x", True, None], "b": 1})
     assert a == b
-    assert json.loads(a) == {"a": [1, 2], "b": 1}
+    assert a.index('"a"') < a.index('"b"')
+    assert json.loads(a) == {"a": [1, 2.5, "x", True, None], "b": 1}
 
 
 def test_dumps_canonical_nonfinite_to_null():
     text = dumps_canonical({"x": math.nan, "y": math.inf, "z": -math.inf})
     assert json.loads(text) == {"x": None, "y": None, "z": None}
-
-
-def test_dumps_canonical_dates_to_iso():
-    from datetime import date
-    text = dumps_canonical({"d": date(2006, 8, 15)})
-    assert json.loads(text) == {"d": "2006-08-15"}
-
-
-def test_dumps_canonical_is_json_dumps_of_the_sanitized_object():
-    from collections import OrderedDict
-    from datetime import date
-    from types import MappingProxyType
-    obj = {"f": [1.5, -0.0, math.nan, np.float64(2.5), (True, None, 3)],
-           "m": MappingProxyType({"z": date(2006, 8, 15), 2: "two"}),
-           "o": OrderedDict(b=[{"x": math.inf}], a=False),
-           "d": datetime(2006, 8, 15, 12, 30)}
-    plain = {"f": [1.5, -0.0, None, 2.5, [True, None, 3]],
-             "m": {"z": "2006-08-15", "2": "two"},
-             "o": {"b": [{"x": None}], "a": False},
-             "d": "2006-08-15T12:30:00"}
-    text = json.dumps(plain, sort_keys=True, indent=2, allow_nan=False)
-    assert dumps_canonical(obj) == text
-    assert dumps_canonical("x") == '"x"'
 
 
 def test_write_json_atomic_streams_dumps_canonical(tmp_path):
@@ -186,6 +164,23 @@ def test_run_config_payload_echoes_every_field():
         "input_path", "date_col", "value_col", "date_format", "gap_policy",
         "dim", "lag", "degree", "fit_window", "anticipation", "bucket",
         "theta", "min_run", "rank_tolerance", "standardize", "out_dir"}
+
+
+def test_run_config_stores_json_values(walk_csv, tmp_path):
+    # path-like paths and NumPy floats are stored as the str and float the
+    # payload holds, so the report can be written
+    cfg = RunConfig(input_path=walk_csv, protocol=SMALL_PROTOCOL,
+                    detector=DetectorConfig(theta=np.float64(0.5)),
+                    rank_tolerance=np.float64(0.2), out_dir=tmp_path / "run")
+    assert (type(cfg.input_path), type(cfg.out_dir)) == (str, str)
+    assert (type(cfg.rank_tolerance), type(cfg.detector.theta)) == (float, float)
+    assert cfg == RunConfig(input_path=str(walk_csv), protocol=SMALL_PROTOCOL,
+                            rank_tolerance=0.2, out_dir=str(tmp_path / "run"))
+    paths = write_run_artifacts(run_from_config(cfg))
+    config = load_report(paths["report"])["config"]
+    assert (config["input_path"], config["out_dir"]) == (
+        str(walk_csv), str(tmp_path / "run"))
+    assert (config["rank_tolerance"], config["theta"]) == (0.2, 0.5)
 
 
 # ---------------------------------------------------------- full pipeline

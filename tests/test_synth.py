@@ -1,5 +1,6 @@
 """Generator tests: frozen orbits, splice continuity, rescaling algebra."""
 
+import math
 from datetime import date
 
 import numpy as np
@@ -147,9 +148,16 @@ def test_poly_map_spec_validation():
         PolyMapSpec(n=10, dim=2, coefficients=(1.0, 2.0, 3.0, 4.0))  # 3 or 6 form a basis
     with pytest.raises(ValueError):
         PolyMapSpec(n=10, dim=2, coefficients=(0.0,) * 6, init=(1.0,))
-    with pytest.raises(ValueError):
-        PolyMapSpec(n=10, dim=1, coefficients=(0.0, 1.0), init=(1.0,),
-                    noise_sigma=-0.1)
+    for noise in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            PolyMapSpec(n=10, dim=1, coefficients=(0.0, 1.0), init=(1.0,),
+                        noise_sigma=noise)
+    for coefficients, init in [((0.0, math.nan), (1.0,)),
+                               ((0.0, -math.inf), None),
+                               ((0.0, 1.0), (math.nan,)),
+                               ((0.0, 1.0), (1.0, math.inf))]:
+        with pytest.raises(ValueError, match="must be finite"):
+            PolyMapSpec(n=10, dim=1, coefficients=coefficients, init=init)
     with pytest.raises(ValueError, match="shorter than init"):
         generate(PolyMapSpec(n=2, dim=1, coefficients=(0.0, 1.0),
                              init=(1.0, 2.0, 3.0)))
