@@ -86,6 +86,10 @@ class RunConfig:
         if self.gap_policy not in GAP_POLICIES:
             raise ValueError(f"gap_policy must be one of {GAP_POLICIES}")
         check_rank_tolerance(self.rank_tolerance)
+        if not isinstance(self.standardize, (bool, np.bool_)):
+            raise ValueError(
+                f"standardize must be a bool, got {self.standardize!r}")
+        object.__setattr__(self, "standardize", bool(self.standardize))
         object.__setattr__(self, "input_path", os.fspath(self.input_path))
         object.__setattr__(self, "out_dir", os.fspath(self.out_dir))
         object.__setattr__(self, "rank_tolerance", float(self.rank_tolerance))

@@ -54,8 +54,9 @@ class RandomWalkSpec:
 
     def __post_init__(self):
         check_int("n", self.n)
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite, "
+                             f"got {self.sigma!r}")
         if not np.isfinite(self.x0):
             raise ValueError("x0 must be finite")
 
@@ -126,32 +127,56 @@ class SplicedSeries:
     changepoint: int  # first index governed by the second spec
 
 
+# The map iterates this many steps between copies of its new values into
+# the output array, so the list it iterates on stays this short at any n.
+_CHUNK_STEPS = 4096
+
+
 def _continue_poly_map(spec: PolyMapSpec, history: np.ndarray,
                        n_new: int) -> np.ndarray:
     """Iterate the map forward from the tail of history; n_new new values,
-    the first at index len(history) of the caller's series."""
+    the first at index len(history) of the caller's series.
+
+    The steps run on Python floats, whose arithmetic is the doubles' own,
+    so no NumPy warning can come of an overflow.  Each chunk of steps is
+    checked against the bound at once; the first value out of it, and
+    its step, are the ones a check after every step would name."""
     dim = spec.dim
     terms = monomial_terms(dim, _infer_degree(dim, len(spec.coefficients)))
     if history.size < dim:
         raise ValueError(f"history of {history.size} values cannot seed a dim-{dim} map")
-    window = list(history[-dim:])
-    eps = rng.normals(spec.seed, n_new) if spec.noise_sigma > 0 else None
+    c0, *coefs = spec.coefficients
+    # component i of the delay vector is the i-th lag back, window[-1 - i];
+    # a zero coefficient keeps its term, as 0 * inf is nan
+    products = [(c, tuple(-1 - i for i in term))
+             for c, term in zip(coefs, terms[1:])]
+    sigma = spec.noise_sigma
+    eps = rng.normals(spec.seed, n_new) if sigma > 0 else None
+    window = history[-dim:].tolist()
     out = np.empty(n_new)
-    coefs = spec.coefficients
-    for j in range(n_new):
-        acc = coefs[0]
-        for c, term in zip(coefs[1:], terms[1:]):
-            prod = 1.0
-            for i in term:
-                prod *= window[-1 - i]  # component i is the i-th lag back
-            acc += c * prod
-        if spec.noise_sigma > 0:
-            acc += spec.noise_sigma * eps[j]
-        if not np.isfinite(acc) or abs(acc) > spec.bound:
-            bad = acc if np.isfinite(acc) else float("inf")
-            raise DivergentOrbitError(history.size + j, bad, spec.bound)
-        out[j] = acc
-        window = window[1:] + [acc]
+    for lo in range(0, n_new, _CHUNK_STEPS):
+        hi = min(lo + _CHUNK_STEPS, n_new)
+        noise = (sigma * eps[lo:hi]).tolist() if eps is not None else None
+        for j in range(hi - lo):
+            acc = c0
+            for c, lags in products:
+                prod = 1.0
+                for lag in lags:
+                    prod *= window[lag]
+                acc += c * prod
+            if noise is not None:
+                acc += noise[j]
+            window.append(acc)
+        chunk = out[lo:hi]
+        chunk[:] = window[dim:]
+        # nan is never compared: a comparison may warn of it
+        bad = ~np.isfinite(chunk)
+        bad[~bad] = np.abs(chunk[~bad]) > spec.bound
+        if bad.any():
+            k = int(bad.argmax())
+            value = float(chunk[k]) if np.isfinite(chunk[k]) else float("inf")
+            raise DivergentOrbitError(history.size + lo + k, value, spec.bound)
+        del window[:-dim]
     return out
 
 

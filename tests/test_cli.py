@@ -195,6 +195,10 @@ SPLICED = ["--kind", "spliced", "--n", "100", "--splice", "50"]
      "coefficients and init values must be finite"),
     (["--kind", "map", "--n", "10", "--coeffs", "0,3.5,-3.5", "--init", "nan"],
      "coefficients and init values must be finite"),
+    (["--kind", "walk", "--n", "10", "--sigma", "inf"],
+     "sigma must be positive and finite, got inf"),
+    (SPLICED + ["--sigma", "inf"],
+     "sigma must be positive and finite, got inf"),
 ])
 def test_synth_non_finite_setting_is_a_config_error(argv, message, tmp_path,
                                                     capsys):
@@ -203,6 +207,23 @@ def test_synth_non_finite_setting_is_a_config_error(argv, message, tmp_path,
     assert code == 2 and out == ""
     assert stderr_json(err) == {"category": "config", "error": "ValueError",
                                 "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_overflowing_map_prints_one_json_line(tmp_path):
+    # 1e100 * (1e300)^2 overflows a double at the third step; under -W error
+    # a numpy warning would end the run before the orbit's own error
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "maxentcast",
+                           "synth", "--kind", "map", "--n", "50", "--seed", "1",
+                           "--coeffs", "0,0,1e100", "--init", "1",
+                           "--bound", "1.7e308", "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 5 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0]) == {
+        "category": "numerical", "error": "DivergentOrbitError",
+        "message": "orbit exceeded |v| <= 1.7e+308 at step 3 (value inf)"}
     assert not (tmp_path / "out").exists()
 
 

@@ -183,6 +183,22 @@ def test_run_config_stores_json_values(walk_csv, tmp_path):
     assert (config["rank_tolerance"], config["theta"]) == (0.2, 0.5)
 
 
+def test_run_config_stores_a_numpy_bool_standardize_as_a_bool(walk_csv,
+                                                              tmp_path):
+    cfg = RunConfig(input_path=walk_csv, protocol=SMALL_PROTOCOL,
+                    standardize=np.True_, out_dir=tmp_path / "run")
+    assert type(cfg.standardize) is bool and cfg.standardize
+    paths = write_run_artifacts(run_from_config(cfg))
+    assert load_report(paths["report"])["config"]["standardize"] is True
+    assert '"standardize": true' in Path(paths["report"]).read_text()
+
+
+@pytest.mark.parametrize("value", [1, 0, "yes", None, 1.0, np.int64(1)])
+def test_run_config_refuses_a_standardize_that_is_not_a_bool(value):
+    with pytest.raises(ValueError, match="standardize must be a bool"):
+        RunConfig(input_path="x.csv", standardize=value)
+
+
 # ---------------------------------------------------------- full pipeline
 
 def test_payload_is_deterministic(walk_csv, tmp_path):
