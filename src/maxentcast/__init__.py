@@ -21,8 +21,7 @@ from .errors import (DegenerateMatrixError, DegenerateWindowError,
                      SchemaMismatchError)
 from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        ProtocolConfig, WindowBuckets, YearBuckets,
-                       baseline_error, error_by_period, relative_mse,
-                       run_protocol)
+                       error_by_period, relative_mse, run_protocol)
 from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
 from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
                     forecast_batch, forecast_series, lstsq_min_norm, pinv,
@@ -49,7 +48,7 @@ __all__ = [
     "InfeasibleWindowError", "MaxentcastError", "NumericalFailureError",
     "ParseError", "SchemaMismatchError",
     "ErrorWindow", "ForecastTrack", "PredictabilityReport", "ProtocolConfig",
-    "WindowBuckets", "YearBuckets", "baseline_error", "error_by_period",
+    "WindowBuckets", "YearBuckets", "error_by_period",
     "relative_mse", "run_protocol",
     "GAP_POLICIES", "TimeSeries", "clean", "load_csv",
     "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "forecast_batch",

@@ -131,31 +131,28 @@ def delay_matrix(values, times, dim: int, lag: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """The linear system features @ a = targets, with row bookkeeping.
+    """The linear system features @ a = targets.
 
-    Row n holds the polynomial features of the delay vector at index
-    row_times[n]; targets[n] is the observation horizon steps later.
+    Row n holds the polynomial features of one delay vector; targets[n] is
+    the observation horizon steps after that vector's anchor.
     """
 
     features: np.ndarray   # (n_fit, n_features)
     targets: np.ndarray    # (n_fit,)
-    row_times: np.ndarray  # (n_fit,)
     config: EmbedConfig
 
     def __post_init__(self):
         features = np.array(self.features, dtype=float)
         targets = np.array(self.targets, dtype=float)
-        row_times = np.array(self.row_times, dtype=int)
-        for arr in (features, targets, row_times):
+        for arr in (features, targets):
             arr.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "row_times", row_times)
         if features.ndim != 2:
             raise ValueError("features must be 2-d")
         n = features.shape[0]
-        if targets.shape != (n,) or row_times.shape != (n,) or n < 1:
-            raise ValueError("features, targets and row_times must share a positive length")
+        if targets.shape != (n,) or n < 1:
+            raise ValueError("features and targets must share a positive length")
         if features.shape[1] != self.config.n_features:
             raise ValueError(
                 f"feature count {features.shape[1]} does not match the "
@@ -179,8 +176,9 @@ def forecast_block_rows(n_features: int) -> int:
     Blocks that start on multiples of 64 rows keep BLAS's grouping of
     output rows (OpenBLAS dgemv takes them four at a time) as it is in one
     product over every anchor, so with one BLAS thread each prediction has
-    the same bits as it would have there.  At least 128 rows, so a last
-    block moved 64 rows back (see forecast_batch) still reaches the end.
+    the same bits as it would have there.  At least 128 rows.  A block's
+    buffer holds one row more, so that a last row left over joins the
+    block before it (see forecast_batch).
     """
     return max(128, _FORECAST_BLOCK_BYTES // (8 * n_features) // 64 * 64)
 
@@ -194,10 +192,10 @@ MAX_DESIGN_BYTES = 1 << 28
 
 def check_design_size(config: EmbedConfig) -> None:
     """Refuse an embedding whose fit design (n_fit rows) or forecast block
-    (forecast_block_rows rows) would pass MAX_DESIGN_BYTES, from its sizes
-    alone."""
+    (forecast_block_rows + 1 rows) would pass MAX_DESIGN_BYTES, from its
+    sizes alone."""
     n_features = config.n_features
-    block = forecast_block_rows(n_features)
+    block = forecast_block_rows(n_features) + 1
     rows = max(config.n_fit, block)
     size = 8 * rows * n_features
     if size > MAX_DESIGN_BYTES:
@@ -230,4 +228,4 @@ def embed(series: TimeSeries, config: EmbedConfig,
     features = feature_matrix(delay_matrix(values, times, config.dim, config.lag),
                               config.degree)
     return DesignMatrix(features=features, targets=values[times + config.horizon],
-                        row_times=times, config=config)
+                        config=config)

@@ -67,9 +67,10 @@ def _sums(actual: np.ndarray, predicted: np.ndarray):
 
 def _scores(actual: np.ndarray, predicted: np.ndarray,
             horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """relative_mse and baseline_error of each row of two (k, w) stacks of
-    windows with finite actual values; NaN where a row cannot be scored
-    (non-finite predictions, zero variance, or too few points)."""
+    """relative_mse, and that of the carry-forward forecast at horizon, of
+    each row of two (k, w) stacks of windows with finite actual values;
+    NaN where a row cannot be scored (non-finite predictions, zero
+    variance, or too few points)."""
     num, denom = _sums(actual, predicted)
     usable = np.isfinite(predicted).all(axis=1) & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -95,19 +96,6 @@ def relative_mse(actual, predicted) -> float:
     if denom[0] <= 0.0:
         raise DegenerateWindowError("actual values have zero variance")
     return float(num[0]) / float(denom[0])
-
-
-def baseline_error(actual, horizon: int) -> float:
-    """relative_mse of the naive matched-horizon forecast
-    v_hat(t + horizon) = v(t), over this window's actuals."""
-    check_int("horizon", horizon)
-    a = np.asarray(actual, dtype=float)
-    if a.ndim != 1:
-        raise ValueError("actual must be 1-d")
-    if a.size < horizon + 2:
-        raise DegenerateWindowError(
-            f"window of {a.size} points cannot score a horizon of {horizon}")
-    return relative_mse(a[horizon:], a[:-horizon])
 
 
 @dataclass(frozen=True)

@@ -193,12 +193,10 @@ def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
 def predict(model: FittedModel, features) -> np.ndarray:
     """Apply the fitted map to feature rows; linear in the coefficients."""
     features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[None, :]
     if features.ndim != 2 or features.shape[1] != model.coefficients.size:
         raise DimensionMismatchError(
-            f"feature rows have {features.shape[-1]} columns, "
-            f"model has {model.coefficients.size} coefficients")
+            f"feature rows of shape {features.shape} do not fit a model of "
+            f"{model.coefficients.size} coefficients")
     return features @ model.coefficients
 
 
@@ -274,26 +272,19 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
                 f"(first candidate {first}, last feasible {n_obs - 1 - horizon})")
     predicted = [np.empty(c) for c in counts]
     rows = forecast_block_rows(cfg.n_features)
-    block = np.empty((rows, cfg.n_features))
+    block = np.empty((rows + 1, cfg.n_features))
     stop = max(counts)
-    for lo in range(0, stop, rows):
-        anchors = np.arange(first + lo, first + min(lo + rows, stop))
-        delays = delay_matrix(values, anchors, cfg.dim, cfg.lag)
-        live = [(k, min(c - lo, rows)) for k, c in enumerate(counts) if c > lo]
-        features = feature_matrix(delays, cfg.degree, out=block[:anchors.size])
-        # numpy applies a one-row product as a dot product, whose sum can
-        # differ in the last bit from gemv's: a model whose last block is one
-        # row predicts its last 65 rows instead, rebuilt in the buffer once
-        # every other model is done with this block.
-        ends = [k for k, m in live if m == 1 and counts[k] > 1]
-        for k, m in live:
-            if k not in ends:
+    # numpy applies a one-row product as a dot product, whose sum can differ
+    # in the last bit from gemv's: a one-row remainder joins the block before.
+    for lo in range(0, max(stop - 1, 1), rows):
+        hi = min(lo + rows + 1, stop)
+        delays = delay_matrix(values, np.arange(first + lo, first + hi),
+                              cfg.dim, cfg.lag)
+        features = feature_matrix(delays, cfg.degree, out=block[:hi - lo])
+        for k, c in enumerate(counts):
+            if lo < max(c - 1, 1):
+                m = c - lo if c - lo <= rows + 1 else rows
                 predicted[k][lo:lo + m] = predict(models[k], features[:m])
-        for k in ends:
-            tail = delay_matrix(values, np.arange(first + lo - 64, first + lo + 1),
-                                cfg.dim, cfg.lag)
-            predicted[k][lo - 64:lo + 1] = predict(
-                models[k], feature_matrix(tail, cfg.degree, out=block[:65]))
     return [ForecastFrame(series=series, first=first, horizon=m.config.horizon,
                           predicted=p)
             for m, p in zip(models, predicted)]

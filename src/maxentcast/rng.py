@@ -28,11 +28,11 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def outputs(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Raw uint64 stream outputs offset .. offset+n-1 for the given seed."""
+def outputs(seed: int, n: int) -> np.ndarray:
+    """The first n raw uint64 stream outputs for the given seed."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counter = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
+    counter = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed & _MASK) + counter * _GOLDEN
         z = (z ^ (z >> np.uint64(30))) * _MIX1
@@ -41,9 +41,9 @@ def outputs(seed: int, n: int, offset: int = 0) -> np.ndarray:
     return z
 
 
-def uniforms(seed: int, n: int, offset: int = 0) -> np.ndarray:
+def uniforms(seed: int, n: int) -> np.ndarray:
     """n doubles in [0, 1), from the top 53 bits of each stream output."""
-    return (outputs(seed, n, offset) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return (outputs(seed, n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def normals(seed: int, n: int) -> np.ndarray:

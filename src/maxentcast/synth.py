@@ -181,9 +181,18 @@ def _continue_poly_map(spec: PolyMapSpec, history: np.ndarray,
 
 
 def _extend(spec, history: np.ndarray, n_new: int) -> np.ndarray:
-    """n_new values of spec's process continuing from history."""
+    """n_new values of spec's process continuing from history.  A walk
+    that leaves the doubles raises DivergentOrbitError at its first value
+    that is not finite."""
     if isinstance(spec, RandomWalkSpec):
-        return history[-1] + spec.sigma * np.cumsum(rng.normals(spec.seed, n_new))
+        with np.errstate(over="ignore"):
+            walk = history[-1] + spec.sigma * np.cumsum(rng.normals(spec.seed, n_new))
+        bad = ~np.isfinite(walk)
+        if bad.any():
+            k = int(bad.argmax())
+            raise DivergentOrbitError(history.size + k, float(walk[k]),
+                                      float(np.finfo(float).max))
+        return walk
     if isinstance(spec, PolyMapSpec):
         return _continue_poly_map(spec, history, n_new)
     raise ValueError(f"unknown generator spec {spec!r}")
@@ -208,29 +217,27 @@ def _values(spec) -> np.ndarray:
     return np.concatenate([head, _extend(spec, head, spec.n - head.size)])
 
 
-def generate(spec, name: str | None = None) -> TimeSeries:
+def generate(spec) -> TimeSeries:
     """The series a spec describes, on consecutive days from 2000-01-01.
 
-    The default name is walk-s<seed> or map-s<seed>, and spliced for a
-    splice.  A spec of fewer than two points is refused: a TimeSeries has
-    at least two rows."""
+    It is named walk-s<seed> or map-s<seed>, and spliced for a splice.  A
+    spec of fewer than two points is refused: a TimeSeries has at least
+    two rows."""
     if isinstance(spec, (RandomWalkSpec, PolyMapSpec, SplicedSpec)):
         check_int("n", spec.n, 2)
     values = _values(spec)
-    if name is None:
-        name = (spec.kind if isinstance(spec, SplicedSpec)
-                else f"{spec.kind}-s{spec.seed}")
+    name = (spec.kind if isinstance(spec, SplicedSpec)
+            else f"{spec.kind}-s{spec.seed}")
     return TimeSeries(name, _index_days(values.size), values)
 
 
-def gen_random_walk(n: int, sigma: float, x0: float = 0.0, seed: int = 0,
-                    name: str | None = None) -> TimeSeries:
+def gen_random_walk(n: int, sigma: float, x0: float = 0.0,
+                    seed: int = 0) -> TimeSeries:
     """Gaussian random walk: v(0) = x0, v(t+1) = v(t) + sigma * eps(t)."""
-    return generate(RandomWalkSpec(n=n, sigma=sigma, x0=x0, seed=seed), name)
+    return generate(RandomWalkSpec(n=n, sigma=sigma, x0=x0, seed=seed))
 
 
-def gen_spliced(first, second, splice_index: int | None = None,
-                name: str = "spliced") -> SplicedSeries:
+def gen_spliced(first, second, splice_index: int | None = None) -> SplicedSeries:
     """The series of SplicedSpec(first, second) and its true changepoint,
     the first index governed by second.  splice_index, if given, must be
     first.n."""
@@ -239,7 +246,7 @@ def gen_spliced(first, second, splice_index: int | None = None,
         raise ValueError(
             f"splice_index {splice_index} must equal the first "
             f"segment's length {first.n}")
-    return SplicedSeries(series=generate(spec, name),
+    return SplicedSeries(series=generate(spec),
                          changepoint=spec.splice_index)
 
 

@@ -87,7 +87,8 @@ def test_blocked_forecast_matches_whole_matrix(dim, degree, lag):
 def test_embed_features_match_reference(dim, degree, lag):
     series, cfg, _ = fitted(dim, degree, lag)
     dm = embed(series, cfg)
-    delays = delay_matrix(series.values, dm.row_times, dim, lag)
+    delays = delay_matrix(series.values,
+                          np.arange(cfg.span, cfg.span + cfg.n_fit), dim, lag)
     assert dm.features.tobytes() == ref.feature_matrix(delays, degree).tobytes()
 
 

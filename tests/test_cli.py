@@ -227,6 +227,26 @@ def test_synth_overflowing_map_prints_one_json_line(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_overflowing_walk_prints_one_json_line(tmp_path):
+    # 1e307 times the summed normals of seed 1 overflows a double at step
+    # 162; numpy's overflow warning would be an error under both settings
+    for flags, env in ((["-W", "error"], None),
+                       ([], dict(os.environ, PYTHONWARNINGS="error"))):
+        proc = subprocess.run([sys.executable, *flags, "-m", "maxentcast",
+                               "synth", "--kind", "walk", "--n", "1000",
+                               "--seed", "1", "--sigma", "1e307",
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 5 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0]) == {
+            "category": "numerical", "error": "DivergentOrbitError",
+            "message": "orbit exceeded |v| <= 1.79769e+308 at step 162 "
+                       "(value inf)"}
+        assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------------- run
 
 @pytest.fixture()
@@ -618,7 +638,7 @@ def test_crlf_quoted_copy_gives_the_same_artifacts(tmp_path, capsys,
 def test_run_refuses_an_oversize_forecast_block(walk_csv_60, tmp_path, capsys,
                                                 monkeypatch):
     # --d 60 --np 4 gives N_c = 635,376: a 254 MB fit design at M = 50,
-    # and a forecast block of 128 rows, 650 MB
+    # and a forecast block buffer of 129 rows, 656 MB
     def no_fit(*args, **kwargs):
         raise AssertionError("a model was fitted")
 
@@ -629,7 +649,7 @@ def test_run_refuses_an_oversize_forecast_block(walk_csv_60, tmp_path, capsys,
     assert code == 4
     line = stderr_json(err)
     assert line["error"] == "InfeasibleWindowError"
-    assert "forecast block of 128 rows x 635376 features" in line["message"]
+    assert "forecast block of 129 rows x 635376 features" in line["message"]
     assert not (tmp_path / "run").exists()
 
 

@@ -119,7 +119,8 @@ def test_embed_tiny_worked_example():
     dm = embed(s, cfg, start=1)
     assert dm.features.tolist() == [[1, 2, 1], [1, 3, 2]]
     assert dm.targets.tolist() == [3, 4]
-    assert dm.row_times.tolist() == [1, 2]
+    # row n is the delay vector anchored at start + n
+    assert dm.features[:, 1].tolist() == s.values[np.arange(1, 1 + 2)].tolist()
 
 
 def _assert_embed_row_limit(n, dim, lag, horizon, limit):
@@ -175,7 +176,6 @@ def test_ramp_targets_are_first_component_plus_horizon(dim, lag, horizon,
 def test_design_matrix_requires_constant_column():
     with pytest.raises(ValueError):
         DesignMatrix(features=np.array([[2.0, 1.0]]), targets=np.array([1.0]),
-                     row_times=np.array([0]),
                      config=EmbedConfig(dim=1, degree=1, horizon=1, n_fit=1))
 
 
@@ -212,18 +212,18 @@ def test_design_size_limit_from_sizes_alone():
 
 def test_design_size_limit_covers_the_forecast_block():
     # --d 60 --np 4 --fit-window 50: 635,376 features.  The fit design is
-    # 254 MB, under the limit, but a forecast block holds at least 128
-    # rows: 650 MB.  Only sizes are computed.
+    # 254 MB, under the limit, but a forecast block steps at least 128
+    # rows and its buffer holds one more: 656 MB.  Only sizes are computed.
     cfg = EmbedConfig(dim=60, degree=4, horizon=1, n_fit=50)
     assert cfg.n_features == 635_376
     assert 8 * cfg.n_fit * cfg.n_features <= MAX_DESIGN_BYTES
     assert forecast_block_rows(cfg.n_features) == 128
     with pytest.raises(InfeasibleWindowError,
-                       match="forecast block of 128 rows x 635376 features"):
+                       match="forecast block of 129 rows x 635376 features"):
         check_design_size(cfg)
-    # degree 1 has dim + 1 features: the most whose 128-row block fits,
+    # degree 1 has dim + 1 features: the most whose 129-row buffer fits,
     # then one more
-    dim = MAX_DESIGN_BYTES // (8 * 128) - 1
+    dim = MAX_DESIGN_BYTES // (8 * 129) - 1
     check_design_size(EmbedConfig(dim=dim, degree=1, horizon=1, n_fit=1))
     with pytest.raises(InfeasibleWindowError, match="forecast block"):
         check_design_size(EmbedConfig(dim=dim + 1, degree=1, horizon=1,

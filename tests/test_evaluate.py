@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
                         ProtocolConfig, RandomWalkSpec, WindowBuckets,
-                        YearBuckets, baseline_error, TimeSeries,
+                        YearBuckets, TimeSeries,
                         error_by_period, gen_random_walk, gen_spliced,
                         relative_mse, run_protocol)
 from maxentcast.errors import DegenerateWindowError, InfeasibleWindowError
 from maxentcast.model import ForecastFrame
 from maxentcast.rng import normals
+
+import reference_protocol as ref
 
 
 def test_perfect_forecast_scores_zero():
@@ -89,25 +91,46 @@ def test_scores_are_nonnegative_and_zero_only_at_equality(seed):
         assert score > 0.0
 
 
+def baseline(actual, horizon):
+    """The baseline_rel_mse of a frame whose records are one window."""
+    frame = make_frame(actual, np.zeros(len(actual)), horizon=horizon)
+    [window] = error_by_period(frame, WindowBuckets(len(actual)))
+    return window.baseline_rel_mse
+
+
 def test_baseline_on_ramp_is_exact():
     a = np.arange(1.0, 11.0)  # constant increments of 1
     # naive window: actuals 2..10 (mean 6), unit errors: 9 / 60
-    assert math.isclose(baseline_error(a, 1), 9.0 / 60.0, rel_tol=1e-12)
+    assert baseline(a, 1) == ref.baseline_error(a, 1)
+    assert math.isclose(baseline(a, 1), 9.0 / 60.0, rel_tol=1e-12)
 
 
 def test_baseline_white_noise_near_two():
     a = normals(7, 10_000)
-    assert abs(baseline_error(a, 1) - 2.0) < 0.1
+    assert baseline(a, 1) == ref.baseline_error(a, 1)
+    assert abs(baseline(a, 1) - 2.0) < 0.1
 
 
 def test_baseline_window_too_short():
+    # 5 points leave one carry-forward pair at horizon 4: too few to score
+    a = np.arange(5.0)
     with pytest.raises(DegenerateWindowError):
-        baseline_error(np.arange(5.0), 4)
+        ref.baseline_error(a, 4)
+    frame = make_frame(a, a, horizon=4)
+    [window] = error_by_period(frame, WindowBuckets(5))
+    assert math.isnan(window.baseline_rel_mse) and window.degenerate
+    assert window.rel_mse == 0.0
 
 
 def test_baseline_horizon_validation():
+    # the baseline's horizon is the frame's: a frame refuses a horizon
+    # below 1, and scoring refuses one that is not an integer
     with pytest.raises(ValueError):
-        baseline_error(np.arange(10.0), 0)
+        make_frame(np.arange(10.0), np.zeros(10), horizon=0)
+    frame = ForecastFrame(series=make_frame(np.arange(10.0), np.zeros(10)).series,
+                          first=0, horizon=1.5, predicted=np.zeros(5))
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1, got 1.5"):
+        error_by_period(frame, WindowBuckets(5))
 
 
 def make_frame(actual, predicted, horizon=1, start_date=date(2002, 1, 1),
@@ -217,7 +240,7 @@ def test_protocol_refuses_an_anticipation_that_is_not_an_integer(anticipation):
     (lambda: WindowBuckets(1), "window width must be an integer >= 2, got 1"),
     (lambda: DetectorConfig(min_run=2.0),
      "min_run must be an integer >= 1, got 2.0"),
-    (lambda: baseline_error(np.arange(10.0), 0),
+    (lambda: EmbedConfig(dim=2, degree=2, horizon=0, n_fit=10),
      "horizon must be an integer >= 1, got 0"),
     (lambda: RandomWalkSpec(n="5", sigma=1.0),
      "n must be an integer >= 1, got '5'"),
@@ -267,7 +290,7 @@ def test_track_level_scores_match_recomputation():
                         relative_mse(track.frame.actual,
                                      track.frame.predicted), rel_tol=1e-12)
     assert math.isclose(track.baseline_rel_mse,
-                        baseline_error(track.frame.actual, 7), rel_tol=1e-12)
+                        ref.baseline_error(track.frame.actual, 7), rel_tol=1e-12)
 
 
 def test_scores_near_1e158_are_finite():

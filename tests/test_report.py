@@ -38,7 +38,7 @@ def write_series_csv(path: Path, series) -> None:
 @pytest.fixture(scope="module")
 def walk_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "walk.csv"
-    write_series_csv(path, gen_random_walk(120, 1.0, seed=5, name="walk"))
+    write_series_csv(path, gen_random_walk(120, 1.0, seed=5))
     return path
 
 
@@ -342,7 +342,7 @@ def long_walk_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "long.csv"
     # long enough that every forecast file spans over two write chunks
     write_series_csv(path, gen_random_walk(3 * report_module._CHUNK_ROWS, 1.0,
-                                           seed=8, name="long"))
+                                           seed=8))
     return path
 
 
@@ -363,7 +363,7 @@ def test_artifacts_match_reference_over_chunks(long_walk_csv, tmp_path):
 
 
 def test_day_first_cli_run_matches_reference(tmp_path, capsys):
-    walk = gen_random_walk(2_500, 1.0, seed=12, name="dayfirst")
+    walk = gen_random_walk(2_500, 1.0, seed=12)
     path = tmp_path / "dayfirst.csv"
     path.write_text("date,value\n" + "".join(
         f"{date.fromordinal(d):%d/%m/%Y},{float(v)!r}\n"

@@ -38,12 +38,6 @@ def test_outputs_deterministic_and_distinct_by_seed():
     assert not np.array_equal(a, outputs(8, 100))
 
 
-def test_offset_continues_the_stream():
-    whole = outputs(3, 50)
-    split = np.concatenate([outputs(3, 20), outputs(3, 30, offset=20)])
-    assert np.array_equal(whole, split)
-
-
 def test_uniform_range_and_moments():
     u = uniforms(123, 200_000)
     assert u.min() >= 0.0 and u.max() < 1.0

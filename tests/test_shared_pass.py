@@ -197,6 +197,29 @@ def test_shared_pass_matches_whole_matrix():
         assert frame.actual.tobytes() == values[target].tobytes()
 
 
+def test_models_that_end_one_row_past_a_block():
+    # the longest model's anchors run on past the first block, so the block
+    # that ends the shorter models is not the last: their last row must not
+    # be predicted again, alone, in the next block, where a one-row product
+    # may round differently
+    dim, degree = 6, 3
+    block = forecast_block_rows(84)
+    rng = np.random.default_rng(10)
+    span = dim - 1
+    values = np.cumsum(rng.standard_normal(span + 2 * block + 2))
+    horizons = [1] + [block + 1] * 16
+    models = [model_for(rng.standard_normal(84),
+                        EmbedConfig(dim=dim, degree=degree, horizon=h, n_fit=1))
+              for h in horizons]
+    frames = forecast_batch(daily_series(values), models, span)
+    assert [len(f) for f in frames] == [2 * block + 1] + [block + 1] * 16
+    for model, frame in zip(models, frames):
+        expected = reference_design.forecast_predicted(
+            values, model.coefficients, np.arange(span, span + len(frame)),
+            dim, degree, 1)
+        assert frame.predicted.tobytes() == expected.tobytes()
+
+
 def test_batch_models_must_share_an_embedding():
     a = model_for(np.ones(3), EmbedConfig(dim=2, degree=1, horizon=1, n_fit=1))
     b = model_for(np.ones(6), EmbedConfig(dim=2, degree=2, horizon=2, n_fit=1))

@@ -1,6 +1,8 @@
 """Generator tests: frozen orbits, splice continuity, rescaling algebra."""
 
 import math
+import sys
+import warnings
 from datetime import date
 
 import numpy as np
@@ -72,6 +74,25 @@ def test_walk_rejects_bad_sigma():
         gen_random_walk(10, 0.0)
     with pytest.raises(ValueError):
         gen_random_walk(10, -1.0)
+
+
+@pytest.mark.parametrize("x0,sigma,in_multiply", [
+    (0.0, 1e307, True),     # sigma times the summed normals overflows
+    (1.79e308, 1e306, False),  # that product stays finite; x0 plus it does not
+])
+def test_walk_that_overflows_is_a_divergent_orbit(x0, sigma, in_multiply):
+    # the step is the first value that is not finite, taken on Python floats
+    sums = np.cumsum(rng.normals(1, 999)).tolist()
+    step = next(j for j, c in enumerate(sums, 1)
+                if not math.isfinite(x0 + sigma * c))
+    assert math.isfinite(sigma * sums[step - 1]) != in_multiply
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergentOrbitError) as exc:
+            generate(RandomWalkSpec(n=1000, sigma=sigma, x0=x0, seed=1))
+    assert exc.value.step == step
+    assert exc.value.value == math.inf
+    assert exc.value.bound == sys.float_info.max
 
 
 def test_walk_dates_are_consecutive_days():
@@ -250,7 +271,6 @@ def test_generate_default_names():
     assert generate(map_spec).name == "map-s3"
     assert generate(SplicedSpec(walk_spec, map_spec)).name == "spliced"
     assert gen_spliced(walk_spec, map_spec).series.name == "spliced"
-    assert generate(walk_spec, "w").name == "w"
     with pytest.raises(ValueError, match="unknown generator spec"):
         generate("not a spec")
 
