@@ -9,9 +9,8 @@ predictable.
 
 from . import rng
 from ._version import __version__
-from .design import (DesignMatrix, EmbedConfig, count_coefficients,
-                     delay_matrix, embed, feature_matrix, monomial_labels,
-                     monomial_terms)
+from .design import (EmbedConfig, count_coefficients, delay_matrix, embed,
+                     feature_matrix, monomial_labels, monomial_terms)
 from .detect import (DetectorConfig, Regime, RegimeLabel, changepoints,
                      classify, detection_outcome)
 from .errors import (DegenerateMatrixError, DegenerateWindowError,
@@ -39,8 +38,8 @@ from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
                     rescale_map_coefficients)
 
 __all__ = [
-    "DesignMatrix", "EmbedConfig", "count_coefficients", "delay_matrix",
-    "embed", "feature_matrix", "monomial_labels", "monomial_terms",
+    "EmbedConfig", "count_coefficients", "delay_matrix", "embed",
+    "feature_matrix", "monomial_labels", "monomial_terms",
     "DetectorConfig", "Regime", "RegimeLabel", "changepoints", "classify",
     "detection_outcome",
     "DegenerateMatrixError", "DegenerateWindowError", "DimensionMismatchError",

@@ -141,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="generator seed (required; no ambient entropy)")
     synth.add_argument("--sigma", type=float, default=1.0,
                        help="walk increment scale (default 1.0)")
-    synth.add_argument("--x0", type=float, default=0.0,
-                       help="walk starting level (default 0.0)")
+    synth.add_argument("--x0", type=float, default=RandomWalkSpec.x0,
+                       help="walk starting level (default %(default)s)")
     synth.add_argument("--dim", type=int, default=1,
                        help="map memory depth (default 1)")
     synth.add_argument("--coeffs", type=_parse_float_list, default=None,
@@ -154,8 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--noise-sigma", type=float, default=None,
                        help="map observation noise scale (default 0 for "
                             "map, 0.01 x sigma for spliced)")
-    synth.add_argument("--bound", type=float, default=1e6,
-                       help="divergence bound for map orbits")
+    synth.add_argument("--bound", type=float, default=PolyMapSpec.bound,
+                       help="divergence bound for map orbits "
+                            "(default %(default)s)")
     synth.add_argument("--splice", type=int, default=None,
                        help="walk length before the deterministic segment "
                             "(spliced only)")
@@ -212,7 +213,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError("--kind map needs --coeffs and --init")
         if len(args.init) != args.dim:
             raise ValueError(f"--init needs exactly {args.dim} values")
-        noise = 0.0 if args.noise_sigma is None else args.noise_sigma
+        noise = (PolyMapSpec.noise_sigma if args.noise_sigma is None
+                 else args.noise_sigma)
         spec = PolyMapSpec(n=args.n, dim=args.dim, coefficients=args.coeffs,
                            init=args.init, noise_sigma=noise,
                            seed=args.seed, bound=args.bound)

@@ -129,41 +129,6 @@ def delay_matrix(values, times, dim: int, lag: int = 1) -> np.ndarray:
     return np.column_stack([values[times - i * lag] for i in range(dim)])
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """The linear system features @ a = targets.
-
-    Row n holds the polynomial features of one delay vector; targets[n] is
-    the observation horizon steps after that vector's anchor.
-    """
-
-    features: np.ndarray   # (n_fit, n_features)
-    targets: np.ndarray    # (n_fit,)
-    config: EmbedConfig
-
-    def __post_init__(self):
-        features = np.array(self.features, dtype=float)
-        targets = np.array(self.targets, dtype=float)
-        for arr in (features, targets):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "targets", targets)
-        if features.ndim != 2:
-            raise ValueError("features must be 2-d")
-        n = features.shape[0]
-        if targets.shape != (n,) or n < 1:
-            raise ValueError("features and targets must share a positive length")
-        if features.shape[1] != self.config.n_features:
-            raise ValueError(
-                f"feature count {features.shape[1]} does not match the "
-                f"configured {self.config.n_features}")
-        if not np.all(features[:, 0] == 1.0):
-            raise ValueError("the first feature column must be constant 1")
-
-    def __len__(self) -> int:
-        return int(self.features.shape[0])
-
-
 # Forecast features are built in blocks of anchors, each about this many
 # bytes of float64 (rows x N_c x 8), so memory does not grow with the anchor
 # count and a block stays in cache while it is multiplied.
@@ -185,8 +150,8 @@ def forecast_block_rows(n_features: int) -> int:
 
 # The largest feature matrix embed or forecast_batch builds, in bytes of
 # float64 (rows x N_c x 8).  A fit holds several arrays of its design's
-# size at once (the design, its copy in DesignMatrix, the SVD's factors),
-# so a larger one would exhaust the memory of a typical machine.
+# size at once (the design and the SVD's factors), so a larger one would
+# exhaust the memory of a typical machine.
 MAX_DESIGN_BYTES = 1 << 28
 
 
@@ -206,11 +171,12 @@ def check_design_size(config: EmbedConfig) -> None:
 
 
 def embed(series: TimeSeries, config: EmbedConfig,
-          start: int | None = None) -> DesignMatrix:
-    """Build the constraint system from n_fit consecutive anchors.
+          start: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint system features @ a = targets of n_fit consecutive
+    anchors, as the arrays (features, targets).
 
-    Row n holds the features of the delay vector at t = start + n and the
-    target v(start + n + horizon).  start defaults to the earliest
+    Row n holds the features of the delay vector at t = start + n, and
+    targets[n] is v(start + n + horizon).  start defaults to the earliest
     feasible index (dim-1)*lag, so the fit consumes the earliest rows.
     An embedding check_design_size refuses is refused before any is built.
     """
@@ -227,5 +193,4 @@ def embed(series: TimeSeries, config: EmbedConfig,
     times = np.arange(start, start + config.n_fit)
     features = feature_matrix(delay_matrix(values, times, config.dim, config.lag),
                               config.degree)
-    return DesignMatrix(features=features, targets=values[times + config.horizon],
-                        config=config)
+    return features, values[times + config.horizon]

@@ -18,7 +18,7 @@ from datetime import date
 
 import numpy as np
 
-from .design import EmbedConfig, embed
+from .design import EmbedConfig
 from .errors import DegenerateWindowError, check_int
 from .ingest import TimeSeries
 from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, fit,
@@ -194,7 +194,6 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     if len(frame) == 0:
         raise ValueError("no forecast records to score")
     h = frame.horizon
-    check_int("horizon", h)
     labels, stacks = _stacks(frame, bucketing)
     scores = [_score_frame(frame, lo, k, w, h) for lo, k, w in stacks]
     rel = np.concatenate([r for r, _ in scores]).tolist()
@@ -273,7 +272,7 @@ def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
     """Fit on the earliest fit_window constraints, separately for each
     anticipation value, then forecast everything after in one pass over
     the anchors and score per bucket."""
-    models = [fit(embed(series, protocol.embed_config(horizon)),
+    models = [fit(series, protocol.embed_config(horizon),
                   rank_tolerance=rank_tolerance, standardize=standardize)
               for horizon in protocol.anticipation]
     first = models[0].config.span + protocol.fit_window

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (DesignMatrix, EmbedConfig, delay_matrix, feature_matrix,
+from .design import (EmbedConfig, delay_matrix, embed, feature_matrix,
                      forecast_block_rows, monomial_labels)
 from .errors import (DegenerateMatrixError, DimensionMismatchError,
-                     InfeasibleWindowError, NumericalFailureError)
+                     InfeasibleWindowError, NumericalFailureError, check_int)
 from .ingest import TimeSeries
 
 _ABS_FLOOR = 1e-300
 
-MODEL_SCHEMA_VERSION = 1
 DEFAULT_RANK_TOLERANCE = 1e-10
 
 
@@ -110,26 +109,6 @@ class FittedModel:
         """The name of each coefficient's feature column."""
         return monomial_labels(self.config.dim, self.config.degree)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "config": {
-                "dim": self.config.dim,
-                "degree": self.config.degree,
-                "horizon": self.config.horizon,
-                "n_fit": self.config.n_fit,
-                "lag": self.config.lag,
-            },
-            "feature_labels": list(self.feature_labels),
-            "coefficients": [float(c) for c in self.coefficients],
-            "standardized": self.standardized,
-            "diagnostics": {
-                "rank": self.diagnostics.rank,
-                "residual_norm": float(self.diagnostics.residual_norm),
-                "singular_values": [float(s) for s in self.diagnostics.singular_values],
-            },
-        }
-
 
 # A norm at least this large cannot owe its last bit to a square that
 # underflowed: such a square is below 2**-1022, over 2**100 times smaller
@@ -151,9 +130,11 @@ def _norm(x: np.ndarray) -> float:
         return float(np.ldexp(np.linalg.norm(np.ldexp(x, -shift)), shift))
 
 
-def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
+        rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
         standardize: bool = False) -> FittedModel:
-    """Estimate model coefficients from a constraint system.
+    """Estimate model coefficients from the constraint system that
+    embed(series, config, start) builds.
 
     With standardize=True the non-constant feature columns are z-scored
     before the solve and the solution is mapped back to original units.
@@ -163,8 +144,7 @@ def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
     decomposed; the residual norm is always in original units.  A column
     whose standard deviation overflows raises NumericalFailureError.
     """
-    W = dm.features
-    y = dm.targets
+    W, y = embed(series, config, start)
     if standardize:
         with np.errstate(over="ignore", invalid="ignore"):
             mean = W.mean(axis=0)
@@ -183,7 +163,7 @@ def fit(dm: DesignMatrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
         coef, rank, s = lstsq_min_norm(W, y, rank_tolerance)
     return FittedModel(
         coefficients=coef,
-        config=dm.config,
+        config=config,
         diagnostics=FitDiagnostics(rank=rank, singular_values=s,
                                    residual_norm=_norm(W @ coef - y)),
         standardized=standardize,
@@ -218,13 +198,14 @@ class ForecastFrame:
     predicted: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "first", check_int("first", self.first, 0))
+        object.__setattr__(self, "horizon", check_int("horizon", self.horizon))
         predicted = np.asarray(self.predicted, dtype=float).view()
         predicted.setflags(write=False)
         object.__setattr__(self, "predicted", predicted)
         if predicted.ndim != 1:
             raise ValueError("predicted must be 1-d")
-        if not (0 <= self.first and self.horizon >= 1 and self.first
-                + self.horizon + predicted.size <= len(self.series)):
+        if self.first + self.horizon + predicted.size > len(self.series):
             raise ValueError(
                 f"{predicted.size} records from anchor {self.first} at horizon "
                 f"{self.horizon} do not fit a series of {len(self.series)} points")

@@ -36,10 +36,12 @@ from .evaluate import (PredictabilityReport, ProtocolConfig, WindowBuckets,
 from .ingest import (DEFAULT_DATE_COL, DEFAULT_DATE_FORMAT, DEFAULT_GAP_POLICY,
                      DEFAULT_VALUE_COL, GAP_POLICIES, TimeSeries, clean,
                      load_csv)
-from .model import DEFAULT_RANK_TOLERANCE, ForecastFrame, check_rank_tolerance
+from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame,
+                    check_rank_tolerance)
 
 REPORT_SCHEMA_VERSION = 1
 TRUTH_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 1
 
 _BUCKET_YEAR = "year"
 
@@ -326,6 +328,24 @@ def run_from_config(config: RunConfig) -> RunResult:
                      n_interpolated=len(series) - len(raw))
 
 
+def _model_payload(model: FittedModel) -> dict[str, Any]:
+    config = model.config
+    return {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "config": {"dim": config.dim, "degree": config.degree,
+                   "horizon": config.horizon, "n_fit": config.n_fit,
+                   "lag": config.lag},
+        "feature_labels": list(model.feature_labels),
+        "coefficients": model.coefficients.tolist(),
+        "standardized": model.standardized,
+        "diagnostics": {
+            "rank": model.diagnostics.rank,
+            "residual_norm": float(model.diagnostics.residual_norm),
+            "singular_values": model.diagnostics.singular_values.tolist(),
+        },
+    }
+
+
 def _window_payload(window) -> dict[str, Any]:
     return {
         "label": window.label,
@@ -366,7 +386,7 @@ def build_payload(result: RunResult) -> dict[str, Any]:
             "n_forecasts": len(track.frame),
             "rel_mse": track.rel_mse,
             "baseline_rel_mse": track.baseline_rel_mse,
-            "model": track.model.to_json_dict(),
+            "model": _model_payload(track.model),
             "windows": [_window_payload(w) for w in track.windows],
             "detection": _detection_payload(labels, track.windows),
         })

@@ -322,7 +322,7 @@ SPLICE_MAP_SCALE = 60.0
 def logistic_splice(walk: RandomWalkSpec, n_map: int, noise_sigma: float,
                     map_r: float = SPLICE_MAP_R,
                     map_scale: float = SPLICE_MAP_SCALE,
-                    bound: float = 1e6) -> SplicedSpec:
+                    bound: float = PolyMapSpec.bound) -> SplicedSpec:
     """A walk, then n_map points of the logistic map with parameter map_r,
     conjugated to map_scale * walk.sigma wide around the walk's last value
     so the deterministic half continues from where the walk stops.  The

@@ -19,7 +19,7 @@ from datetime import date
 import numpy as np
 
 from maxentcast import DegenerateWindowError, WindowBuckets, YearBuckets
-from maxentcast import embed, feature_matrix, fit, predict
+from maxentcast import feature_matrix, fit, predict
 from maxentcast.design import delay_matrix
 from maxentcast.model import forecast_block_rows
 
@@ -129,7 +129,7 @@ def run_protocol(series, protocol, rank_tolerance=1e-10, standardize=False):
     tracks = []
     for horizon in protocol.anticipation:
         cfg = protocol.embed_config(horizon)
-        model = fit(embed(series, cfg), rank_tolerance=rank_tolerance,
+        model = fit(series, cfg, rank_tolerance=rank_tolerance,
                     standardize=standardize)
         first = cfg.span + protocol.fit_window
         times = range(first, len(series) - horizon)

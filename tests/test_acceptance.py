@@ -18,7 +18,7 @@ from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
                         ProtocolConfig, RandomWalkSpec, Regime, WindowBuckets,
                         chaotic_quad_map_coefficients, classify,
                         changepoints, clean, count_coefficients,
-                        detection_outcome, embed, fit, gen_random_walk,
+                        detection_outcome, fit, gen_random_walk,
                         gen_spliced, generate, henon_map_coefficients,
                         load_csv, logistic_splice, lstsq_min_norm, pinv,
                         relative_mse, rng, run_protocol)
@@ -44,7 +44,7 @@ def test_criterion_1_coefficient_round_trip():
         series = generate(PolyMapSpec(n=600, dim=dim, coefficients=coefs,
                                       init=init, seed=idx))
         cfg = EmbedConfig(dim=dim, degree=2, horizon=1, n_fit=200)
-        model = fit(embed(series, cfg, start=300))
+        model = fit(series, cfg, start=300)
         err = float(np.max(np.abs(model.coefficients - np.asarray(coefs))))
         worst = max(worst, err)
     elapsed = time.perf_counter() - t0

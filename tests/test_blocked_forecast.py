@@ -29,6 +29,7 @@ from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel, TimeSeries,
                         gen_random_walk)
 from maxentcast.design import delay_matrix
 from maxentcast.model import forecast_block_rows
+from maxentcast.report import _model_payload
 
 from conftest import BLAS_PINNED, daily_series
 
@@ -56,7 +57,7 @@ def fitted(dim, degree, lag):
                       lag=lag)
     series = gen_random_walk(cfg.span + cfg.n_fit + LONG + HORIZON, 1.0,
                              seed=100 * dim + 10 * degree + lag)
-    return series, cfg, fit(embed(series, cfg))
+    return series, cfg, fit(series, cfg)
 
 
 def trimmed(series, n):
@@ -86,10 +87,10 @@ def test_blocked_forecast_matches_whole_matrix(dim, degree, lag):
 @pytest.mark.parametrize("dim,degree,lag", GEOMETRIES)
 def test_embed_features_match_reference(dim, degree, lag):
     series, cfg, _ = fitted(dim, degree, lag)
-    dm = embed(series, cfg)
+    features, _ = embed(series, cfg)
     delays = delay_matrix(series.values,
                           np.arange(cfg.span, cfg.span + cfg.n_fit), dim, lag)
-    assert dm.features.tobytes() == ref.feature_matrix(delays, degree).tobytes()
+    assert features.tobytes() == ref.feature_matrix(delays, degree).tobytes()
 
 
 def test_block_rows_fill_the_budget_in_multiples_of_64():
@@ -110,8 +111,8 @@ def model_for(coefficients, cfg):
 
 @pytest.mark.usefixtures("blas_pinned")
 def test_blocked_forecast_matches_whole_matrix_past_the_floor():
-    # N_c = 1287 gets the 128-row floor; 129 and 257 anchors end on a
-    # one-row block, which is moved 64 rows back
+    # N_c = 1287 gets the 128-row floor; 129 and 257 anchors leave a
+    # one-row remainder, which joins the block before it
     cfg = EmbedConfig(dim=8, degree=5, horizon=2, n_fit=1)
     rng = np.random.default_rng(5)
     values = np.cumsum(rng.standard_normal(cfg.span + 400 + cfg.horizon))
@@ -175,8 +176,8 @@ def test_predictions_do_not_depend_on_blas_threads():
     n, seed = 199_987, 11
     series = gen_random_walk(n, 1.0, seed=seed)
     models = json.dumps([
-        fit(embed(series, EmbedConfig(dim=6, degree=3, horizon=horizon,
-                                      n_fit=700))).to_json_dict()
+        _model_payload(fit(series, EmbedConfig(dim=6, degree=3,
+                                               horizon=horizon, n_fit=700)))
         for horizon in (HORIZON, 10, 13, 16)])
     digests = []
     for threads in ("1", "2"):

@@ -11,7 +11,8 @@ import pytest
 
 from maxentcast import (RandomWalkSpec, RunConfig, clean, dumps_canonical,
                         generate, load_csv)
-from maxentcast import evaluate as evaluate_module
+from maxentcast import design as design_module
+from maxentcast import model as model_module
 from maxentcast.cli import _build_parser, _run_config, main
 from maxentcast.report import write_series_csv
 from maxentcast.synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE,
@@ -635,14 +636,20 @@ def test_crlf_quoted_copy_gives_the_same_artifacts(tmp_path, capsys,
     assert artifacts["lf"] == artifacts["crlf"]
 
 
+def refuse_feature_matrices(monkeypatch):
+    """Make building any feature matrix, for a fit or a forecast, fail."""
+    def no_features(*args, **kwargs):
+        raise AssertionError("a feature matrix was built")
+
+    for module in (design_module, model_module):
+        monkeypatch.setattr(module, "feature_matrix", no_features)
+
+
 def test_run_refuses_an_oversize_forecast_block(walk_csv_60, tmp_path, capsys,
                                                 monkeypatch):
     # --d 60 --np 4 gives N_c = 635,376: a 254 MB fit design at M = 50,
     # and a forecast block buffer of 129 rows, 656 MB
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a model was fitted")
-
-    monkeypatch.setattr(evaluate_module, "fit", no_fit)
+    refuse_feature_matrices(monkeypatch)
     code, _, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
                            "--d", "60", "--np", "4", "--fit-window", "50",
                            "--out", str(tmp_path / "run"))
@@ -656,10 +663,7 @@ def test_run_refuses_an_oversize_forecast_block(walk_csv_60, tmp_path, capsys,
 def test_run_refuses_an_oversize_design_before_fitting(walk_csv_60, tmp_path,
                                                        capsys, monkeypatch):
     # --d 30 --np 5 gives N_c = 324,632: about 1.8 GB of design at M = 700
-    def no_fit(*args, **kwargs):
-        raise AssertionError("a model was fitted")
-
-    monkeypatch.setattr(evaluate_module, "fit", no_fit)
+    refuse_feature_matrices(monkeypatch)
     code, _, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
                            "--d", "30", "--np", "5",
                            "--out", str(tmp_path / "run"))

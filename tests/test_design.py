@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxentcast import (DesignMatrix, EmbedConfig, count_coefficients,
-                        delay_matrix, embed, feature_matrix, monomial_labels,
-                        monomial_terms)
+from maxentcast import (EmbedConfig, count_coefficients, delay_matrix, embed,
+                        feature_matrix, monomial_labels, monomial_terms)
 from maxentcast import design as design_module
 from maxentcast.design import (MAX_DESIGN_BYTES, check_design_size,
                                forecast_block_rows)
@@ -116,11 +115,11 @@ def test_delay_vector_orientation():
 def test_embed_tiny_worked_example():
     s = daily_series([1, 2, 3, 4, 5, 6])
     cfg = EmbedConfig(dim=2, degree=1, horizon=1, n_fit=2)
-    dm = embed(s, cfg, start=1)
-    assert dm.features.tolist() == [[1, 2, 1], [1, 3, 2]]
-    assert dm.targets.tolist() == [3, 4]
+    features, targets = embed(s, cfg, start=1)
+    assert features.tolist() == [[1, 2, 1], [1, 3, 2]]
+    assert targets.tolist() == [3, 4]
     # row n is the delay vector anchored at start + n
-    assert dm.features[:, 1].tolist() == s.values[np.arange(1, 1 + 2)].tolist()
+    assert features[:, 1].tolist() == s.values[np.arange(1, 1 + 2)].tolist()
 
 
 def _assert_embed_row_limit(n, dim, lag, horizon, limit):
@@ -167,16 +166,10 @@ def test_embed_start_before_span_is_infeasible():
 def test_ramp_targets_are_first_component_plus_horizon(dim, lag, horizon,
                                                        n_fit):
     s = daily_series(np.arange(60.0))
-    dm = embed(s, EmbedConfig(dim=dim, degree=1, horizon=horizon,
-                              n_fit=n_fit, lag=lag))
-    first_component = dm.features[:, 1] if dim >= 1 else None
-    assert np.array_equal(dm.targets, first_component + horizon)
-
-
-def test_design_matrix_requires_constant_column():
-    with pytest.raises(ValueError):
-        DesignMatrix(features=np.array([[2.0, 1.0]]), targets=np.array([1.0]),
-                     config=EmbedConfig(dim=1, degree=1, horizon=1, n_fit=1))
+    features, targets = embed(s, EmbedConfig(dim=dim, degree=1,
+                                             horizon=horizon, n_fit=n_fit,
+                                             lag=lag))
+    assert np.array_equal(targets, features[:, 1] + horizon)
 
 
 def test_embed_config_span_and_features():

@@ -123,14 +123,21 @@ def test_baseline_window_too_short():
 
 
 def test_baseline_horizon_validation():
-    # the baseline's horizon is the frame's: a frame refuses a horizon
-    # below 1, and scoring refuses one that is not an integer
+    # the baseline's horizon is the frame's: a frame refuses, when it is
+    # built, a horizon below 1 or one that is not an integer, and an
+    # anchor below 0 or one that is not an integer
     with pytest.raises(ValueError):
         make_frame(np.arange(10.0), np.zeros(10), horizon=0)
-    frame = ForecastFrame(series=make_frame(np.arange(10.0), np.zeros(10)).series,
-                          first=0, horizon=1.5, predicted=np.zeros(5))
+    series = make_frame(np.arange(10.0), np.zeros(10)).series
     with pytest.raises(ValueError, match="horizon must be an integer >= 1, got 1.5"):
-        error_by_period(frame, WindowBuckets(5))
+        ForecastFrame(series=series, first=0, horizon=1.5, predicted=np.zeros(5))
+    for first in (-1, 1.0):
+        with pytest.raises(ValueError, match=r"first must be an integer >= 0"):
+            ForecastFrame(series=series, first=first, horizon=1,
+                          predicted=np.zeros(5))
+    frame = ForecastFrame(series=series, first=np.int64(2),
+                          horizon=np.int32(3), predicted=np.zeros(5))
+    assert (type(frame.first), type(frame.horizon)) == (int, int)
 
 
 def make_frame(actual, predicted, horizon=1, start_date=date(2002, 1, 1),

@@ -15,6 +15,7 @@ from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
 from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
                                InfeasibleWindowError, NumericalFailureError)
 from maxentcast.model import _norm
+from maxentcast.report import _model_payload
 
 from conftest import daily_series
 
@@ -137,8 +138,7 @@ def quad_map_fit(n_fit=100, n=154):
     series = generate(PolyMapSpec(n=n, dim=2, coefficients=QUAD_COEFFS,
                                   init=(1.5, 1.5)))
     cfg = EmbedConfig(dim=2, degree=2, horizon=1, n_fit=n_fit)
-    dm = embed(series, cfg)
-    return series, cfg, fit(dm)
+    return series, cfg, fit(series, cfg)
 
 
 def test_known_quadratic_map_recovery():
@@ -149,9 +149,9 @@ def test_known_quadratic_map_recovery():
 
 def test_recovered_model_predicts_held_out_rows():
     series, _, model = quad_map_fit()
-    held_out = held_out_rows(series, start=102, n_rows=50)
-    assert len(held_out.targets) >= 50
-    errors = predict(model, held_out.features) - held_out.targets
+    features, targets = held_out_rows(series, start=102, n_rows=50)
+    assert len(targets) >= 50
+    errors = predict(model, features) - targets
     assert np.abs(errors).max() < 1e-6
 
 
@@ -193,7 +193,7 @@ def test_forecast_empty_range():
 def test_forecast_constant_series_is_exact():
     series = daily_series(np.full(40, 5.0))
     cfg = EmbedConfig(dim=3, degree=2, horizon=2, n_fit=12)
-    model = fit(embed(series, cfg))
+    model = fit(series, cfg)
     frame = forecast_series(series, model, 14)
     assert len(frame) == 24
     assert np.abs(frame.predicted - 5.0).max() < 1e-9
@@ -202,7 +202,7 @@ def test_forecast_constant_series_is_exact():
 def test_forecast_alignment_on_ramp():
     series = daily_series(np.arange(60.0))
     cfg = EmbedConfig(dim=2, degree=1, horizon=7, n_fit=20)
-    model = fit(embed(series, cfg))
+    model = fit(series, cfg)
     frame = forecast_series(series, model, 25)
     # anchors 25..52 predict targets 32..59, the last row of the series;
     # actual is v(t+7) = t+7
@@ -229,7 +229,7 @@ def test_fit_diagnostics_shape():
 
 def test_json_dict_holds_exact_values():
     _, cfg, model = quad_map_fit()
-    doc = json.loads(json.dumps(model.to_json_dict()))
+    doc = json.loads(json.dumps(_model_payload(model)))
     assert doc["coefficients"] == model.coefficients.tolist()
     assert (doc["diagnostics"]["singular_values"]
             == model.diagnostics.singular_values.tolist())
@@ -238,10 +238,9 @@ def test_json_dict_holds_exact_values():
 
 def test_standardized_fit_matches_raw_when_well_conditioned():
     series, cfg, _ = quad_map_fit()
-    dm = embed(series, cfg)
-    raw = fit(dm)
-    std = fit(dm, standardize=True)
-    rows = held_out_rows(series, start=105, n_rows=40).features
+    raw = fit(series, cfg)
+    std = fit(series, cfg, standardize=True)
+    rows, _ = held_out_rows(series, start=105, n_rows=40)
     assert np.allclose(predict(raw, rows), predict(std, rows),
                        rtol=1e-7, atol=1e-9)
     assert std.standardized and not raw.standardized
@@ -251,11 +250,11 @@ def test_standardized_fit_refuses_overflowing_scales():
     # the squared deviations of values near 1e160 overflow a double
     walk = np.cumsum(np.random.default_rng(1).standard_normal(60))
     series = daily_series(1e160 * (1.0 + 0.01 * walk))
-    dm = embed(series, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40))
+    cfg = EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError):
-            fit(dm, standardize=True)
+            fit(series, cfg, standardize=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,15 +281,16 @@ def test_residual_norm_survives_overflow_and_underflow():
             assert _norm(scale * x) == scale * _norm(x)
     assert _norm(np.zeros(3)) == 0.0
     walk = np.cumsum(np.random.default_rng(1).standard_normal(60))
-    dm = embed(daily_series(1e160 * (1.0 + 0.01 * walk)),
-               EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40))
-    norm = fit(dm).diagnostics.residual_norm
+    norm = fit(daily_series(1e160 * (1.0 + 0.01 * walk)),
+               EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40)
+               ).diagnostics.residual_norm
     assert math.isfinite(norm) and norm > 1e150
 
 
 def test_residual_norm_keeps_the_plain_norm_bits():
     series = daily_series(np.sin(np.arange(80.0)))
-    dm = embed(series, EmbedConfig(dim=3, degree=2, horizon=2, n_fit=50))
-    model = fit(dm)
-    plain = float(np.linalg.norm(dm.features @ model.coefficients - dm.targets))
+    cfg = EmbedConfig(dim=3, degree=2, horizon=2, n_fit=50)
+    model = fit(series, cfg)
+    features, targets = embed(series, cfg)
+    plain = float(np.linalg.norm(features @ model.coefficients - targets))
     assert model.diagnostics.residual_norm == plain

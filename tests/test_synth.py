@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from maxentcast import (DivergentOrbitError, EmbedConfig, PolyMapSpec,
                         RandomWalkSpec, SplicedSpec,
-                        chaotic_quad_map_coefficients, embed, fit,
+                        chaotic_quad_map_coefficients, fit,
                         gen_random_walk, gen_spliced, generate,
                         henon_map_coefficients, logistic_map_coefficients,
                         logistic_splice, monomial_terms,
@@ -314,5 +314,5 @@ def test_generated_map_coefficients_recoverable():
     series = generate(PolyMapSpec(n=400, dim=2, coefficients=coefs,
                                   init=(0.1, 0.1)))
     cfg = EmbedConfig(dim=2, degree=2, horizon=1, n_fit=200)
-    model = fit(embed(series, cfg, start=150))
+    model = fit(series, cfg, start=150)
     assert np.max(np.abs(model.coefficients - np.asarray(coefs))) < 1e-6
