@@ -32,8 +32,7 @@ from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      summary_csv_text, verify_detection, write_forecast_csvs,
                      write_json_atomic, write_run_artifacts, write_text_atomic)
 from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
-                    chaotic_quad_map_coefficients, gen_random_walk,
-                    gen_spliced, generate, henon_map_coefficients,
+                    gen_random_walk, gen_spliced, generate,
                     logistic_map_coefficients, logistic_splice,
                     rescale_map_coefficients)
 
@@ -60,8 +59,8 @@ __all__ = [
     "write_forecast_csvs", "write_json_atomic", "write_run_artifacts",
     "write_text_atomic",
     "PolyMapSpec", "RandomWalkSpec", "SplicedSeries", "SplicedSpec",
-    "chaotic_quad_map_coefficients", "gen_random_walk", "gen_spliced",
-    "generate", "henon_map_coefficients", "logistic_map_coefficients",
-    "logistic_splice", "rescale_map_coefficients",
+    "gen_random_walk", "gen_spliced", "generate",
+    "logistic_map_coefficients", "logistic_splice",
+    "rescale_map_coefficients",
     "rng", "__version__",
 ]

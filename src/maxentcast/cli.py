@@ -37,8 +37,9 @@ from .report import (RunConfig, TRUTH_SCHEMA_VERSION, bucket_text,
                      dumps_canonical, load_report, load_truth, parse_bucket,
                      run_from_config, verify_detection, write_json_atomic,
                      write_run_artifacts, write_series_csv)
-from .synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE, PolyMapSpec,
-                    RandomWalkSpec, SplicedSpec, generate, logistic_splice)
+from .synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE, SPLICE_NOISE,
+                    PolyMapSpec, RandomWalkSpec, SplicedSpec, generate,
+                    logistic_splice)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -153,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="map initial values, most recent first")
     synth.add_argument("--noise-sigma", type=float, default=None,
                        help="map observation noise scale (default 0 for "
-                            "map, 0.01 x sigma for spliced)")
+                            f"map, {SPLICE_NOISE} x sigma for spliced)")
     synth.add_argument("--bound", type=float, default=PolyMapSpec.bound,
                        help="divergence bound for map orbits "
                             "(default %(default)s)")
@@ -225,7 +226,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             raise ValueError("--kind spliced needs --splice")
         walk = RandomWalkSpec(n=args.splice, sigma=args.sigma, x0=args.x0,
                               seed=args.seed)
-        noise = (0.01 * args.sigma if args.noise_sigma is None
+        noise = (SPLICE_NOISE * args.sigma if args.noise_sigma is None
                  else args.noise_sigma)
         if args.coeffs is None:
             spec = logistic_splice(walk, args.n - args.splice, noise,

@@ -221,6 +221,8 @@ def iso_days(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     year from 1, a month from 1 to 12 and a day inside its month.  The
     ordinal of any other row is meaningless.
     """
+    # Not numpy's S10 -> datetime64[D] cast: on NumPy 2.4.6 a failing cast
+    # (a month 13) segfaults from 501 rows up; 500 rows raise ValueError.
     digits = text - np.uint8(_ZERO)  # a byte below "0" wraps above 9
     ok = (text[:, 4] == _MINUS) & (text[:, 7] == _MINUS)
     for col in (0, 1, 2, 3, 5, 6, 8, 9):

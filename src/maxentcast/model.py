@@ -141,17 +141,17 @@ def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
     In exact arithmetic predictions are unchanged; the switch only moves
     which directions fall under the rank cutoff, so it is a conditioning
     control, off by default.  Diagnostics describe the matrix actually
-    decomposed; the residual norm is always in original units.  A column
-    whose standard deviation overflows raises NumericalFailureError.
+    decomposed; the residual norm is always in original units.
     """
     W, y = embed(series, config, start)
     if standardize:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = W.mean(axis=0)
-            sd = W.std(axis=0)
-        if not np.isfinite(sd).all():
-            raise NumericalFailureError(
-                f"feature column scales {sd.tolist()} are not finite")
+        # Each column's moments are taken after scaling it by 2**-e, where
+        # 2**e bounds its largest magnitude, so no square overflows; the
+        # scaling is exact, so a column that needs no rescue keeps its bits.
+        shift = np.frexp(np.max(np.abs(W), axis=0))[1]
+        scaled = np.ldexp(W, -shift)
+        mean = np.ldexp(scaled.mean(axis=0), shift)
+        sd = np.ldexp(scaled.std(axis=0), shift)
         scale = np.where(sd > 0, sd, 1.0)
         center = np.where(sd > 0, mean, 0.0)
         scale[0] = 1.0

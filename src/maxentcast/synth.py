@@ -255,30 +255,6 @@ def logistic_map_coefficients(r: float) -> tuple[float, float, float]:
     return (0.0, float(r), -float(r))
 
 
-def henon_map_coefficients(a: float = 1.4, b: float = 0.3) -> tuple[float, ...]:
-    """v(t+1) = 1 - a v1^2 + b v2 (dim 2, degree 2), chaotic at defaults."""
-    return (1.0, 0.0, float(b), -float(a), 0.0, 0.0)
-
-
-def chaotic_quad_map_coefficients(dim: int, a: float = 1.76,
-                                  b: float = 0.1) -> tuple[float, ...]:
-    """v(t+1) = a - v_{dim-1}^2 - b v_dim for dim >= 2.
-
-    A standard family of bounded chaotic quadratic delay maps whose
-    memory genuinely spans all dim lags, which keeps the embedded feature
-    matrix well conditioned for coefficient-recovery checks.
-    """
-    if dim < 2:
-        raise ValueError("this family needs dim >= 2")
-    terms = monomial_terms(dim, 2)
-    index = {t: i for i, t in enumerate(terms)}
-    out = [0.0] * len(terms)
-    out[index[()]] = float(a)
-    out[index[(dim - 1,)]] = -float(b)
-    out[index[(dim - 2, dim - 2)]] = -1.0
-    return tuple(out)
-
-
 def rescale_map_coefficients(coefficients, dim: int, level: float,
                              scale: float) -> tuple[float, ...]:
     """Conjugate a polynomial delay map by the affine change v = level + scale*u.
@@ -314,9 +290,11 @@ def rescale_map_coefficients(coefficients, dim: int, level: float,
 
 
 # The planted regime of the detection experiments: a two-band chaotic
-# logistic map whose orbit spans SPLICE_MAP_SCALE walk sigmas.
+# logistic map whose orbit spans SPLICE_MAP_SCALE walk sigmas, with noise
+# of SPLICE_NOISE walk sigmas.
 SPLICE_MAP_R = 3.59
 SPLICE_MAP_SCALE = 60.0
+SPLICE_NOISE = 0.01
 
 
 def logistic_splice(walk: RandomWalkSpec, n_map: int, noise_sigma: float,

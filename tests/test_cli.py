@@ -19,6 +19,7 @@ from maxentcast.synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE,
                               logistic_splice)
 
 from test_fast_paths import _tokenizers
+from test_scripts import run_script
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -307,6 +308,8 @@ def test_run_defaults_are_the_config_defaults():
 
 @pytest.mark.parametrize("flag", [("--theta", "1.5"), ("--min-run", "0"),
                                   ("--d", "0"), ("--anticipation", "0"),
+                                  ("--anticipation", "7",
+                                   "--anticipation", "7"),
                                   ("--bucket", "window:1"),
                                   ("--rank-tol", "2")], ids=" ".join)
 def test_run_checks_settings_before_reading_input(flag, tmp_path, capsys):
@@ -351,12 +354,12 @@ def test_run_overflowing_features_is_numerical_error(write_csv, tmp_path):
     assert json.loads(lines[0])["category"] == "numerical"
 
 
-def big_walk_csv(write_csv):
-    """1,200 business days of 1e160 * (1 + 0.01 * walk)."""
+def big_walk_csv(write_csv, scale=1e160):
+    """1,200 business days of scale * (1 + 0.01 * walk)."""
     days = np.busday_offset(np.datetime64("2000-01-03"), np.arange(1200),
                             roll="forward")
     walk = np.cumsum(np.random.default_rng(1).standard_normal(1200))
-    values = 1e160 * (1.0 + 0.01 * walk)
+    values = scale * (1.0 + 0.01 * walk)
     return write_csv([f"{d},{float(v)!r}"
                       for d, v in zip(np.datetime_as_string(days), values)])
 
@@ -402,17 +405,36 @@ def test_run_near_overflow_prints_no_numpy_warning(write_csv, tmp_path):
     assert not [line for line in proc.stderr.splitlines() if "Warning" in line]
 
 
-def test_run_standardize_overflow_is_numerical_error(write_csv, tmp_path):
-    # the column scales overflow, so no standardized fit can be formed
+def test_run_standardize_near_overflow_matches_unit_scale(write_csv, tmp_path,
+                                                          capsys):
+    # the squared deviations of the features overflow, so the column
+    # moments are taken at a power-of-two scale; the run then scores the
+    # windows as it does the same walk at unit scale
+    big, unit = tmp_path / "big", tmp_path / "unit"
     proc = subprocess.run([sys.executable, "-m", "maxentcast", "run",
                            "--input", str(big_walk_csv(write_csv)),
-                           "--np", "1", "--standardize",
-                           "--out", str(tmp_path / "run")],
-                          capture_output=True, text=True)
-    assert proc.returncode == 5
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert json.loads(lines[0])["error"] == "NumericalFailureError"
+                           "--np", "1", "--standardize", "--out", str(big)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONWARNINGS": "error"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    code, _, err = run_cli(capsys, "run", "--input",
+                           str(big_walk_csv(write_csv, scale=1.0)),
+                           "--np", "1", "--standardize", "--out", str(unit))
+    assert code == 0, err
+    tracks = [json.loads((out / "report.json").read_text())
+              ["payload"]["tracks"] for out in (big, unit)]
+    assert len(tracks[0]) == len(tracks[1]) == 4
+    for got, want in zip(*tracks):
+        assert (got["model"]["diagnostics"]["rank"]
+                == want["model"]["diagnostics"]["rank"])
+        assert ([lab["regime"] for lab in got["detection"]["labels"]]
+                == [lab["regime"] for lab in want["detection"]["labels"]])
+        assert len(got["windows"]) == len(want["windows"])
+        for g, w in zip(got["windows"], want["windows"]):
+            assert g["degenerate"] == w["degenerate"] is False
+            for key in ("rel_mse", "baseline_rel_mse"):
+                assert g[key] == pytest.approx(w[key], rel=1e-12, abs=0)
 
 
 # ----------------------------------------------------------------- verify
@@ -565,27 +587,6 @@ def test_verify_missing_report_is_ingest_error(tmp_path, capsys):
     assert stderr_json(err)["category"] == "ingest"
 
 
-# ---------------------------------------------------------------- scripts
-
-# script: (arguments, a line start of its summary)
-SCRIPT_RUNS = {
-    "detection_power.py": (["--n-series", "2"], "trials: 2, hit rate"),
-    "null_calibration.py": (["--n-series", "2"], "flagged windows:"),
-    "spliced_demo.py": (["--out", "demo"], "changepoint planted at index"),
-}
-
-
-@pytest.mark.parametrize("script", sorted(SCRIPT_RUNS))
-def test_script_runs(script, tmp_path):
-    args, summary = SCRIPT_RUNS[script]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *args], cwd=tmp_path, env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert any(line.startswith(summary) for line in proc.stdout.splitlines())
-
-
 def test_run_near_overflow_reports_a_finite_residual_norm(write_csv, tmp_path,
                                                           capsys):
     # the residual's plain norm overflows; it is summed again after an
@@ -673,3 +674,48 @@ def test_run_refuses_an_oversize_design_before_fitting(walk_csv_60, tmp_path,
     assert line["category"] == "window"
     assert line["error"] == "InfeasibleWindowError"
     assert "324632 features" in line["message"]
+
+
+# ---------------------------------------------------------------- scripts
+
+# scripts/calibrate.py runs the experiments of the two scripts it replaced;
+# each case pins the figure lines of one experiment, as printed by one run
+# of `calibrate.py --walks 2 --splices 2`
+CALIBRATE_FIGURES = {
+    "null_calibration.py": [
+        "series: 2 x 2000 points, window width 125",
+        "flagged windows: 0/88 (0.00%)",
+        "score quantiles (rel_mse / baseline):",
+        "  p05  0.7518",
+        "  p25  1.0123",
+        "  p50  1.1594",
+        "  p75  1.4345",
+        "  p95  2.9735",
+    ],
+    "detection_power.py": [
+        "trials: 2, hit rate 2/2",
+        "false flags before the changepoint: 0",
+        "localization error (first flag minus truth window, in windows):",
+        "  +0: 2",
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def calibrate_figures():
+    """The null and detection figure lines, each block ended by `elapsed:`."""
+    proc = run_script("calibrate.py", "--walks", "2", "--splices", "2")
+    assert proc.returncode == 0, proc.stderr
+    blocks = [[]]
+    for line in proc.stdout.splitlines():
+        if line.startswith("elapsed: "):
+            blocks.append([])
+        else:
+            blocks[-1].append(line)
+    assert len(blocks) == 3 and blocks[-1] == []
+    return dict(zip(("null_calibration.py", "detection_power.py"), blocks))
+
+
+@pytest.mark.parametrize("script", sorted(CALIBRATE_FIGURES))
+def test_script_runs(script, calibrate_figures):
+    assert calibrate_figures[script] == CALIBRATE_FIGURES[script]

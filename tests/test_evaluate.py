@@ -232,6 +232,11 @@ def test_protocol_rejects_empty_anticipation():
         ProtocolConfig(anticipation=())
 
 
+def test_protocol_refuses_a_repeated_anticipation():
+    with pytest.raises(ValueError, match="values must be distinct"):
+        ProtocolConfig(anticipation=(7, 7))
+
+
 @pytest.mark.parametrize("anticipation", [(7.5, 10.9), ("7",), (7, 0)])
 def test_protocol_refuses_an_anticipation_that_is_not_an_integer(anticipation):
     with pytest.raises(ValueError,

@@ -350,6 +350,27 @@ def test_errors_on_full_size_chunk_edges(tmp_path, monkeypatch):
         assert result[0] == "raised" and result[3] == line_no
 
 
+@pytest.mark.parametrize("at, raised", [(30_000, ParseError),
+                                        (40, UnicodeDecodeError)])
+def test_reader_reports_the_rows_before_a_decode_error(tmp_path, capsys, at,
+                                                       raised):
+    # csv.reader decodes the file 8 KB at a time.  A bad date on line 3
+    # that is read before a byte that is not UTF-8 is the error reported;
+    # a byte in the first 8 KB fails the decode before any row is read.
+    lines = _day_lines(2000)
+    _edit(lines, 3, "bad date")
+    data = ("date,value\n" + "\n".join(lines) + "\n").encode()
+    path = tmp_path / "in.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    result = assert_same_load(path)
+    assert result[0] == "raised" and result[1] is raised
+    if raised is ParseError:
+        assert result[3] == 3
+    assert main(["run", "--input", str(path),
+                 "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 # --------------------------------------------------------------------- clean
 
 @pytest.mark.parametrize("offsets, values", [

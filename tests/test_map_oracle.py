@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from maxentcast import (DivergentOrbitError, PolyMapSpec, RandomWalkSpec,
-                        SplicedSpec, chaotic_quad_map_coefficients, generate,
-                        henon_map_coefficients, logistic_map_coefficients,
+                        SplicedSpec, generate, logistic_map_coefficients,
                         logistic_splice, monomial_terms, synth)
 
 import reference_synth
+from map_families import chaotic_quad_map_coefficients, henon_map_coefficients
 
 CHUNK = synth._CHUNK_STEPS
 # new values of a map: one step, each side of one chunk edge, and three

@@ -13,7 +13,7 @@ from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
                         PolyMapSpec, embed, fit, forecast_series, generate,
                         lstsq_min_norm, monomial_labels, pinv, predict)
 from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
-                               InfeasibleWindowError, NumericalFailureError)
+                               InfeasibleWindowError)
 from maxentcast.model import _norm
 from maxentcast.report import _model_payload
 
@@ -246,15 +246,41 @@ def test_standardized_fit_matches_raw_when_well_conditioned():
     assert std.standardized and not raw.standardized
 
 
-def test_standardized_fit_refuses_overflowing_scales():
-    # the squared deviations of values near 1e160 overflow a double
+def test_standardized_fit_survives_overflowing_squares():
+    # the squared deviations of values near 1e160 overflow a double; the
+    # column moments are taken at a power-of-two scale, so the fit is the
+    # unit-scale walk's fit in units of 1e160
     walk = np.cumsum(np.random.default_rng(1).standard_normal(60))
-    series = daily_series(1e160 * (1.0 + 0.01 * walk))
     cfg = EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40)
+    unit = fit(daily_series(1.0 + 0.01 * walk), cfg, standardize=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalFailureError):
-            fit(series, cfg, standardize=True)
+        big = fit(daily_series(1e160 * (1.0 + 0.01 * walk)), cfg,
+                  standardize=True)
+    assert big.diagnostics.rank == unit.diagnostics.rank == 3
+    assert np.allclose(big.coefficients[1:], unit.coefficients[1:],
+                       rtol=1e-9, atol=0)
+    assert big.coefficients[0] / 1e160 == pytest.approx(
+        unit.coefficients[0], rel=1e-9)
+    assert big.diagnostics.residual_norm / 1e160 == pytest.approx(
+        unit.diagnostics.residual_norm, rel=1e-9)
+
+
+def test_standardized_fit_keeps_the_bits_of_ordinary_data():
+    # scaling a column by a power of two is exact, so the moments, and the
+    # fit, are the plain ones
+    series, cfg, _ = quad_map_fit()
+    features, targets = embed(series, cfg)
+    mean, sd = features.mean(axis=0), features.std(axis=0)
+    varies = sd > 0
+    varies[0] = False
+    scale = np.where(varies, sd, 1.0)
+    center = np.where(varies, mean, 0.0)
+    b, _, _ = lstsq_min_norm((features - center) / scale, targets)
+    coef = b / scale
+    coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
+    model = fit(series, cfg, standardize=True)
+    assert model.coefficients.tolist() == coef.tolist()
 
 
 @settings(max_examples=40, deadline=None)

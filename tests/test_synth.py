@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentcast import (DivergentOrbitError, EmbedConfig, PolyMapSpec,
-                        RandomWalkSpec, SplicedSpec,
-                        chaotic_quad_map_coefficients, fit,
-                        gen_random_walk, gen_spliced, generate,
-                        henon_map_coefficients, logistic_map_coefficients,
+                        RandomWalkSpec, SplicedSpec, fit, gen_random_walk,
+                        gen_spliced, generate, logistic_map_coefficients,
                         logistic_splice, monomial_terms,
                         rescale_map_coefficients, rng)
+
+from map_families import chaotic_quad_map_coefficients, henon_map_coefficients
 
 # The generators fix their arithmetic order, so outputs are frozen exactly.
 LOGISTIC_39_FROM_02 = (
