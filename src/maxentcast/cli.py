@@ -78,6 +78,30 @@ def _emit_error(exc: BaseException) -> int:
     return code
 
 
+class UsageError(ValueError):
+    """A command line the parser refuses, with the parser's reason."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its errors instead of printing usage
+    text and exiting; the subcommands' parsers are of its class too."""
+
+    def error(self, message: str) -> None:
+        raise UsageError(message)
+
+
+def _out_dir(text: str) -> str:
+    """An ``--out`` path that is a directory or can be made one: the
+    nearest of it and its parents that exists, a dangling link included,
+    must be a directory."""
+    for path in (Path(text), *Path(text).parents):
+        if os.path.lexists(path):
+            if not path.is_dir():
+                raise argparse.ArgumentTypeError(f"{path} is not a directory")
+            break
+    return text
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [p for p in text.replace(" ", "").split(",") if p]
     if not items:
@@ -86,7 +110,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxentcast",
         description=("Delay-embedding polynomial forecasting with "
                      "predictability-regime detection."))
@@ -129,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="singular-value cutoff (default %(default)s)")
     run.add_argument("--standardize", action="store_true",
                      help="z-score feature columns before the fit")
-    run.add_argument("--out", default=defaults.out_dir,
+    run.add_argument("--out", type=_out_dir, default=defaults.out_dir,
                      help="output directory (default %(default)s)")
 
     synth = sub.add_parser(
@@ -167,7 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--map-scale", type=float, default=SPLICE_MAP_SCALE,
                        help="auto map amplitude in units of sigma "
                             "(default %(default)s)")
-    synth.add_argument("--out", default=".", help="output directory")
+    synth.add_argument("--out", type=_out_dir, default=".",
+                       help="output directory")
 
     verify = sub.add_parser(
         "verify", help="compare a run report against synth ground truth")
@@ -265,17 +290,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        if code not in (0, EXIT_OK):
-            print(json.dumps({"category": "config", "error": "UsageError",
-                              "message": "invalid command line"}),
-                  file=sys.stderr)
-            return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help or --version has printed its text
         return EXIT_OK
+    except UsageError as exc:
+        return _emit_error(exc)
     commands = {"run": _cmd_run, "synth": _cmd_synth, "verify": _cmd_verify}
     try:
         code = commands[args.command](args)

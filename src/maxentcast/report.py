@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import secrets
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
@@ -110,36 +109,24 @@ class RunConfig:
         return payload
 
 
-# The exact types whose values a list batch may hold to take the column
-# path of the encoder.
-_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
-_CONSTANT_TEXT = {None: "null", True: "true", False: "false"}
-
-# The encoder formats the items of a list this many at a time, and
-# write_json_atomic writes its text once about this many characters of it
-# are held.
+# The encoder formats the items of a list this many at a time.
 _JSON_BATCH_ROWS = 512
-_JSON_BATCH_CHARS = 1 << 16
 
 
-def _float_text(v: float) -> str:
-    return float.__repr__(v) if math.isfinite(v) else "null"
-
-
-def _leaf_text(obj: Any) -> str | None:
-    """The JSON text of a str, int, float, bool or None, None for a dict or
-    list, and a ``TypeError`` for any other type, subclasses included."""
+def _leaf_text(obj: Any) -> str:
+    """The JSON text of a str, int, float, bool or None, and a
+    ``TypeError`` for any other type, subclasses included."""
     kind = type(obj)
     if kind is float:
-        return _float_text(obj)
+        return float.__repr__(obj) if math.isfinite(obj) else "null"
     if kind is str:
         return encode_basestring_ascii(obj)
     if kind is int:
         return int.__repr__(obj)
-    if kind is bool or obj is None:
-        return _CONSTANT_TEXT[obj]
-    if kind is dict or kind is list:
-        return None
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
     raise TypeError(f"Object of type {obj.__class__.__name__} "
                     "is not JSON serializable")
 
@@ -147,38 +134,33 @@ def _leaf_text(obj: Any) -> str | None:
 def _json_pieces(obj: Any, level: int = 0) -> Iterator[str]:
     """The text of obj as ``json.dumps(obj, sort_keys=True, indent=2)``
     writes it, in pieces, with non-finite floats as null."""
-    text = _leaf_text(obj)
-    if text is not None:
-        yield text
-    elif type(obj) is dict:
+    if type(obj) is dict:
         yield from _dict_pieces(obj, level)
-    else:
+    elif type(obj) is list:
         yield from _list_pieces(obj, level)
+    else:
+        yield _leaf_text(obj)
 
 
 def _dict_pieces(mapping: dict, level: int) -> Iterator[str]:
     for key in mapping:
         if type(key) is not str:
             raise TypeError(f"keys must be str, not {type(key).__name__}")
-    items = sorted(mapping.items(), key=itemgetter(0))
-    if not items:
+    if not mapping:
         yield "{}"
         return
     indent = "\n" + "  " * (level + 1)
     head = "{" + indent
-    for key, value in items:
-        head += encode_basestring_ascii(key) + ": "
-        text = _leaf_text(value)
-        if text is None:
-            yield head
-            yield from _json_pieces(value, level + 1)
-        else:
-            yield head + text
+    for key, value in sorted(mapping.items(), key=itemgetter(0)):
+        yield head + encode_basestring_ascii(key) + ": "
+        yield from _json_pieces(value, level + 1)
         head = "," + indent
     yield "\n" + "  " * level + "}"
 
 
 def _list_pieces(seq: list, level: int) -> Iterator[str]:
+    """A list's text: a batch of flat records that share their keys as one
+    piece, any other item by itself."""
     if not seq:
         yield "[]"
         return
@@ -189,9 +171,7 @@ def _list_pieces(seq: list, level: int) -> Iterator[str]:
         batch = seq[start:start + _JSON_BATCH_ROWS]
         if start:
             yield sep
-        texts = _column_texts(batch)
-        if texts is None:
-            texts = _record_texts(batch, level + 1)
+        texts = _record_texts(batch, level + 1)
         if texts is not None:
             yield sep.join(texts)
             continue
@@ -203,19 +183,18 @@ def _list_pieces(seq: list, level: int) -> Iterator[str]:
 
 
 def _column_texts(values: Sequence[Any]) -> list[str] | None:
-    """The JSON text of each value, all formatted by one C-level map when
-    they share one type; None unless every value is a scalar."""
+    """The JSON text of each value, by one C-level map when they share one
+    type; None unless every value is a scalar."""
     kinds = set(map(type, values))
-    if kinds == {float}:
-        finite = all(map(math.isfinite, values))
-        return list(map(float.__repr__ if finite else _float_text, values))
+    if dict in kinds or list in kinds:
+        return None
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
     if kinds == {int}:
         return list(map(int.__repr__, values))
     if kinds == {str}:
         return list(map(encode_basestring_ascii, values))
-    if kinds <= _SCALAR_TYPES:
-        return list(map(_leaf_text, values))
-    return None
+    return list(map(_leaf_text, values))
 
 
 def _record_texts(rows: Sequence[Any], level: int) -> Iterator[str] | None:
@@ -262,7 +241,7 @@ def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -291,17 +270,11 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
     """Write ``dumps_canonical(obj)`` and a newline through
-    :func:`atomic_writer`, streamed from the encoder a batch at a time."""
+    :func:`atomic_writer`, a piece of the encoder's text at a time."""
     with atomic_writer(path) as fh:
-        batch, size = [], 0
         for piece in _json_pieces(obj):
-            batch.append(piece)
-            size += len(piece)
-            if size >= _JSON_BATCH_CHARS:
-                fh.write("".join(batch).encode("ascii"))
-                batch, size = [], 0
-        batch.append("\n")
-        fh.write("".join(batch).encode("ascii"))
+            fh.write(piece.encode("ascii"))
+        fh.write(b"\n")
 
 
 @dataclass(frozen=True)

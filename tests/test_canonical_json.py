@@ -10,7 +10,9 @@ end to end through the command line.
 
 import math
 import re
+from contextlib import contextmanager
 from datetime import date, datetime
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -77,13 +79,10 @@ def assert_same_text(obj, tmp_path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(obj=nested, rows=st.integers(1, 4), chars=st.integers(1, 64))
-def test_writer_matches_the_standard_encoder(tmp_path_factory, obj, rows,
-                                             chars):
-    # small batches, so lists split into several batches and files into
-    # several writes
-    with mock.patch.object(report_module, "_JSON_BATCH_ROWS", rows), \
-            mock.patch.object(report_module, "_JSON_BATCH_CHARS", chars):
+@given(obj=nested, rows=st.integers(1, 4))
+def test_writer_matches_the_standard_encoder(tmp_path_factory, obj, rows):
+    # small batches, so lists split into several batches
+    with mock.patch.object(report_module, "_JSON_BATCH_ROWS", rows):
         assert_same_text(obj, tmp_path_factory.mktemp("json"))
 
 
@@ -189,7 +188,44 @@ def test_cli_json_matches_oracle_over_several_batches(capsys, tmp_path):
     report = (tmp_path / "new" / "run" / "report.json").read_text()
     windows = report.count('"baseline_rel_mse"')
     assert windows > 2 * report_module._JSON_BATCH_ROWS
-    assert len(report) > 4 * report_module._JSON_BATCH_CHARS
+
+
+class WriteLog:
+    """A file handle that records the size of each write."""
+
+    def __init__(self, fh):
+        self.fh, self.sizes = fh, []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return self.fh.write(data)
+
+
+def test_report_is_written_a_piece_at_a_time(capsys, tmp_path, monkeypatch):
+    # 1,350 windows per track: the whole text is never held at once, so
+    # no write holds more than a quarter of the file
+    logs = {}
+    atomic_writer = report_module.atomic_writer
+
+    @contextmanager
+    def logged_writer(path):
+        with atomic_writer(path) as fh:
+            yield logs.setdefault(Path(path).name, WriteLog(fh))
+
+    monkeypatch.setattr(report_module, "atomic_writer", logged_writer)
+    for argv in (["synth", "--kind", "spliced", "--n", "3000", "--splice",
+                  "2000", "--seed", "4", "--out", str(tmp_path / "data")],
+                 ["run", "--input", str(tmp_path / "data" / "series.csv"),
+                  "--d", "2", "--np", "1", "--fit-window", "300",
+                  "--anticipation", "7", "--anticipation", "13",
+                  "--bucket", "window:2", "--out", str(tmp_path / "run")]):
+        assert main(argv) == 0
+    report = (tmp_path / "run" / "report.json").read_bytes()
+    windows = report.count(b'"baseline_rel_mse"')
+    assert windows > 4 * report_module._JSON_BATCH_ROWS
+    sizes = logs["report.json"].sizes
+    assert sum(sizes) == len(report)
+    assert len(sizes) > 1 and max(sizes) <= len(report) / 4
 
 
 def test_cli_json_matches_oracle_with_degenerate_windows(capsys, tmp_path,

@@ -11,6 +11,7 @@ import pytest
 
 from maxentcast import (RandomWalkSpec, RunConfig, clean, dumps_canonical,
                         generate, load_csv)
+from maxentcast import cli as cli_module
 from maxentcast import design as design_module
 from maxentcast import model as model_module
 from maxentcast.cli import _build_parser, _run_config, main
@@ -31,10 +32,10 @@ def run_cli(capsys, *argv):
 
 
 def stderr_json(err: str) -> dict:
-    # argparse may print usage text first; the JSON line comes last
-    lines = [ln for ln in err.strip().split("\n") if ln]
-    assert lines, "expected a JSON error line on stderr"
-    return json.loads(lines[-1])
+    # a failure prints one JSON line on stderr and nothing else
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
 
 
 # ----------------------------------------------------------------- basics
@@ -45,10 +46,46 @@ def test_version_flag(capsys):
     assert out.startswith("maxentcast ")
 
 
+def test_help_flag(capsys):
+    code, out, err = run_cli(capsys, "run", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: maxentcast run")
+
+
 def test_no_arguments_is_usage_error(capsys):
     code, _, err = run_cli(capsys)
     assert code == 2
     assert stderr_json(err)["category"] == "config"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run"], "the following arguments are required: --input"),
+    (["run", "--input", "x.csv", "--d", "abc"],
+     "argument --d: invalid int value: 'abc'"),
+], ids=["no --input", "--d abc"])
+def test_usage_error_gives_the_parsers_reason(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert stderr_json(err) == {"category": "config", "error": "UsageError",
+                                "message": message}
+
+
+def assert_out_refused(capsys, tmp_path, argv):
+    """argv, run with ``--out`` a file, a path under that file or a
+    dangling link, exits 2 with the file or link named and writes
+    nothing."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "nowhere")
+    for out, named in ((afile, afile), (afile / "sub", afile), (link, link)):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr_json(err) == {
+            "category": "config", "error": "UsageError",
+            "message": f"argument --out: {named} is not a directory"}
+    assert sorted(tmp_path.iterdir()) == [afile, link]
+    assert afile.read_text() == "kept\n"
 
 
 def test_module_entry_point():
@@ -59,6 +96,16 @@ def test_module_entry_point():
 
 
 # ------------------------------------------------------------------ synth
+
+def test_synth_out_that_is_not_a_directory_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    def no_series(spec):
+        raise AssertionError("the series was generated")
+
+    monkeypatch.setattr(cli_module, "generate", no_series)
+    assert_out_refused(capsys, tmp_path,
+                       ["synth", "--kind", "walk", "--n", "40", "--seed", "1"])
+
 
 def test_synth_walk_artifacts(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "synth", "--kind", "walk", "--n", "60",
@@ -299,6 +346,12 @@ def test_run_missing_input_is_ingest_error(tmp_path, capsys):
                            str(tmp_path / "nope.csv"))
     assert code == 3
     assert stderr_json(err)["category"] == "ingest"
+
+
+def test_run_out_that_is_not_a_directory_is_a_config_error(tmp_path, capsys):
+    # the input does not exist: reading it would exit 3
+    assert_out_refused(capsys, tmp_path,
+                       ["run", "--input", str(tmp_path / "nope.csv")])
 
 
 def test_run_defaults_are_the_config_defaults():
