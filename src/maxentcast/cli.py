@@ -35,8 +35,8 @@ from .evaluate import ProtocolConfig
 from .ingest import GAP_POLICIES
 from .report import (RunConfig, TRUTH_SCHEMA_VERSION, bucket_text,
                      dumps_canonical, load_report, load_truth, parse_bucket,
-                     run_from_config, verify_detection, write_json_atomic,
-                     write_run_artifacts, write_series_csv)
+                     run_artifact_paths, run_from_config, verify_detection,
+                     write_json_atomic, write_run_artifacts, write_series_csv)
 from .synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE, SPLICE_NOISE,
                     PolyMapSpec, RandomWalkSpec, SplicedSpec, generate,
                     logistic_splice)
@@ -102,10 +102,19 @@ def _out_dir(text: str) -> str:
     return text
 
 
+def _refuse_directories(paths) -> None:
+    """A usage error if an artifact path is a directory, which the
+    artifact's rename could not replace; checked before any work."""
+    for path in paths:
+        if path.is_dir() and not path.is_symlink():
+            raise UsageError(f"argument --out: {path} is a directory")
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [p for p in text.replace(" ", "").split(",") if p]
-    if not items:
-        raise ValueError(f"empty numeric list {text!r}")
+    items = text.replace(" ", "").split(",")
+    if "" in items:
+        raise argparse.ArgumentTypeError(
+            f"empty item in numeric list {text!r}")
     return tuple(float(p) for p in items)
 
 
@@ -220,7 +229,10 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = run_from_config(_run_config(args))
+    config = _run_config(args)
+    _refuse_directories(run_artifact_paths(
+        config.out_dir, config.protocol.anticipation).values())
+    result = run_from_config(config)
     paths = write_run_artifacts(result)
     for key in sorted(paths):
         print(f"wrote {paths[key]}")
@@ -228,6 +240,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    series_path = Path(args.out) / "series.csv"
+    truth_path = Path(args.out) / "truth.json"
+    _refuse_directories((series_path, truth_path))
     truth: dict = {"schema_version": TRUTH_SCHEMA_VERSION, "kind": args.kind,
                    "n": args.n, "seed": args.seed, "changepoint_index": None}
     if args.kind == "walk":
@@ -271,9 +286,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         }
 
     series = generate(spec)
-    out_dir = Path(args.out)
-    series_path = out_dir / "series.csv"
-    truth_path = out_dir / "truth.json"
     write_series_csv(series_path, series)
     write_json_atomic(truth_path, truth)
     print(f"wrote {series_path}")

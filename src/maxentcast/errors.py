@@ -6,8 +6,10 @@ from numbers import Integral
 
 
 def check_int(name: str, value, minimum: int = 1) -> int:
-    """value as an int; a ValueError unless it is an integer >= minimum."""
-    if not isinstance(value, Integral) or value < minimum:
+    """value as an int; a ValueError unless it is an integer >= minimum.
+    A bool is not taken for an integer."""
+    if (not isinstance(value, Integral) or isinstance(value, bool)
+            or value < minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 

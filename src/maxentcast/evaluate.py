@@ -12,7 +12,6 @@ alone.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -98,9 +97,21 @@ def relative_mse(actual, predicted) -> float:
     return float(num[0]) / float(denom[0])
 
 
+# The day number (date.toordinal) of 1970-01-01, numpy's datetime64 epoch.
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
+
+
 @dataclass(frozen=True)
 class YearBuckets:
     """Partition records by the calendar year of their target date."""
+
+    def starts(self, days: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """Labels and first records of the windows over records whose
+        targets fall on the day numbers days, in order."""
+        years = ((days - _EPOCH_DAY).astype("datetime64[D]")
+                 .astype("datetime64[Y]").astype(np.int64) + 1970)
+        starts = np.flatnonzero(np.diff(years, prepend=years[0] - 1))
+        return [str(y) for y in years[starts].tolist()], starts
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,11 @@ class WindowBuckets:
 
     def __post_init__(self):
         object.__setattr__(self, "width", check_int("window width", self.width, 2))
+
+    def starts(self, days: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """Labels and first records of the windows over days.size records."""
+        starts = np.arange(0, days.size, self.width)
+        return [f"w{i:03d}" for i in range(starts.size)], starts
 
 
 Bucketing = YearBuckets | WindowBuckets
@@ -152,32 +168,6 @@ class ErrorWindow:
         return self.rel_mse / self.baseline_rel_mse
 
 
-def _stacks(frame: ForecastFrame, bucketing: Bucketing):
-    """Window labels, and the windows as stacks (first record, windows,
-    width) of consecutive windows of one width."""
-    n = len(frame)
-    if isinstance(bucketing, WindowBuckets):
-        k, short = divmod(n, bucketing.width)
-        stacks = [(0, k, bucketing.width)] if k else []
-        if short:
-            stacks.append((n - short, 1, short))
-        return [f"w{i:03d}" for i in range(k + bool(short))], stacks
-    if isinstance(bucketing, YearBuckets):
-        days = frame.series.days[frame.first + frame.horizon:]
-
-        def year(j: int) -> int:
-            return date.fromordinal(int(days[j])).year
-
-        labels, stacks, lo = [], [], 0
-        while lo < n:
-            hi = bisect_right(range(n), year(lo), lo, key=year)
-            labels.append(str(year(lo)))
-            stacks.append((lo, 1, hi - lo))
-            lo = hi
-        return labels, stacks
-    raise ValueError(f"unknown bucketing {bucketing!r}")
-
-
 def _score_frame(frame: ForecastFrame, lo: int, k: int, w: int,
                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """_scores of the k windows of width w from record lo on."""
@@ -193,16 +183,21 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     """
     if len(frame) == 0:
         raise ValueError("no forecast records to score")
-    h = frame.horizon
-    labels, stacks = _stacks(frame, bucketing)
-    scores = [_score_frame(frame, lo, k, w, h) for lo, k, w in stacks]
+    n, h = len(frame), frame.horizon
+    first = frame.first + h  # the series index of the first target
+    labels, starts = bucketing.starts(frame.series.days[first:first + n])
+    # Each run of consecutive windows of one width is scored as one (k, w)
+    # stack; widths are positive, so the first window heads a run.
+    widths = np.diff(starts, append=n)
+    heads = np.flatnonzero(np.diff(widths, prepend=0))
+    scores = [_score_frame(frame, lo, k, w, h) for lo, k, w in zip(
+        starts[heads].tolist(), np.diff(heads, append=widths.size).tolist(),
+        widths[heads].tolist())]
     rel = np.concatenate([r for r, _ in scores]).tolist()
     base = np.concatenate([b for _, b in scores]).tolist()
-    # The first and last record of each window, their targets' series
-    # indices and their day numbers, each looked up in one array operation.
-    records = np.array([(lo + i * w, lo + (i + 1) * w - 1)
-                        for lo, k, w in stacks for i in range(k)]).reshape(-1, 2)
-    index = frame.first + frame.horizon + records
+    # The series indices and day numbers of each window's first and last
+    # target, each in one array operation.
+    index = first + np.stack([starts, starts + widths - 1], axis=1)
     days = frame.series.days[index]
     return [ErrorWindow(label=label, start=date.fromordinal(d0),
                         end=date.fromordinal(d1), start_index=i0,

@@ -240,7 +240,7 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
         raise ValueError("models in one batch must share dim, degree and lag")
     values = series.values
     n_obs = len(series)
-    first = int(first)
+    first = check_int("first", first, 0)
     if first < cfg.span:
         raise InfeasibleWindowError(
             f"anchor {first} comes before the embedding span {cfg.span}")

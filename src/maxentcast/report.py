@@ -447,7 +447,9 @@ def write_forecast_csvs(out_dir: str | Path,
     The frames must hold one series object, as ``run_protocol``'s do.
     Each file is streamed to its own temp file, and all are renamed when
     the walk is done; if the walk fails, every temp file is removed and the
-    old forecast files stay as they were.
+    old forecast files stay as they were.  The renames run one file after
+    another, last frame first, so a rename that fails leaves the files
+    renamed before it replaced and the rest as they were.
     """
     if not frames:
         return []
@@ -460,8 +462,8 @@ def write_forecast_csvs(out_dir: str | Path,
             if predicted.size]
     first = min((lo for lo, _ in live), default=0)
     last = max((hi for _, hi in live), default=0)
-    paths = [Path(out_dir) / f"forecast_T{frame.horizon}.csv"
-             for frame in frames]
+    names = run_artifact_paths(out_dir, [frame.horizon for frame in frames])
+    paths = [names[f"forecast_T{frame.horizon}"] for frame in frames]
     with ExitStack() as stack:
         handles = [stack.enter_context(atomic_writer(p)) for p in paths]
         for fh in handles:
@@ -491,25 +493,28 @@ def summary_csv_text(report: PredictabilityReport) -> str:
     return "period,T,rel_mse,baseline\n" + rows.decode("ascii")
 
 
+def run_artifact_paths(out_dir: str | Path,
+                       horizons: Sequence[int]) -> dict[str, Path]:
+    """The path in out_dir of each file a run with these horizons writes,
+    under the key write_run_artifacts returns it by."""
+    out_dir = Path(out_dir)
+    return {"report": out_dir / "report.json",
+            **{f"forecast_T{h}": out_dir / f"forecast_T{h}.csv"
+               for h in horizons},
+            "summary": out_dir / "summary.csv"}
+
+
 def write_run_artifacts(result: RunResult) -> dict[str, Path]:
     """Write report.json, per-horizon forecast CSVs, and the summary CSV."""
-    out_dir = Path(result.config.out_dir)
-    paths: dict[str, Path] = {}
-
+    tracks = result.report.tracks
+    paths = run_artifact_paths(result.config.out_dir,
+                               [t.horizon for t in tracks])
     # The payload is let go before the forecast CSVs are written, so their
     # chunk buffers reuse its memory instead of adding to the peak.
-    report_path = out_dir / "report.json"
-    write_json_atomic(report_path, build_report_doc(build_payload(result)))
-    paths["report"] = report_path
-
-    tracks = result.report.tracks
-    forecasts = write_forecast_csvs(out_dir, [t.frame for t in tracks])
-    for track, p in zip(tracks, forecasts):
-        paths[f"forecast_T{track.horizon}"] = p
-
-    summary_path = out_dir / "summary.csv"
-    write_text_atomic(summary_path, summary_csv_text(result.report))
-    paths["summary"] = summary_path
+    write_json_atomic(paths["report"],
+                      build_report_doc(build_payload(result)))
+    write_forecast_csvs(result.config.out_dir, [t.frame for t in tracks])
+    write_text_atomic(paths["summary"], summary_csv_text(result.report))
     return paths
 
 

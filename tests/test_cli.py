@@ -107,6 +107,36 @@ def test_synth_out_that_is_not_a_directory_is_a_config_error(
                        ["synth", "--kind", "walk", "--n", "40", "--seed", "1"])
 
 
+def test_synth_artifact_path_that_is_a_directory_is_refused(tmp_path,
+                                                            capsys):
+    # refused before the series is written, so the run leaves no file
+    out = tmp_path / "out"
+    (out / "truth.json").mkdir(parents=True)
+    code, stdout, err = run_cli(capsys, "synth", "--kind", "walk", "--n",
+                                "40", "--seed", "1", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert stderr_json(err) == {
+        "category": "config", "error": "UsageError",
+        "message": f"argument --out: {out / 'truth.json'} is a directory"}
+    assert [p.name for p in out.iterdir()] == ["truth.json"]
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--coeffs", "0,,3.7,-3.7"), ("--coeffs", "0,3.7,"), ("--coeffs", ","),
+    ("--coeffs", ""), ("--init", "0.3,")])
+def test_synth_empty_list_item_is_a_usage_error(flag, text, tmp_path, capsys):
+    lists = {"--coeffs": "0,3.7,-3.7", "--init": "0.3", flag: text}
+    code, stdout, err = run_cli(capsys, "synth", "--kind", "map", "--n", "10",
+                                "--seed", "1", "--coeffs", lists["--coeffs"],
+                                "--init", lists["--init"],
+                                "--out", str(tmp_path / "m"))
+    assert code == 2 and stdout == ""
+    assert stderr_json(err) == {
+        "category": "config", "error": "UsageError",
+        "message": f"argument {flag}: empty item in numeric list {text!r}"}
+    assert not (tmp_path / "m").exists()
+
+
 def test_synth_walk_artifacts(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "synth", "--kind", "walk", "--n", "60",
                            "--seed", "12", "--out", str(tmp_path))
@@ -352,6 +382,23 @@ def test_run_out_that_is_not_a_directory_is_a_config_error(tmp_path, capsys):
     # the input does not exist: reading it would exit 3
     assert_out_refused(capsys, tmp_path,
                        ["run", "--input", str(tmp_path / "nope.csv")])
+
+
+def test_run_artifact_path_that_is_a_directory_is_refused(walk_csv_60,
+                                                          tmp_path, capsys):
+    # refused before the input is read, so no artifact is replaced
+    out = tmp_path / "run"
+    (out / "forecast_T1.csv").mkdir(parents=True)
+    code, stdout, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
+                                "--d", "1", "--np", "1", "--fit-window", "10",
+                                "--anticipation", "1", "--anticipation", "3",
+                                "--bucket", "window:20", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert stderr_json(err) == {
+        "category": "config", "error": "UsageError",
+        "message": f"argument --out: {out / 'forecast_T1.csv'} is a directory"}
+    assert [p.name for p in out.iterdir()] == ["forecast_T1.csv"]
+    assert list((out / "forecast_T1.csv").iterdir()) == []
 
 
 def test_run_defaults_are_the_config_defaults():

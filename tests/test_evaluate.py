@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
                         ProtocolConfig, RandomWalkSpec, WindowBuckets,
                         YearBuckets, TimeSeries,
-                        error_by_period, gen_random_walk, gen_spliced,
-                        relative_mse, run_protocol)
+                        error_by_period, fit, forecast_batch,
+                        gen_random_walk, gen_spliced, relative_mse,
+                        run_protocol)
 from maxentcast.errors import DegenerateWindowError, InfeasibleWindowError
 from maxentcast.model import ForecastFrame
 from maxentcast.rng import normals
@@ -257,11 +258,37 @@ def test_protocol_refuses_an_anticipation_that_is_not_an_integer(anticipation):
     (lambda: RandomWalkSpec(n="5", sigma=1.0),
      "n must be an integer >= 1, got '5'"),
     (lambda: PolyMapSpec(n=5, dim=0, coefficients=(0.0, 1.0)),
-     "dim must be an integer >= 1, got 0")])
+     "dim must be an integer >= 1, got 0"),
+    # a bool is not taken for an integer
+    (lambda: EmbedConfig(dim=True, degree=2, horizon=1, n_fit=10),
+     "dim must be an integer >= 1, got True"),
+    (lambda: ProtocolConfig(anticipation=(7, True)),
+     "anticipation must be an integer >= 1, got True"),
+    (lambda: ProtocolConfig(fit_window=True),
+     "fit_window must be an integer >= 1, got True"),
+    (lambda: DetectorConfig(min_run=True),
+     "min_run must be an integer >= 1, got True"),
+    (lambda: RandomWalkSpec(n=True, sigma=1.0),
+     "n must be an integer >= 1, got True"),
+    (lambda: ForecastFrame(series=gen_random_walk(10, 1.0, seed=0),
+                           first=False, horizon=1, predicted=np.zeros(5)),
+     "first must be an integer >= 0, got False")])
 def test_integer_settings_share_one_message(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("first", [700.9, True, 700.0, "700", -1])
+def test_forecast_batch_refuses_an_anchor_that_is_not_an_integer(first):
+    series = gen_random_walk(1_000, 1.0, seed=1)
+    model = fit(series, EmbedConfig(dim=2, degree=1, horizon=1, n_fit=100))
+    with pytest.raises(ValueError,
+                       match=r"^first must be an integer >= 0, got "):
+        forecast_batch(series, [model], first)
+    # an integer of any type is taken
+    frame = forecast_batch(series, [model], np.int32(700))[0]
+    assert (frame.first, len(frame)) == (700, 299)
 
 
 @pytest.mark.parametrize("bucketing", ["year", "window:125", None, 125])

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import reference_design
 import reference_protocol as ref
 from maxentcast import (EmbedConfig, ForecastFrame, ProtocolConfig,
-                        RandomWalkSpec, WindowBuckets, YearBuckets,
+                        RandomWalkSpec, TimeSeries, WindowBuckets, YearBuckets,
                         error_by_period, forecast_batch, gen_random_walk,
                         gen_spliced, logistic_splice, run_protocol)
 from maxentcast import evaluate
@@ -242,3 +242,68 @@ def test_frame_holds_views_not_copies():
                           predicted=predicted)
     assert np.shares_memory(small.predicted, predicted)
     assert predicted.flags.writeable and not small.predicted.flags.writeable
+
+
+# ---------------------------------------------------------- window layout
+
+def day_range(first: date, last: date) -> np.ndarray:
+    return np.arange(first.toordinal(), last.toordinal() + 1)
+
+
+def business_days(first: date, last: date) -> np.ndarray:
+    days = day_range(first, last)
+    return days[(days - 1) % 7 < 5]  # day 1, 0001-01-01, was a Monday
+
+
+def frame_on_days(days: np.ndarray, horizon: int = 3, seed: int = 0):
+    """A frame of a random walk and noisy predictions whose records target
+    the given days; the series has horizon rows before the first."""
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.standard_normal(horizon + days.size))
+    series_days = np.concatenate([days[0] - np.arange(horizon, 0, -1), days])
+    predicted = values[horizon:] + rng.standard_normal(days.size)
+    return ForecastFrame(series=TimeSeries("t", series_days, values),
+                         first=0, horizon=horizon, predicted=predicted)
+
+
+# synth's calendar days: 2001-2003 are three years of 365 records, and
+# 2005 has the width of 2001-2003 but does not follow them
+CALENDAR = day_range(date(2000, 3, 1), date(2005, 12, 31))
+LAYOUTS = {
+    "years of equal width": (CALENDAR, YearBuckets()),
+    "one-record first and last year": (
+        day_range(date(1999, 12, 31), date(2002, 1, 1)), YearBuckets()),
+    "business days across 1999/2000": (
+        business_days(date(1999, 9, 1), date(2000, 2, 29)), YearBuckets()),
+    "window as wide as the records": (CALENDAR, WindowBuckets(CALENDAR.size)),
+    "window wider than the records": (CALENDAR,
+                                      WindowBuckets(CALENDAR.size + 5)),
+}
+
+
+@pytest.mark.parametrize("days, bucketing", LAYOUTS.values(), ids=LAYOUTS)
+def test_window_layout_matches_per_window_reference(days, bucketing):
+    frame = frame_on_days(days)
+    expected = ref.windows(*targets(frame), frame.actual, frame.predicted,
+                           bucketing, frame.horizon)
+    assert window_rows(error_by_period(frame, bucketing)) == reference_rows(
+        expected)
+
+
+@pytest.mark.parametrize("days, stacks", [
+    (CALENDAR, [(0, 1, 306), (306, 3, 365), (1401, 1, 366), (1767, 1, 365)]),
+    (day_range(date(1999, 12, 31), date(2002, 1, 1)),
+     [(0, 1, 1), (1, 1, 366), (367, 1, 365), (732, 1, 1)]),
+], ids=["years of equal width", "one-record first and last year"])
+def test_each_run_of_equal_widths_is_one_stack(days, stacks, monkeypatch):
+    # equal widths that are not consecutive are scored apart
+    calls = []
+    score_frame = evaluate._score_frame
+
+    def logged(frame, lo, k, w, horizon):
+        calls.append((lo, k, w))
+        return score_frame(frame, lo, k, w, horizon)
+
+    monkeypatch.setattr(evaluate, "_score_frame", logged)
+    error_by_period(frame_on_days(days), YearBuckets())
+    assert calls == stacks
