@@ -111,11 +111,17 @@ def _refuse_directories(paths) -> None:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = text.replace(" ", "").split(",")
-    if "" in items:
-        raise argparse.ArgumentTypeError(
-            f"empty item in numeric list {text!r}")
-    return tuple(float(p) for p in items)
+    """The floats of a comma-separated list; spaces may surround an item
+    but not split one."""
+    items = [item.strip() for item in text.split(",")]
+    for item in items:
+        if not item:
+            raise argparse.ArgumentTypeError(
+                f"empty item in numeric list {text!r}")
+        if " " in item:
+            raise argparse.ArgumentTypeError(
+                f"space inside item {item!r} of numeric list {text!r}")
+    return tuple(map(float, items))
 
 
 def _build_parser() -> argparse.ArgumentParser:

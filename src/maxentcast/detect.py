@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Any
 
 from .errors import check_int
@@ -46,32 +47,19 @@ class RegimeLabel:
 
 def classify(windows: Sequence[ErrorWindow],
              config: DetectorConfig = DetectorConfig()) -> list[RegimeLabel]:
-    """Label each window, applying the threshold and then the run filter."""
-    windows = list(windows)
-    if not windows:
-        raise ValueError("no windows to classify")
+    """Label each window: every window of a run of at least min_run
+    consecutive windows scored below theta is PREDICTABLE."""
     scores = [w.score_ratio for w in windows]
-    raw = [s < config.theta for s in scores]  # False for NaN
-    kept = _min_run_filter(raw, config.min_run)
-    return [RegimeLabel(regime=Regime.PREDICTABLE if k else Regime.STOCHASTIC,
-                        score=s)
-            for s, k in zip(scores, kept)]
-
-
-def _min_run_filter(flags: list[bool], min_run: int) -> list[bool]:
-    out = [False] * len(flags)
-    i = 0
-    while i < len(flags):
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j < len(flags) and flags[j]:
-            j += 1
-        if j - i >= min_run:
-            out[i:j] = [True] * (j - i)
-        i = j
-    return out
+    if not scores:
+        raise ValueError("no windows to classify")
+    labels = []
+    # a NaN score is never below theta
+    for below, run in groupby(scores, lambda s: s < config.theta):
+        run = list(run)
+        regime = (Regime.PREDICTABLE if below and len(run) >= config.min_run
+                  else Regime.STOCHASTIC)
+        labels += [RegimeLabel(regime, s) for s in run]
+    return labels
 
 
 def changepoints(labels: Sequence[RegimeLabel]) -> list[int]:

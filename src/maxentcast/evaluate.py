@@ -136,14 +136,14 @@ Bucketing = YearBuckets | WindowBuckets
 class ErrorWindow:
     """Scores for one bucket of forecast records.
 
-    Degenerate buckets (too few points or zero variance for either score)
-    are kept in place with NaN scores, so window indices always partition
-    the record range.
+    A window is the index range of its targets in the forecast series;
+    their dates are that series' days at those indices.  Degenerate
+    buckets (too few points or zero variance for either score) are kept in
+    place with NaN scores, so window indices always partition the record
+    range.
     """
 
     label: str
-    start: date
-    end: date
     start_index: int          # series index of the first target in the bucket
     end_index: int            # series index of the last target
     rel_mse: float
@@ -168,11 +168,11 @@ class ErrorWindow:
         return self.rel_mse / self.baseline_rel_mse
 
 
-def _score_frame(frame: ForecastFrame, lo: int, k: int, w: int,
-                 horizon: int) -> tuple[np.ndarray, np.ndarray]:
+def _score_frame(frame: ForecastFrame, lo: int, k: int,
+                 w: int) -> tuple[np.ndarray, np.ndarray]:
     """_scores of the k windows of width w from record lo on."""
     return _scores(frame.actual[lo:lo + k * w].reshape(k, w),
-                   frame.predicted[lo:lo + k * w].reshape(k, w), horizon)
+                   frame.predicted[lo:lo + k * w].reshape(k, w), frame.horizon)
 
 
 def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWindow]:
@@ -183,27 +183,21 @@ def error_by_period(frame: ForecastFrame, bucketing: Bucketing) -> list[ErrorWin
     """
     if len(frame) == 0:
         raise ValueError("no forecast records to score")
-    n, h = len(frame), frame.horizon
-    first = frame.first + h  # the series index of the first target
+    n = len(frame)
+    first = frame.first + frame.horizon  # the series index of the first target
     labels, starts = bucketing.starts(frame.series.days[first:first + n])
     # Each run of consecutive windows of one width is scored as one (k, w)
     # stack; widths are positive, so the first window heads a run.
     widths = np.diff(starts, append=n)
     heads = np.flatnonzero(np.diff(widths, prepend=0))
-    scores = [_score_frame(frame, lo, k, w, h) for lo, k, w in zip(
+    scores = [_score_frame(frame, lo, k, w) for lo, k, w in zip(
         starts[heads].tolist(), np.diff(heads, append=widths.size).tolist(),
         widths[heads].tolist())]
     rel = np.concatenate([r for r, _ in scores]).tolist()
     base = np.concatenate([b for _, b in scores]).tolist()
-    # The series indices and day numbers of each window's first and last
-    # target, each in one array operation.
-    index = first + np.stack([starts, starts + widths - 1], axis=1)
-    days = frame.series.days[index]
-    return [ErrorWindow(label=label, start=date.fromordinal(d0),
-                        end=date.fromordinal(d1), start_index=i0,
-                        end_index=i1, rel_mse=r, baseline_rel_mse=b)
-            for label, (i0, i1), (d0, d1), r, b
-            in zip(labels, index.tolist(), days.tolist(), rel, base)]
+    lo = first + starts  # the series index of each window's first target
+    return [ErrorWindow(label, i0, i1, r, b) for label, i0, i1, r, b in zip(
+        labels, lo.tolist(), (lo + widths - 1).tolist(), rel, base)]
 
 
 @dataclass(frozen=True)
@@ -275,7 +269,7 @@ def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
     tracks: list[ForecastTrack] = []
     for model, frame in zip(models, frames):
         windows = error_by_period(frame, protocol.bucketing)
-        overall, base = _score_frame(frame, 0, 1, len(frame), frame.horizon)
+        overall, base = _score_frame(frame, 0, 1, len(frame))
         tracks.append(ForecastTrack(model=model, frame=frame,
                                     windows=tuple(windows),
                                     rel_mse=float(overall[0]),

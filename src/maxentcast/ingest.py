@@ -123,12 +123,13 @@ def load_csv(path, date_col: str = DEFAULT_DATE_COL,
     lines are skipped, missing trailing fields read as empty, and a
     repeated header name refers to its last column.
 
-    The file is read once.  An ASCII file without quotes, CR or NUL is
-    split on "\n" and "," a chunk of lines at a time, as csv.reader would
-    split it; any other file goes through csv.reader.
+    The file is read once, less one leading UTF-8 byte-order mark.  An
+    ASCII file without quotes, CR or NUL is split on "\n" and "," a chunk
+    of lines at a time, as csv.reader would split it; any other file goes
+    through csv.reader.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 BOM
     if not data:
         raise EmptySeriesError(f"{path}: empty file")
     plain = data.isascii() and not any(b in data for b in _READER_BYTES)

@@ -30,8 +30,8 @@ from .csvtext import csv_rows, date_fields, float_fields, text_fields
 from .detect import (DetectorConfig, Regime, RegimeLabel, changepoints,
                      classify, detection_outcome)
 from .errors import SchemaMismatchError
-from .evaluate import (PredictabilityReport, ProtocolConfig, WindowBuckets,
-                       YearBuckets, run_protocol)
+from .evaluate import (ErrorWindow, PredictabilityReport, ProtocolConfig,
+                       WindowBuckets, YearBuckets, run_protocol)
 from .ingest import (DEFAULT_DATE_COL, DEFAULT_DATE_FORMAT, DEFAULT_GAP_POLICY,
                      DEFAULT_VALUE_COL, GAP_POLICIES, TimeSeries, clean,
                      load_csv)
@@ -319,11 +319,16 @@ def _model_payload(model: FittedModel) -> dict[str, Any]:
     }
 
 
-def _window_payload(window) -> dict[str, Any]:
+def _iso_date(days: np.ndarray, i: int) -> str:
+    """The ISO date of series row i, whose day numbers are days."""
+    return date.fromordinal(int(days[i])).isoformat()
+
+
+def _window_payload(window: ErrorWindow, days: np.ndarray) -> dict[str, Any]:
     return {
         "label": window.label,
-        "start_date": window.start.isoformat(),
-        "end_date": window.end.isoformat(),
+        "start_date": _iso_date(days, window.start_index),
+        "end_date": _iso_date(days, window.end_index),
         "start_index": window.start_index,
         "end_index": window.end_index,
         "n_points": window.n_points,
@@ -334,11 +339,12 @@ def _window_payload(window) -> dict[str, Any]:
 
 
 def _detection_payload(labels: Sequence[RegimeLabel],
-                       windows) -> dict[str, Any]:
+                       windows: Sequence[ErrorWindow],
+                       days: np.ndarray) -> dict[str, Any]:
     cps = [{
         "window_index": i,
         "window": windows[i].label,
-        "date": windows[i].start.isoformat(),
+        "date": _iso_date(days, windows[i].start_index),
         "to_regime": labels[i].regime.value,
     } for i in changepoints(labels)]
     return {"labels": [{
@@ -351,6 +357,7 @@ def _detection_payload(labels: Sequence[RegimeLabel],
 def build_payload(result: RunResult) -> dict[str, Any]:
     """Assemble the deterministic report payload (no timestamps)."""
     series = result.series
+    days = series.days
     report = result.report
     tracks = []
     for track, labels in zip(report.tracks, result.labels):
@@ -360,8 +367,8 @@ def build_payload(result: RunResult) -> dict[str, Any]:
             "rel_mse": track.rel_mse,
             "baseline_rel_mse": track.baseline_rel_mse,
             "model": _model_payload(track.model),
-            "windows": [_window_payload(w) for w in track.windows],
-            "detection": _detection_payload(labels, track.windows),
+            "windows": [_window_payload(w, days) for w in track.windows],
+            "detection": _detection_payload(labels, track.windows, days),
         })
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -372,8 +379,8 @@ def build_payload(result: RunResult) -> dict[str, Any]:
         "series": {
             "name": series.name,
             "n": int(series.values.size),
-            "first_date": date.fromordinal(int(series.days[0])).isoformat(),
-            "last_date": date.fromordinal(int(series.days[-1])).isoformat(),
+            "first_date": _iso_date(days, 0),
+            "last_date": _iso_date(days, -1),
             "n_interpolated": result.n_interpolated,
         },
         "detector": {"theta": result.config.detector.theta,

@@ -44,8 +44,8 @@ def daily_series(values, start=date(2000, 1, 3), name="test"):
 
 
 def make_window(rel, base, *, label="w", n_points=10, start_index=0):
-    """ErrorWindow with placeholder dates, for detector-level tests."""
+    """ErrorWindow for detector-level tests."""
     return ErrorWindow(
-        label=label, start=date(2000, 1, 1), end=date(2000, 1, 2),
-        start_index=start_index, end_index=start_index + n_points - 1,
-        rel_mse=rel, baseline_rel_mse=base)
+        label=label, start_index=start_index,
+        end_index=start_index + n_points - 1, rel_mse=rel,
+        baseline_rel_mse=base)

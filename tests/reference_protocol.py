@@ -140,3 +140,21 @@ def run_protocol(series, protocol, rank_tolerance=1e-10, standardize=False):
                                protocol.bucketing, horizon),
                        *scores(actual, predicted, horizon)))
     return tracks
+
+
+def min_run_filter(flags: list[bool], min_run: int) -> list[bool]:
+    """The detector's run filter as an index loop: a flag stays set only
+    inside a run of at least min_run set flags."""
+    out = [False] * len(flags)
+    i = 0
+    while i < len(flags):
+        if not flags[i]:
+            i += 1
+            continue
+        j = i
+        while j < len(flags) and flags[j]:
+            j += 1
+        if j - i >= min_run:
+            out[i:j] = [True] * (j - i)
+        i = j
+    return out

@@ -121,20 +121,40 @@ def test_synth_artifact_path_that_is_a_directory_is_refused(tmp_path,
     assert [p.name for p in out.iterdir()] == ["truth.json"]
 
 
+# the item of each list that holds a space
+SPACED_ITEMS = {"0,3 .7,-3.7": "3 .7", "0. 3": "0. 3"}
+
+
 @pytest.mark.parametrize("flag, text", [
     ("--coeffs", "0,,3.7,-3.7"), ("--coeffs", "0,3.7,"), ("--coeffs", ","),
-    ("--coeffs", ""), ("--init", "0.3,")])
+    ("--coeffs", ""), ("--init", "0.3,"), ("--coeffs", "0,3 .7,-3.7"),
+    ("--init", "0. 3")])
 def test_synth_empty_list_item_is_a_usage_error(flag, text, tmp_path, capsys):
+    # a space inside an item is refused too, rather than deleted
     lists = {"--coeffs": "0,3.7,-3.7", "--init": "0.3", flag: text}
     code, stdout, err = run_cli(capsys, "synth", "--kind", "map", "--n", "10",
                                 "--seed", "1", "--coeffs", lists["--coeffs"],
                                 "--init", lists["--init"],
                                 "--out", str(tmp_path / "m"))
+    reason = (f"space inside item {SPACED_ITEMS[text]!r} of"
+              if text in SPACED_ITEMS else "empty item in")
     assert code == 2 and stdout == ""
     assert stderr_json(err) == {
         "category": "config", "error": "UsageError",
-        "message": f"argument {flag}: empty item in numeric list {text!r}"}
+        "message": f"argument {flag}: {reason} numeric list {text!r}"}
     assert not (tmp_path / "m").exists()
+
+
+def test_synth_spaces_around_list_items_are_allowed(tmp_path, capsys):
+    for sub, coeffs, init in (("plain", "0,3.7,-3.7", "0.3"),
+                              ("spaced", " 0 , 3.7,-3.7 ", " 0.3")):
+        code, _, _ = run_cli(capsys, "synth", "--kind", "map", "--n", "10",
+                             "--seed", "1", "--coeffs", coeffs, "--init", init,
+                             "--out", str(tmp_path / sub))
+        assert code == 0
+    for name in ("series.csv", "truth.json"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "spaced" / name).read_bytes())
 
 
 def test_synth_walk_artifacts(tmp_path, capsys):
@@ -278,6 +298,11 @@ SPLICED = ["--kind", "spliced", "--n", "100", "--splice", "50"]
      "sigma must be positive and finite, got inf"),
     (SPLICED + ["--sigma", "inf"],
      "sigma must be positive and finite, got inf"),
+    (["--kind", "map", "--n", "10", "--dim", "2", "--coeffs", "0,0.5,0.2",
+      "--init", "0.3"], "--init needs exactly 2 values"),
+    (["--kind", "spliced", "--n", "100"], "--kind spliced needs --splice"),
+    (["--kind", "walk", "--n", "10", "--x0", "inf"], "x0 must be finite"),
+    (MAP + ["--bound", "0"], "bound must be positive"),
 ])
 def test_synth_non_finite_setting_is_a_config_error(argv, message, tmp_path,
                                                     capsys):

@@ -1,7 +1,6 @@
 """Regime labeling from window scores."""
 
 import math
-from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +8,8 @@ from hypothesis import strategies as st
 
 from maxentcast import (DetectorConfig, Regime, RegimeLabel, changepoints,
                         classify, detection_outcome)
-from maxentcast.detect import _min_run_filter
 
+import reference_protocol as ref
 from conftest import make_window
 
 
@@ -173,14 +172,17 @@ def test_classify_is_deterministic(ratios):
 
 
 @settings(max_examples=400, deadline=None)
-@given(flags=st.lists(st.booleans(), max_size=80),
+@given(ratios=st.lists(st.sampled_from([0.1, 0.4999, 0.5, 0.9, math.nan]),
+                       min_size=1, max_size=80),
        min_run=st.integers(min_value=1, max_value=90))
-def test_min_run_filter_keeps_exactly_the_long_runs(flags, min_run):
-    expected = []
-    for flag, run in groupby(flags):
-        n = len(list(run))
-        expected += [flag and n >= min_run] * n
-    assert _min_run_filter(flags, min_run) == expected
+def test_classify_keeps_exactly_the_long_runs(ratios, min_run):
+    # the run filter's index loop is the oracle; a NaN ratio is a
+    # degenerate window, never below theta
+    windows = windows_from_ratios(ratios)
+    labels = classify(windows, DetectorConfig(theta=0.5, min_run=min_run))
+    below = [not math.isnan(r) and r < 0.5 for r in ratios]
+    assert flagged(labels) == {
+        k for k, kept in enumerate(ref.min_run_filter(below, min_run)) if kept}
 
 
 # ------------------------------------------------------- detection outcome

@@ -6,6 +6,7 @@ requires the same series, the same exception type, message and line
 number, or the same bytes.
 """
 
+import json
 import math
 from datetime import date
 
@@ -369,6 +370,46 @@ def test_reader_reports_the_rows_before_a_decode_error(tmp_path, capsys, at,
     assert main(["run", "--input", str(path),
                  "--out", str(tmp_path / "run")]) == 3
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_decode_error_after_a_full_chunk_of_rows_fails_the_load(tmp_path,
+                                                                capsys):
+    # csv.reader hands over its first 32,768 rows before it reaches the bad
+    # byte; the load must fail rather than end the series there
+    lines = _day_lines(40_000)
+    data = ("date,value\r\n" + "\r\n".join(lines) + "\r\n").encode()
+    at = data.index(lines[39_000].encode())  # the date of data row 39,001
+    path = tmp_path / "in.csv"
+    path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    with pytest.raises(UnicodeDecodeError):
+        load_csv(path)
+    assert main(["run", "--input", str(path),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["plain", "crlf"])
+@pytest.mark.parametrize("lines", [
+    ["date,value", "2000-01-03,1", "2000-01-04,2"],
+    ["date,value", "2000-01-03,1", "2000-01-04,x"],
+    ["value,date", "1,2000-01-03", "2,2000-01-04"],
+    ["date2,value", "2000-01-03,1", "2000-01-04,2"],
+], ids=["rows", "bad value", "date last", "no date column"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, monkeypatch, end,
+                                              lines):
+    # a spreadsheet's "CSV UTF-8" export starts with the bytes EF BB BF
+    used = _tokenizers(monkeypatch)
+    text = (end.join(lines) + end).encode("ascii")
+    seen = []
+    for sub, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / sub / "in.csv"
+        path.parent.mkdir()
+        path.write_bytes(data)
+        seen.append((outcome(load_csv, path), dict(used)))
+        used.update(split=0, reader=0)
+    assert seen[1] == seen[0]
 
 
 # --------------------------------------------------------------------- clean

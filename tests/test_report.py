@@ -227,6 +227,33 @@ def test_payload_shape(walk_csv, tmp_path):
             assert track["detection"]["labels"][cp["window_index"]]
 
 
+def test_payload_dates_are_the_input_dates_at_each_index(tmp_path):
+    # under "drop", series row i is data row i of the file; business days
+    # with days left out keep the dates from following the index
+    days = np.busday_offset("2000-01-03", np.arange(400), roll="forward")
+    dates = [d for k, d in enumerate(days.astype(str).tolist()) if k % 7 != 3]
+    values = gen_random_walk(len(dates), 1.0, seed=5).values.tolist()
+    path = tmp_path / "gappy.csv"
+    path.write_text("date,value\n" + "".join(
+        f"{d},{v!r}\n" for d, v in zip(dates, values)))
+    cfg = RunConfig(input_path=str(path), protocol=SMALL_PROTOCOL,
+                    gap_policy="drop", out_dir=str(tmp_path),
+                    detector=DetectorConfig(theta=0.99, min_run=1))
+    payload = build_payload(run_from_config(cfg))
+    series = payload["series"]
+    assert (series["first_date"], series["last_date"]) == (dates[0], dates[-1])
+    n_changepoints = 0
+    for track in payload["tracks"]:
+        windows = track["windows"]
+        for w in windows:
+            assert (w["start_date"], w["end_date"]) == (
+                dates[w["start_index"]], dates[w["end_index"]])
+        for cp in track["detection"]["changepoints"]:
+            assert cp["date"] == windows[cp["window_index"]]["start_date"]
+            n_changepoints += 1
+    assert n_changepoints
+
+
 def test_payload_counts_filled_business_days(tmp_path):
     days = np.busday_offset("2000-01-03", np.arange(120), roll="forward")
     values = gen_random_walk(120, 1.0, seed=5).values.tolist()

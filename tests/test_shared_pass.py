@@ -41,9 +41,13 @@ def bits(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
-def window_rows(windows) -> list[tuple]:
-    return [(w.label, w.start, w.end, w.start_index, w.end_index, w.n_points,
-             bits(w.rel_mse), bits(w.baseline_rel_mse), w.degenerate)
+def window_rows(windows, days) -> list[tuple]:
+    """Each window's fields, with the dates of its first and last target
+    derived from the series day numbers days."""
+    return [(w.label, date.fromordinal(int(days[w.start_index])),
+             date.fromordinal(int(days[w.end_index])), w.start_index,
+             w.end_index, w.n_points, bits(w.rel_mse),
+             bits(w.baseline_rel_mse), w.degenerate)
             for w in windows]
 
 
@@ -67,7 +71,8 @@ def assert_matches_reference(series, protocol, **fit_args):
         assert track.model.coefficients.tobytes() == coef.tobytes(), what
         assert track.frame.actual.tobytes() == actual.tobytes(), what
         assert track.frame.predicted.tobytes() == predicted.tobytes(), what
-        assert window_rows(track.windows) == reference_rows(windows), what
+        assert (window_rows(track.windows, series.days)
+                == reference_rows(windows)), what
         assert bits(track.rel_mse) == bits(rel), what
         assert bits(track.baseline_rel_mse) == bits(base), what
     return report
@@ -134,7 +139,8 @@ def test_scoring_matches_per_window_reference(n, width, horizon, day_step,
     for bucketing in (WindowBuckets(width), YearBuckets(), WindowBuckets(n)):
         expected = ref.windows(target_dates, target_index, actual,
                                predicted, bucketing, horizon)
-        assert (window_rows(error_by_period(frame, bucketing))
+        assert (window_rows(error_by_period(frame, bucketing),
+                            frame.series.days)
                 == reference_rows(expected)), bucketing
     # the whole frame as one window is the whole-track score
     whole = error_by_period(frame, WindowBuckets(n))[0]
@@ -167,9 +173,10 @@ def test_acceptance_seed_scores_keep_their_bits(monkeypatch):
                                           scaled=False))
 
     expected = [unscaled(t.frame, b) for t, b in tracks]
-    assert [window_rows(t.windows) for t, _ in tracks] == expected
+    assert [window_rows(t.windows, t.frame.series.days)
+            for t, _ in tracks] == expected
     monkeypatch.setattr(evaluate, "_TINY_SUM", math.inf)  # scale every window
-    assert [window_rows(error_by_period(t.frame, b))
+    assert [window_rows(error_by_period(t.frame, b), t.frame.series.days)
             for t, b in tracks] == expected
 
 
@@ -286,8 +293,8 @@ def test_window_layout_matches_per_window_reference(days, bucketing):
     frame = frame_on_days(days)
     expected = ref.windows(*targets(frame), frame.actual, frame.predicted,
                            bucketing, frame.horizon)
-    assert window_rows(error_by_period(frame, bucketing)) == reference_rows(
-        expected)
+    assert window_rows(error_by_period(frame, bucketing),
+                       frame.series.days) == reference_rows(expected)
 
 
 @pytest.mark.parametrize("days, stacks", [
@@ -300,9 +307,9 @@ def test_each_run_of_equal_widths_is_one_stack(days, stacks, monkeypatch):
     calls = []
     score_frame = evaluate._score_frame
 
-    def logged(frame, lo, k, w, horizon):
+    def logged(frame, lo, k, w):
         calls.append((lo, k, w))
-        return score_frame(frame, lo, k, w, horizon)
+        return score_frame(frame, lo, k, w)
 
     monkeypatch.setattr(evaluate, "_score_frame", logged)
     error_by_period(frame_on_days(days), YearBuckets())
