@@ -5,7 +5,9 @@ Null: walks, default protocol, 125-point windows; the share of windows
 flagged PREDICTABLE and the score (rel_mse / baseline) quantiles.
 Detection: walks handing over to synth's logistic map at index 1,333, with
 d 2, degree 1, M 700, T 7, rank tolerance 0.2 and standardized features;
-hits, false flags and localization errors.  Seeds run from --seed0 up."""
+hits, false flags and localization errors.  Seeds run from --seed0 up.
+`null` and `detection` return the figures that are printed; acceptance
+criteria 4 and 5 call them at the default sizes."""
 
 import argparse
 import time
@@ -34,6 +36,8 @@ def classified(series, protocol, detector, **fit):
 
 
 def null(seeds, detector):
+    """Acceptance criterion 4's experiment: the windows flagged and the score
+    quantiles over the walks of the given seeds."""
     labels, flagged = [], 0
     for seed in seeds:
         walk = generate(RandomWalkSpec(n=N_POINTS, sigma=1.0, seed=seed))
@@ -41,15 +45,14 @@ def null(seeds, detector):
             labels += track_labels
             flagged += len(flags)
     scores = [lab.score for lab in labels if not np.isnan(lab.score)]
-    print(f"series: {len(seeds)} x {N_POINTS} points, window width {WIDTH}")
-    print(f"flagged windows: {flagged}/{len(labels)} "
-          f"({100.0 * flagged / len(labels):.2f}%)")
-    print("score quantiles (rel_mse / baseline):")
-    for level in (5, 25, 50, 75, 95):
-        print(f"  p{level:02d}  {np.percentile(scores, level):.4f}")
+    return {"series": len(seeds), "flagged": flagged, "windows": len(labels),
+            "quantiles": {level: float(np.percentile(scores, level))
+                          for level in (5, 25, 50, 75, 95)}}
 
 
 def detection(seeds, detector):
+    """Acceptance criterion 5's experiment: hits, false flags and the count
+    of each localization error over the splices of the given seeds."""
     outcomes = []
     for seed in seeds:
         spec = logistic_splice(RandomWalkSpec(n=SPLICE, sigma=1.0, seed=seed),
@@ -58,11 +61,28 @@ def detection(seeds, detector):
                                          rank_tolerance=0.2, standardize=True)
         outcomes.append(detection_outcome(spans, flags, spec.splice_index))
     errors = Counter(o["localization_error"] for o in outcomes if o["hit"])
-    print(f"trials: {len(seeds)}, hit rate {errors.total()}/{len(seeds)}")
-    print("false flags before the changepoint: "
-          f"{sum(o['false_flags'] for o in outcomes)}")
+    return {"trials": len(seeds), "hits": errors.total(),
+            "false_flags": sum(o["false_flags"] for o in outcomes),
+            "localization": dict(sorted(errors.items()))}
+
+
+def print_null(figures) -> None:
+    windows = figures["windows"]
+    print(f"series: {figures['series']} x {N_POINTS} points, "
+          f"window width {WIDTH}")
+    print(f"flagged windows: {figures['flagged']}/{windows} "
+          f"({100.0 * figures['flagged'] / windows:.2f}%)")
+    print("score quantiles (rel_mse / baseline):")
+    for level, value in figures["quantiles"].items():
+        print(f"  p{level:02d}  {value:.4f}")
+
+
+def print_detection(figures) -> None:
+    print(f"trials: {figures['trials']}, "
+          f"hit rate {figures['hits']}/{figures['trials']}")
+    print(f"false flags before the changepoint: {figures['false_flags']}")
     print("localization error (first flag minus truth window, in windows):")
-    for err, n in sorted(errors.items()):
+    for err, n in figures["localization"].items():
         print(f"  {err:+d}: {n}")
 
 
@@ -80,9 +100,10 @@ def main() -> None:
             raise ValueError("--walks and --splices must be at least 1")
     except ValueError as exc:
         parser.error(str(exc))
-    for experiment, size in ((null, args.walks), (detection, args.splices)):
+    for experiment, size, show in ((null, args.walks, print_null),
+                                   (detection, args.splices, print_detection)):
         t0 = time.perf_counter()
-        experiment(range(args.seed0, args.seed0 + size), detector)
+        show(experiment(range(args.seed0, args.seed0 + size), detector))
         print(f"elapsed: {time.perf_counter() - t0:.1f}s")
 
 

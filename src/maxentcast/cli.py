@@ -113,15 +113,21 @@ def _refuse_directories(paths) -> None:
 def _parse_float_list(text: str) -> tuple[float, ...]:
     """The floats of a comma-separated list; spaces may surround an item
     but not split one."""
-    items = [item.strip() for item in text.split(",")]
-    for item in items:
+    values = []
+    for item in (item.strip() for item in text.split(",")):
         if not item:
             raise argparse.ArgumentTypeError(
                 f"empty item in numeric list {text!r}")
         if " " in item:
             raise argparse.ArgumentTypeError(
                 f"space inside item {item!r} of numeric list {text!r}")
-    return tuple(map(float, items))
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"item {item!r} of numeric list {text!r} is not a number"
+            ) from None
+    return tuple(values)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -20,48 +20,8 @@ import numpy as np
 from .design import EmbedConfig
 from .errors import DegenerateWindowError, check_int
 from .ingest import TimeSeries
-from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, fit,
-                    forecast_batch)
-
-
-# A sum of squares at least this large cannot owe its last bit to a term
-# that underflowed: such a term is below 2**-1022, over 2**100 times
-# smaller.
-_TINY_SUM = 2.0 ** -900
-
-
-def _raw_sums(actual: np.ndarray, predicted: np.ndarray):
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = actual - actual.mean(axis=1, keepdims=True)
-        err = predicted - actual
-        return (np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0],
-                np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0])
-
-
-def _sums(actual: np.ndarray, predicted: np.ndarray):
-    """sum((predicted - actual)^2) and sum((actual - mean)^2) for each row of
-    two (k, w) stacks of windows, at a scale where they neither overflow
-    nor underflow.
-
-    Each row gets the same bits as the one-window form would: a row-wise
-    mean is the same pairwise sum, and a stacked (1, w) @ (w, 1) product is
-    the same dot product as dev @ dev.  A row whose sums come out infinite,
-    NaN or below _TINY_SUM is summed again after scaling it by 2**-e, where
-    2**e bounds its largest magnitude.  Scaling by a power of two is exact,
-    so num / denom keeps the bits the unscaled sums give wherever those
-    neither overflow nor underflow, and rows near the ends of the float
-    range can be scored.
-    """
-    num, denom = _raw_sums(actual, predicted)
-    redo = ~((num >= _TINY_SUM) & (num < np.inf)
-             & (denom >= _TINY_SUM) & (denom < np.inf))
-    if redo.any():
-        a, p = actual[redo], predicted[redo]
-        mag = np.maximum(np.abs(a).max(axis=1), np.abs(p).max(axis=1))
-        shift = -np.frexp(mag)[1][:, None]  # 0 where mag is 0, inf or NaN
-        num[redo], denom[redo] = _raw_sums(np.ldexp(a, shift),
-                                           np.ldexp(p, shift))
-    return num, denom
+from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, _sums,
+                    fit, forecast_batch)
 
 
 def _scores(actual: np.ndarray, predicted: np.ndarray,
@@ -70,13 +30,13 @@ def _scores(actual: np.ndarray, predicted: np.ndarray,
     each row of two (k, w) stacks of windows with finite actual values;
     NaN where a row cannot be scored (non-finite predictions, zero
     variance, or too few points)."""
-    num, denom = _sums(actual, predicted)
+    num, denom, _ = _sums(actual, predicted)
     usable = np.isfinite(predicted).all(axis=1) & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(usable, num / denom, np.nan)
         if actual.shape[1] < horizon + 2:
             return rel, np.full(actual.shape[0], np.nan)
-        num, denom = _sums(actual[:, horizon:], actual[:, :-horizon])
+        num, denom, _ = _sums(actual[:, horizon:], actual[:, :-horizon])
         return rel, np.where(denom > 0.0, num / denom, np.nan)
 
 
@@ -91,7 +51,7 @@ def relative_mse(actual, predicted) -> float:
         raise ValueError("need at least two points to score a window")
     if not (np.isfinite(a).all() and np.isfinite(p).all()):
         raise ValueError("scores need finite inputs")
-    num, denom = _sums(a[None], p[None])
+    num, denom, _ = _sums(a[None], p[None])
     if denom[0] <= 0.0:
         raise DegenerateWindowError("actual values have zero variance")
     return float(num[0]) / float(denom[0])

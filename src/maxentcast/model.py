@@ -110,24 +110,46 @@ class FittedModel:
         return monomial_labels(self.config.dim, self.config.degree)
 
 
-# A norm at least this large cannot owe its last bit to a square that
-# underflowed: such a square is below 2**-1022, over 2**100 times smaller
-# than the norm's square.
-_TINY_NORM = 2.0 ** -450
+# A sum of squares at least this large cannot owe its last bit to a term
+# that underflowed: such a term is below 2**-1022, over 2**100 times
+# smaller.
+_TINY_SUM = 2.0 ** -900
 
 
-def _norm(x: np.ndarray) -> float:
-    """The Euclidean norm of a vector, summed again after scaling it by
-    2**-e, where 2**e bounds its largest magnitude, when the plain norm
-    overflows or may have underflowed.  Scaling by a power of two is exact,
-    so a norm that needs no rescue keeps its bits."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(x)
-    if _TINY_NORM <= norm < np.inf:
-        return float(norm)
-    shift = int(np.frexp(np.max(np.abs(x), initial=0.0))[1])
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(np.ldexp(x, -shift)), shift))
+def _raw_sums(actual: np.ndarray, predicted: np.ndarray):
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = actual - actual.mean(axis=1, keepdims=True)
+        err = predicted - actual
+        return (np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0],
+                np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0])
+
+
+def _sums(actual: np.ndarray, predicted: np.ndarray):
+    """sum((predicted - actual)^2) and sum((actual - mean)^2) for each row of
+    two (k, w) stacks, at a scale where they neither overflow nor underflow,
+    and the exponent e of that scale: the true sums are these times 4**e.
+
+    Each row gets the same bits as the one-row form would: a row-wise mean
+    is the same pairwise sum, and a stacked (1, w) @ (w, 1) product is the
+    same dot product as dev @ dev.  A row whose sums come out infinite, NaN
+    or below _TINY_SUM is summed again after scaling it by 2**-e, where
+    2**e bounds its largest magnitude; e is 0 for every other row.  Scaling
+    by a power of two is exact, so num / denom keeps the bits the unscaled
+    sums give wherever those neither overflow nor underflow, and rows near
+    the ends of the float range can be scored.
+    """
+    num, denom = _raw_sums(actual, predicted)
+    e = np.zeros(num.shape, dtype=int)
+    redo = ~((num >= _TINY_SUM) & (num < np.inf)
+             & (denom >= _TINY_SUM) & (denom < np.inf))
+    if redo.any():
+        a, p = actual[redo], predicted[redo]
+        mag = np.maximum(np.abs(a).max(axis=1), np.abs(p).max(axis=1))
+        e[redo] = np.frexp(mag)[1]  # 0 where mag is 0, inf or NaN
+        shift = -e[redo][:, None]
+        num[redo], denom[redo] = _raw_sums(np.ldexp(a, shift),
+                                           np.ldexp(p, shift))
+    return num, denom, e
 
 
 def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
@@ -161,11 +183,13 @@ def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
         coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
     else:
         coef, rank, s = lstsq_min_norm(W, y, rank_tolerance)
+    num, _, e = _sums(y[None], (W @ coef)[None])
     return FittedModel(
         coefficients=coef,
         config=config,
-        diagnostics=FitDiagnostics(rank=rank, singular_values=s,
-                                   residual_norm=_norm(W @ coef - y)),
+        diagnostics=FitDiagnostics(
+            rank=rank, singular_values=s,
+            residual_norm=float(np.ldexp(np.sqrt(num[0]), e[0]))),
         standardized=standardize,
     )
 

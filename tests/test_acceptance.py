@@ -15,14 +15,12 @@ import numpy as np
 import pytest
 
 from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
-                        ProtocolConfig, RandomWalkSpec, Regime, WindowBuckets,
-                        classify, changepoints, clean, count_coefficients,
-                        detection_outcome, fit, gen_random_walk,
-                        gen_spliced, generate, load_csv, logistic_splice,
-                        lstsq_min_norm, pinv, relative_mse, rng,
-                        run_protocol)
+                        ProtocolConfig, classify, changepoints, clean,
+                        count_coefficients, fit, generate, load_csv,
+                        lstsq_min_norm, pinv, relative_mse, rng, run_protocol)
 from maxentcast.cli import main as cli_main
 
+import calibrate
 from map_families import chaotic_quad_map_coefficients, henon_map_coefficients
 
 
@@ -125,23 +123,11 @@ def test_criterion_4_null_calibration():
     """Random walks must not look predictable under the default pipeline."""
     budget_s = 60.0
     t0 = time.perf_counter()
-    protocol = ProtocolConfig(bucketing=WindowBuckets(125))
-    detector = DetectorConfig()
-    flagged = total = 0
-    ratios = []
-    for seed in range(50):
-        walk = gen_random_walk(2000, 1.0, seed=seed)
-        report = run_protocol(walk, protocol)
-        for track in report.tracks:
-            labels = classify(track.windows, detector)
-            flagged += sum(1 for lab in labels
-                           if lab.regime is Regime.PREDICTABLE)
-            total += len(labels)
-            ratios.extend(lab.score for lab in labels
-                          if not math.isnan(lab.score))
+    figures = calibrate.null(range(50), DetectorConfig())
     elapsed = time.perf_counter() - t0
+    flagged, total = figures["flagged"], figures["windows"]
     flag_fraction = flagged / total
-    median_ratio = float(np.median(ratios))
+    median_ratio = figures["quantiles"][50]
     ok = (flag_fraction <= 0.05 and 0.8 <= median_ratio <= 1.2
           and elapsed < budget_s)
     report_line("criterion 4: null calibration", ok,
@@ -156,30 +142,11 @@ def test_criterion_5_detection_power_and_localization():
     """Planted deterministic segments are found and localized."""
     budget_s = 120.0
     t0 = time.perf_counter()
-    protocol = ProtocolConfig(dim=2, degree=1, fit_window=700,
-                              anticipation=(7,), bucketing=WindowBuckets(125))
-    detector = DetectorConfig()
-    splice, n, scale = 1333, 2000, 60.0
-    hits = within_two = 0
-    for seed in range(100):
-        spec = logistic_splice(RandomWalkSpec(n=splice, sigma=1.0, seed=seed),
-                               n - splice, noise_sigma=0.01, map_r=3.59,
-                               map_scale=scale)
-        spliced = gen_spliced(spec.first, spec.second)
-        report = run_protocol(spliced.series, protocol,
-                              rank_tolerance=0.2, standardize=True)
-        track = report.tracks[0]
-        labels = classify(track.windows, detector)
-        flags = [k for k, lab in enumerate(labels)
-                 if lab.regime is Regime.PREDICTABLE]
-        outcome = detection_outcome(
-            [(w.start_index, w.end_index) for w in track.windows], flags,
-            spliced.changepoint)
-        if outcome["hit"]:
-            hits += 1
-            if abs(outcome["localization_error"]) <= 2:
-                within_two += 1
+    figures = calibrate.detection(range(100), DetectorConfig())
     elapsed = time.perf_counter() - t0
+    hits = figures["hits"]
+    within_two = sum(n for err, n in figures["localization"].items()
+                     if abs(err) <= 2)
     ok = hits >= 95 and within_two >= 90 and elapsed < budget_s
     report_line("criterion 5: detection power and localization", ok,
                 f"hits {hits}/100, within +/-2 windows {within_two}/{hits}, "

@@ -121,27 +121,31 @@ def test_synth_artifact_path_that_is_a_directory_is_refused(tmp_path,
     assert [p.name for p in out.iterdir()] == ["truth.json"]
 
 
-# the item of each list that holds a space
-SPACED_ITEMS = {"0,3 .7,-3.7": "3 .7", "0. 3": "0. 3"}
+# the reason given for each list whose bad item is not empty
+REASONS = {
+    "0,3 .7,-3.7": "space inside item '3 .7' of numeric list '0,3 .7,-3.7'",
+    "0. 3": "space inside item '0. 3' of numeric list '0. 3'",
+    "0,abc": "item 'abc' of numeric list '0,abc' is not a number",
+    "x": "item 'x' of numeric list 'x' is not a number"}
 
 
 @pytest.mark.parametrize("flag, text", [
     ("--coeffs", "0,,3.7,-3.7"), ("--coeffs", "0,3.7,"), ("--coeffs", ","),
     ("--coeffs", ""), ("--init", "0.3,"), ("--coeffs", "0,3 .7,-3.7"),
-    ("--init", "0. 3")])
+    ("--init", "0. 3"), ("--coeffs", "0,abc"), ("--init", "x")])
 def test_synth_empty_list_item_is_a_usage_error(flag, text, tmp_path, capsys):
-    # a space inside an item is refused too, rather than deleted
+    # a space inside an item is refused too, rather than deleted, and so is
+    # an item that is not a number
     lists = {"--coeffs": "0,3.7,-3.7", "--init": "0.3", flag: text}
     code, stdout, err = run_cli(capsys, "synth", "--kind", "map", "--n", "10",
                                 "--seed", "1", "--coeffs", lists["--coeffs"],
                                 "--init", lists["--init"],
                                 "--out", str(tmp_path / "m"))
-    reason = (f"space inside item {SPACED_ITEMS[text]!r} of"
-              if text in SPACED_ITEMS else "empty item in")
+    reason = REASONS.get(text, f"empty item in numeric list {text!r}")
     assert code == 2 and stdout == ""
     assert stderr_json(err) == {
         "category": "config", "error": "UsageError",
-        "message": f"argument {flag}: {reason} numeric list {text!r}"}
+        "message": f"argument {flag}: {reason}"}
     assert not (tmp_path / "m").exists()
 
 
@@ -565,6 +569,8 @@ def test_run_standardize_near_overflow_matches_unit_scale(write_csv, tmp_path,
 # ----------------------------------------------------------------- verify
 
 def synth_run_verify(capsys, tmp_path, synth_args, run_args):
+    """verify's result for a synth series run with run_args; the run's
+    artifacts are in tmp_path / "run"."""
     data = tmp_path / "data"
     assert main(["synth", *synth_args, "--out", str(data)]) == 0
     out = tmp_path / "run"
@@ -590,6 +596,11 @@ def test_verify_detects_planted_regime(tmp_path, capsys):
     track = result["tracks"][0]
     assert track["horizon"] == 7
     assert abs(track["localization_error"]) <= 2
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    labels = report["payload"]["tracks"][0]["detection"]["labels"]
+    assert [lab["window"] for lab in labels
+            if lab["regime"] == "PREDICTABLE"] == [
+                "w005", "w006", "w007", "w008", "w009", "w010"]
 
 
 def test_verify_walk_truth_has_null_hit(tmp_path, capsys):
@@ -801,13 +812,26 @@ def test_run_refuses_an_oversize_design_before_fitting(walk_csv_60, tmp_path,
     assert "324632 features" in line["message"]
 
 
+def test_unexpected_error_is_internal(walk_csv_60, tmp_path, capsys,
+                                      monkeypatch):
+    # an exception the error map does not name exits 1 as "internal"
+    def boom(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "run_from_config", boom)
+    code, stdout, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
+                                "--out", str(tmp_path / "run"))
+    assert code == 1 and stdout == ""
+    assert err == json.dumps({"category": "internal", "error": "RuntimeError",
+                              "message": "boom"}) + "\n"
+
+
 # ---------------------------------------------------------------- scripts
 
-# scripts/calibrate.py runs the experiments of the two scripts it replaced;
-# each case pins the figure lines of one experiment, as printed by one run
-# of `calibrate.py --walks 2 --splices 2`
+# each case pins the figure lines of one of scripts/calibrate.py's two
+# experiments, as printed by one run of `calibrate.py --walks 2 --splices 2`
 CALIBRATE_FIGURES = {
-    "null_calibration.py": [
+    "null": [
         "series: 2 x 2000 points, window width 125",
         "flagged windows: 0/88 (0.00%)",
         "score quantiles (rel_mse / baseline):",
@@ -817,7 +841,7 @@ CALIBRATE_FIGURES = {
         "  p75  1.4345",
         "  p95  2.9735",
     ],
-    "detection_power.py": [
+    "detection": [
         "trials: 2, hit rate 2/2",
         "false flags before the changepoint: 0",
         "localization error (first flag minus truth window, in windows):",
@@ -838,9 +862,9 @@ def calibrate_figures():
         else:
             blocks[-1].append(line)
     assert len(blocks) == 3 and blocks[-1] == []
-    return dict(zip(("null_calibration.py", "detection_power.py"), blocks))
+    return dict(zip(("null", "detection"), blocks))
 
 
-@pytest.mark.parametrize("script", sorted(CALIBRATE_FIGURES))
-def test_script_runs(script, calibrate_figures):
-    assert calibrate_figures[script] == CALIBRATE_FIGURES[script]
+@pytest.mark.parametrize("experiment", sorted(CALIBRATE_FIGURES))
+def test_script_runs(experiment, calibrate_figures):
+    assert calibrate_figures[experiment] == CALIBRATE_FIGURES[experiment]

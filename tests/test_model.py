@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
-                        PolyMapSpec, embed, fit, forecast_series, generate,
-                        lstsq_min_norm, monomial_labels, pinv, predict)
+                        ForecastFrame, PolyMapSpec, embed, fit, forecast_batch,
+                        forecast_series, generate, lstsq_min_norm,
+                        monomial_labels, pinv, predict)
 from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
                                InfeasibleWindowError)
-from maxentcast.model import _norm
+from maxentcast.model import _sums
 from maxentcast.report import _model_payload
 
 from conftest import daily_series
@@ -105,6 +106,19 @@ def test_all_zero_matrix_is_degenerate():
         lstsq_min_norm(np.zeros((4, 3)), np.zeros(4))
 
 
+RHS_REFUSED = "need a finite right-hand side, one value per matrix row"
+
+
+@pytest.mark.parametrize("matrix, rhs, message", [
+    (np.eye(3), np.ones(2), RHS_REFUSED),
+    (np.eye(3), np.array([1.0, np.nan, 1.0]), RHS_REFUSED),
+    (np.diag([1.0, np.inf, 1.0]), np.ones(3),
+     "matrix must be 2-d and finite")])
+def test_lstsq_refuses_a_bad_system(matrix, rhs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lstsq_min_norm(matrix, rhs)
+
+
 def test_rank_tolerance_bounds():
     w = np.eye(3)
     for bad in (0.0, 1.0, -0.5, 2.0):
@@ -127,6 +141,16 @@ def hand_model(coefficients, cfg):
                        config=cfg,
                        diagnostics=FitDiagnostics(rank=0, singular_values=(),
                                                   residual_norm=math.nan))
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    (QUAD_COEFFS[:5], "expected 6 coefficients, got 5"),
+    (QUAD_COEFFS[:5] + (math.nan,), "coefficients must be finite"),
+    (QUAD_COEFFS[:5] + (math.inf,), "coefficients must be finite")])
+def test_fitted_model_refuses_bad_coefficients(coefficients, message):
+    cfg = EmbedConfig(dim=2, degree=2, horizon=1, n_fit=10)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hand_model(coefficients, cfg)
 
 
 def held_out_rows(series, start, n_rows, horizon=1):
@@ -188,6 +212,19 @@ def test_forecast_empty_range():
     assert len(forecast_series(series, model, last)) == 1
     with pytest.raises(InfeasibleWindowError, match="no out-of-sample anchors"):
         forecast_series(series, model, last + 1)
+    with pytest.raises(ValueError, match="need at least one model"):
+        forecast_batch(series, [], last)
+
+
+@pytest.mark.parametrize("predicted, message", [
+    (np.zeros(8), "8 records from anchor 40 at horizon 3 do not fit a "
+                  "series of 50 points"),
+    (np.zeros((2, 3)), "predicted must be 1-d")])
+def test_forecast_frame_refuses_records_it_cannot_hold(predicted, message):
+    series = daily_series(np.arange(50.0))
+    assert len(ForecastFrame(series, 40, 3, np.zeros(7))) == 7
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ForecastFrame(series, 40, 3, predicted)
 
 
 def test_forecast_constant_series_is_exact():
@@ -297,6 +334,13 @@ def test_normal_equations_oracle_full_column_rank(seed):
     assert np.allclose(coef, oracle, atol=1e-8)
 
 
+def sums_norm(x: np.ndarray) -> float:
+    """The Euclidean norm of x as fit takes its residual's: the square root
+    of _sums' first sum, at that sum's power-of-two scale."""
+    num, _, e = _sums(x[None], np.zeros((1, x.size)))
+    return float(np.ldexp(np.sqrt(num[0]), e[0]))
+
+
 def test_residual_norm_survives_overflow_and_underflow():
     # squares near 1e320 overflow a double and squares near 1e-340 underflow;
     # scaling by a power of two scales the norm exactly
@@ -304,8 +348,8 @@ def test_residual_norm_survives_overflow_and_underflow():
     for scale in (2.0 ** 532, 2.0 ** -566):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _norm(scale * x) == scale * _norm(x)
-    assert _norm(np.zeros(3)) == 0.0
+            assert sums_norm(scale * x) == scale * sums_norm(x)
+    assert sums_norm(np.zeros(3)) == 0.0
     walk = np.cumsum(np.random.default_rng(1).standard_normal(60))
     norm = fit(daily_series(1e160 * (1.0 + 0.01 * walk)),
                EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40)

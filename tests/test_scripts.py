@@ -25,16 +25,3 @@ def test_calibrate_refuses_bad_settings_as_usage_errors():
         assert proc.stdout == ""
         assert proc.stderr.splitlines()[-1].startswith(
             f"calibrate.py: error: {message}")
-
-
-def test_spliced_demo_hits_the_planted_regime(tmp_path):
-    proc = run_script("spliced_demo.py", "--out", "demo", cwd=tmp_path)
-    out = tmp_path / "demo"
-    assert proc.returncode == 0, proc.stderr
-    assert '"hit": true' in proc.stdout
-    assert proc.stdout.splitlines()[-1] == (
-        "changepoint planted at index 1333; flagged windows: "
-        "['w005', 'w006', 'w007', 'w008', 'w009', 'w010']")
-    for name in ("data/series.csv", "data/truth.json", "run/report.json",
-                 "run/summary.csv", "run/forecast_T7.csv"):
-        assert (out / name).is_file()

@@ -175,7 +175,8 @@ def test_acceptance_seed_scores_keep_their_bits(monkeypatch):
     expected = [unscaled(t.frame, b) for t, b in tracks]
     assert [window_rows(t.windows, t.frame.series.days)
             for t, _ in tracks] == expected
-    monkeypatch.setattr(evaluate, "_TINY_SUM", math.inf)  # scale every window
+    # scale every window
+    monkeypatch.setattr("maxentcast.model._TINY_SUM", math.inf)
     assert [window_rows(error_by_period(t.frame, b), t.frame.series.days)
             for t, b in tracks] == expected
 
