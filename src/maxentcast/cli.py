@@ -6,7 +6,8 @@ without parsing messages:
     0  success, also when the reader of stdout closes it early
     1  unexpected internal error
     2  usage or configuration error
-    3  ingest error (unreadable file, parse failure, calendar gaps)
+    3  ingest error (unreadable file, parse failure, calendar gaps) or any
+       other file-system failure, such as an artifact that cannot be written
     4  window infeasibility or degenerate scoring window
     5  numerical failure (singular fit, overflowing features,
        divergent synthetic orbit)
@@ -29,8 +30,8 @@ from .detect import DetectorConfig
 from .errors import (DegenerateMatrixError, DegenerateWindowError,
                      DimensionMismatchError, DivergentOrbitError,
                      EmptySeriesError, GapError, InfeasibleWindowError,
-                     MaxentcastError, NumericalFailureError, ParseError,
-                     SchemaMismatchError)
+                     NumericalFailureError, ParseError,
+                     SchemaMismatchError, check_int)
 from .evaluate import ProtocolConfig
 from .ingest import GAP_POLICIES
 from .report import (RunConfig, TRUTH_SCHEMA_VERSION, bucket_text,
@@ -54,8 +55,7 @@ _ERROR_MAP: tuple[tuple[type | tuple[type, ...], int, str], ...] = (
     ((DegenerateMatrixError, NumericalFailureError, DivergentOrbitError,
       OverflowError, FloatingPointError), EXIT_NUMERICAL, "numerical"),
     ((InfeasibleWindowError, DegenerateWindowError), EXIT_WINDOW, "window"),
-    ((ParseError, EmptySeriesError, GapError, FileNotFoundError,
-      IsADirectoryError, PermissionError, UnicodeDecodeError,
+    ((ParseError, EmptySeriesError, GapError, OSError, UnicodeDecodeError,
       json.JSONDecodeError), EXIT_INGEST, "ingest"),
     ((DimensionMismatchError, ValueError, TypeError, KeyError),
      EXIT_USAGE, "config"),
@@ -264,6 +264,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     elif args.kind == "map":
         if args.coeffs is None or args.init is None:
             raise ValueError("--kind map needs --coeffs and --init")
+        check_int("dim", args.dim)
         if len(args.init) != args.dim:
             raise ValueError(f"--init needs exactly {args.dim} values")
         noise = (PolyMapSpec.noise_sigma if args.noise_sigma is None
@@ -276,6 +277,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     else:
         if args.splice is None:
             raise ValueError("--kind spliced needs --splice")
+        check_int("n", args.n, 2)
+        if not 1 <= args.splice < args.n:
+            raise ValueError(f"--splice must lie in [1, {args.n - 1}], "
+                             f"got {args.splice}")
         walk = RandomWalkSpec(n=args.splice, sigma=args.sigma, x0=args.x0,
                               seed=args.seed)
         noise = (SPLICE_NOISE * args.sigma if args.noise_sigma is None

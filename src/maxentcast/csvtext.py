@@ -185,10 +185,9 @@ def float_fields(values) -> np.ndarray:
     return out
 
 
-def date_fields(ordinals) -> np.ndarray:
-    """ISO ``YYYY-MM-DD`` of proleptic Gregorian day ordinals (1 is
-    0001-01-01, as ``date.toordinal`` counts), as ``(n, 12)`` NUL-padded
-    text."""
+def civil_dates(ordinals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The proleptic Gregorian year, month and day of day ordinals (1 is
+    0001-01-01, as ``date.toordinal`` counts), as int64 arrays."""
     # Days since 0000-03-01, split into 400-year eras of 146097 days, as in
     # Hinnant's civil_from_days; March-based years put the leap day last.
     z = np.asarray(ordinals, dtype=np.int64) + 305
@@ -200,9 +199,15 @@ def date_fields(ordinals) -> np.ndarray:
     shifted_month = (5 * day_of_year + 2) // 153             # March is 0
     day = day_of_year - (153 * shifted_month + 2) // 5 + 1
     month = np.where(shifted_month < 10, shifted_month + 3, shifted_month - 9)
-    year = 400 * era + year_of_era + (month <= 2)
+    return 400 * era + year_of_era + (month <= 2), month, day
+
+
+def date_fields(ordinals) -> np.ndarray:
+    """ISO ``YYYY-MM-DD`` of day ordinals, as :func:`civil_dates` reads
+    them, as ``(n, 12)`` NUL-padded text."""
+    year, month, day = civil_dates(ordinals)
     tables = _tables()
-    out = np.empty((z.size, 3), dtype=np.uint32)  # "YYYY" "-MM-" "DD"
+    out = np.empty((year.size, 3), dtype=np.uint32)  # "YYYY" "-MM-" "DD"
     out[:, 0] = tables.years[year]
     out[:, 1] = tables.months[month]
     out[:, 2] = tables.days[day]

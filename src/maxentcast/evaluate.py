@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import date
 
 import numpy as np
 
+from .csvtext import civil_dates
 from .design import EmbedConfig
 from .errors import DegenerateWindowError, check_int
 from .ingest import TimeSeries
@@ -57,10 +57,6 @@ def relative_mse(actual, predicted) -> float:
     return float(num[0]) / float(denom[0])
 
 
-# The day number (date.toordinal) of 1970-01-01, numpy's datetime64 epoch.
-_EPOCH_DAY = date(1970, 1, 1).toordinal()
-
-
 @dataclass(frozen=True)
 class YearBuckets:
     """Partition records by the calendar year of their target date."""
@@ -68,8 +64,7 @@ class YearBuckets:
     def starts(self, days: np.ndarray) -> tuple[list[str], np.ndarray]:
         """Labels and first records of the windows over records whose
         targets fall on the day numbers days, in order."""
-        years = ((days - _EPOCH_DAY).astype("datetime64[D]")
-                 .astype("datetime64[Y]").astype(np.int64) + 1970)
+        years = civil_dates(days)[0]
         starts = np.flatnonzero(np.diff(years, prepend=years[0] - 1))
         return [str(y) for y in years[starts].tolist()], starts
 

@@ -137,6 +137,12 @@ def _sums(actual: np.ndarray, predicted: np.ndarray):
     by a power of two is exact, so num / denom keeps the bits the unscaled
     sums give wherever those neither overflow nor underflow, and rows near
     the ends of the float range can be scored.
+
+    The scale comes from the row's largest actual or predicted value, so in
+    a rescued row an error or deviation term under 2**(e - 511) squares to a
+    subnormal and loses bits, and one under about 2**(e - 537) squares to 0:
+    ``_sums([[1e10, 1e-300, 2.0]], [[1e10, 0.0, 2.0]])`` gives e = 34 and a
+    residual sum of 0.0, for a true 1e-600.
     """
     num, denom = _raw_sums(actual, predicted)
     e = np.zeros(num.shape, dtype=int)

@@ -17,6 +17,7 @@ import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime, timezone
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from numbers import Integral
 from operator import itemgetter
@@ -114,8 +115,9 @@ _JSON_BATCH_ROWS = 512
 
 
 def _leaf_text(obj: Any) -> str:
-    """The JSON text of a str, int, float, bool or None, and a
-    ``TypeError`` for any other type, subclasses included."""
+    """The JSON text of a str, int, float, bool or None, a non-finite
+    float as null, and a ``TypeError`` for any other type, subclasses
+    included: the one text rule of every scalar the encoder writes."""
     kind = type(obj)
     if kind is float:
         return float.__repr__(obj) if math.isfinite(obj) else "null"
@@ -182,25 +184,10 @@ def _list_pieces(seq: list, level: int) -> Iterator[str]:
     yield "\n" + "  " * level + "]"
 
 
-def _column_texts(values: Sequence[Any]) -> list[str] | None:
-    """The JSON text of each value, by one C-level map when they share one
-    type; None unless every value is a scalar."""
-    kinds = set(map(type, values))
-    if dict in kinds or list in kinds:
-        return None
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    if kinds == {str}:
-        return list(map(encode_basestring_ascii, values))
-    return list(map(_leaf_text, values))
-
-
 def _record_texts(rows: Sequence[Any], level: int) -> Iterator[str] | None:
     """The JSON text of each row of a batch of dicts that share one set of
     str keys and hold only scalars, as one ``%`` template filled from the
-    formatted columns; None for any other batch."""
+    columns' ``_leaf_text``; None for any other batch."""
     if set(map(type, rows)) != {dict}:
         return None
     keys = rows[0].keys()
@@ -208,19 +195,17 @@ def _record_texts(rows: Sequence[Any], level: int) -> Iterator[str] | None:
             or not all(map(keys.__eq__, map(dict.keys, rows)))):
         return None
     names = sorted(keys)
-    columns = []
-    for name in names:
-        texts = _column_texts(list(map(itemgetter(name), rows)))
-        if texts is None:
-            return None
-        columns.append(texts)
+    columns = [list(map(itemgetter(name), rows)) for name in names]
+    if not {dict, list}.isdisjoint(map(type, chain.from_iterable(columns))):
+        return None
     indent = "\n" + "  " * (level + 1)
     template = ("{" + indent
                 + ("," + indent).join(
                     encode_basestring_ascii(name).replace("%", "%%") + ": %s"
                     for name in names)
                 + "\n" + "  " * level + "}")
-    return map(template.__mod__, zip(*columns))
+    return map(template.__mod__,
+               zip(*[map(_leaf_text, column) for column in columns]))
 
 
 def dumps_canonical(obj: Any) -> str:

@@ -37,8 +37,8 @@ texts = st.one_of(st.text(max_size=8), st.sampled_from(TRICKY))
 ints = st.one_of(st.integers(-10, 10), st.integers(-2**70, 2**70))
 leaves = st.one_of(st.none(), st.booleans(), ints, floats, texts)
 
-# Columns of one type take the encoder's one-map path; the others mix
-# types or nest.
+# Columns of one type, of mixed types, and of lists and dicts, which send
+# their batch through the per-item recursion.
 COLUMNS = [floats, st.one_of(floats, st.none()), ints,
            st.one_of(ints, st.booleans()), st.booleans(), texts, leaves,
            st.lists(ints, max_size=2),
@@ -100,6 +100,30 @@ def test_writer_matches_on_named_shapes(tmp_path):
     assert_same_text(obj, tmp_path)
     for shape in ([], {}, [{}], [[]], "x", 0, None, math.nan):
         assert_same_text(shape, tmp_path)
+
+
+def test_flat_records_are_written_a_batch_at_a_time():
+    # 1,100 flat records are three template pieces of 512, 512 and 76
+    # records; a nested value sends only its own batch through the per-item
+    # recursion
+    mixed = [1.5, math.nan, -0.0, 7, True, None, "%s"]
+    rows = [{"x": [2.5, math.nan, -0.0, -math.inf][i % 4], "n": i - 550,
+             "ok": i % 3 == 0, "s": f"r{i}%", "none": None,
+             "mixed": mixed[i % len(mixed)]} for i in range(1100)]
+
+    def piece(batch):
+        return reference_io.dumps_canonical(batch)[len("[\n  "):-len("\n]")]
+
+    sep = ",\n  "
+    flat = [piece(rows[:512]), piece(rows[512:1024]), piece(rows[1024:])]
+    assert list(report_module._json_pieces(rows)) == [
+        "[\n  ", flat[0], sep, flat[1], sep, flat[2], "\n]"]
+    rows[600]["s"] = ["nested"]
+    pieces = list(report_module._json_pieces(rows))
+    assert pieces[:3] == ["[\n  ", flat[0], sep]
+    assert pieces[-3:] == [sep, flat[2], "\n]"]
+    assert len(pieces) > 6 + 512
+    assert "".join(pieces) == reference_io.dumps_canonical(rows)
 
 
 def assert_writer_refuses(obj, tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: synth -> run -> verify, and exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -262,6 +263,7 @@ def test_synth_spliced_requires_interior_splice(tmp_path, capsys):
 @pytest.mark.parametrize("kind, extra", [
     ("walk", []),
     ("map", ["--coeffs", "0,1", "--init", "0.7"]),
+    ("spliced", ["--splice", "1"]),
 ])
 def test_synth_of_one_point_is_a_config_error(kind, extra, tmp_path, capsys):
     code, out, err = run_cli(capsys, "synth", "--kind", kind, "--n", "1",
@@ -307,6 +309,14 @@ SPLICED = ["--kind", "spliced", "--n", "100", "--splice", "50"]
     (["--kind", "spliced", "--n", "100"], "--kind spliced needs --splice"),
     (["--kind", "walk", "--n", "10", "--x0", "inf"], "x0 must be finite"),
     (MAP + ["--bound", "0"], "bound must be positive"),
+    (["--kind", "spliced", "--n", "100", "--splice", "150"],
+     "--splice must lie in [1, 99], got 150"),
+    (["--kind", "spliced", "--n", "100", "--splice", "0"],
+     "--splice must lie in [1, 99], got 0"),
+    (["--kind", "spliced", "--n", "100", "--splice", "100"],
+     "--splice must lie in [1, 99], got 100"),
+    (["--kind", "map", "--n", "10", "--dim", "0", "--coeffs", "0,1",
+      "--init", "0.3"], "dim must be an integer >= 1, got 0"),
 ])
 def test_synth_non_finite_setting_is_a_config_error(argv, message, tmp_path,
                                                     capsys):
@@ -405,6 +415,26 @@ def test_run_missing_input_is_ingest_error(tmp_path, capsys):
                            str(tmp_path / "nope.csv"))
     assert code == 3
     assert stderr_json(err)["category"] == "ingest"
+
+
+def test_run_artifact_that_cannot_be_written_is_ingest_error(
+        walk_csv_60, tmp_path, capsys, monkeypatch):
+    # a full disk is a file-system failure like an unreadable input: exit
+    # 3, one line, and the temp file removed
+    def full_disk(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", full_disk)
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
+                                "--d", "1", "--np", "1", "--fit-window", "10",
+                                "--anticipation", "1", "--bucket", "window:20",
+                                "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert stderr_json(err) == {
+        "category": "ingest", "error": "OSError",
+        "message": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"}
+    assert list(out.iterdir()) == []
 
 
 def test_run_out_that_is_not_a_directory_is_a_config_error(tmp_path, capsys):

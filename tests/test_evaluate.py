@@ -163,6 +163,24 @@ def test_year_buckets_partition_by_calendar_year():
     assert sum(w.n_points for w in windows) == n
 
 
+def test_year_buckets_match_the_calendar():
+    # both ends of the date range, and 1 January and 1 March of years the
+    # century and 400-year leap rules decide
+    last = date.max.toordinal()
+    days = {*range(1, 4000), *range(last - 4059, last + 1)}
+    for year in (1600, 1700, 1900, 2000, 2100, 2400):
+        for month in (1, 3):
+            first = date(year, month, 1).toordinal()
+            days.update(range(first - 40, first + 40))
+    days = np.array(sorted(days))
+    years = [date.fromordinal(d).year for d in days.tolist()]
+    starts = [i for i, year in enumerate(years)
+              if i == 0 or year != years[i - 1]]
+    labels, got = YearBuckets().starts(days)
+    assert labels == [str(years[i]) for i in starts]
+    assert got.tolist() == starts
+
+
 def test_single_bucket_perfect_forecast():
     a = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
     windows = error_by_period(make_frame(a, a.copy()), WindowBuckets(100))
