@@ -23,8 +23,8 @@ from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        error_by_period, relative_mse, run_protocol)
 from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
 from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
-                    forecast_batch, forecast_series, lstsq_min_norm, pinv,
-                    predict)
+                    fit_batch, forecast_batch, forecast_series,
+                    lstsq_min_norm, pinv, predict)
 from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      RunResult, build_payload, build_report_doc,
                      dumps_canonical, forecast_csv_text, load_report,
@@ -49,7 +49,8 @@ __all__ = [
     "WindowBuckets", "YearBuckets", "error_by_period",
     "relative_mse", "run_protocol",
     "GAP_POLICIES", "TimeSeries", "clean", "load_csv",
-    "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "forecast_batch",
+    "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "fit_batch",
+    "forecast_batch",
     "forecast_series",
     "lstsq_min_norm", "pinv", "predict",
     "REPORT_SCHEMA_VERSION", "TRUTH_SCHEMA_VERSION", "RunConfig", "RunResult",

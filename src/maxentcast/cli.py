@@ -42,6 +42,12 @@ from .synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE, SPLICE_NOISE,
                     PolyMapSpec, RandomWalkSpec, SplicedSpec, generate,
                     logistic_splice)
 
+# The value of each synth setting left off the command line; --noise-sigma's
+# depends on --kind, and the other flags have none.
+_SYNTH_DEFAULTS = {"sigma": 1.0, "x0": RandomWalkSpec.x0, "dim": 1,
+                   "bound": PolyMapSpec.bound, "map_r": SPLICE_MAP_R,
+                   "map_scale": SPLICE_MAP_SCALE}
+
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
@@ -185,33 +191,42 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="total series length")
     synth.add_argument("--seed", type=int, required=True,
                        help="generator seed (required; no ambient entropy)")
-    synth.add_argument("--sigma", type=float, default=1.0,
-                       help="walk increment scale (default 1.0)")
-    synth.add_argument("--x0", type=float, default=RandomWalkSpec.x0,
-                       help="walk starting level (default %(default)s)")
-    synth.add_argument("--dim", type=int, default=1,
-                       help="map memory depth (default 1)")
-    synth.add_argument("--coeffs", type=_parse_float_list, default=None,
+    # Each setting defaults to None here, so that _synth_settings can tell
+    # a flag given from one left out; the defaults it fills in are shown.
+    synth.add_argument("--sigma", type=float,
+                       help="walk increment scale (walk and spliced; "
+                            f"default {_SYNTH_DEFAULTS['sigma']})")
+    synth.add_argument("--x0", type=float,
+                       help="walk starting level (walk and spliced; "
+                            f"default {_SYNTH_DEFAULTS['x0']})")
+    synth.add_argument("--dim", type=int,
+                       help="map memory depth (map, and spliced with "
+                            f"--coeffs; default {_SYNTH_DEFAULTS['dim']})")
+    synth.add_argument("--coeffs", type=_parse_float_list,
                        metavar="C0,C1,...",
-                       help="map coefficients in monomial order")
-    synth.add_argument("--init", type=_parse_float_list, default=None,
+                       help="map coefficients in monomial order (map and "
+                            "spliced)")
+    synth.add_argument("--init", type=_parse_float_list,
                        metavar="V1,V2,...",
-                       help="map initial values, most recent first")
-    synth.add_argument("--noise-sigma", type=float, default=None,
-                       help="map observation noise scale (default 0 for "
-                            f"map, {SPLICE_NOISE} x sigma for spliced)")
-    synth.add_argument("--bound", type=float, default=PolyMapSpec.bound,
-                       help="divergence bound for map orbits "
-                            "(default %(default)s)")
-    synth.add_argument("--splice", type=int, default=None,
+                       help="map initial values, most recent first (map only)")
+    synth.add_argument("--noise-sigma", type=float,
+                       help="map observation noise scale (map and spliced; "
+                            f"default 0 for map, {SPLICE_NOISE} x sigma for "
+                            "spliced)")
+    synth.add_argument("--bound", type=float,
+                       help="divergence bound for map orbits (map and "
+                            f"spliced; default {_SYNTH_DEFAULTS['bound']})")
+    synth.add_argument("--splice", type=int,
                        help="walk length before the deterministic segment "
                             "(spliced only)")
-    synth.add_argument("--map-r", type=float, default=SPLICE_MAP_R,
-                       help="logistic parameter for the auto map "
-                            "(spliced without --coeffs; default %(default)s)")
-    synth.add_argument("--map-scale", type=float, default=SPLICE_MAP_SCALE,
-                       help="auto map amplitude in units of sigma "
-                            "(default %(default)s)")
+    synth.add_argument("--map-r", type=float,
+                       help="logistic parameter for the auto map (spliced "
+                            "without --coeffs; default "
+                            f"{_SYNTH_DEFAULTS['map_r']})")
+    synth.add_argument("--map-scale", type=float,
+                       help="auto map amplitude in units of sigma (spliced "
+                            "without --coeffs; default "
+                            f"{_SYNTH_DEFAULTS['map_scale']})")
     synth.add_argument("--out", type=_out_dir, default=".",
                        help="output directory")
 
@@ -251,7 +266,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The synth settings that --kind walk, map and spliced read, by argparse
+# dest, besides --n, --seed and --out.  A splice also reads the flags of its
+# map: --coeffs and --dim, or without --coeffs, --map-r and --map-scale.
+_SYNTH_READS = {
+    "walk": ("sigma", "x0"),
+    "map": ("dim", "coeffs", "init", "noise_sigma", "bound"),
+    "spliced": ("sigma", "x0", "splice", "noise_sigma", "bound"),
+}
+
+
+def _synth_settings(args: argparse.Namespace) -> None:
+    """Refuse a synth flag that --kind does not read, as a usage error that
+    names it; then give each setting left out its default."""
+    reads, what = set(_SYNTH_READS[args.kind]), f"--kind {args.kind}"
+    if args.kind == "spliced":
+        with_coeffs = args.coeffs is not None
+        reads |= {"coeffs", "dim"} if with_coeffs else {"map_r", "map_scale"}
+        what += " with --coeffs" if with_coeffs else " without --coeffs"
+    for dest in ("sigma", "x0", "dim", "coeffs", "init", "noise_sigma",
+                 "bound", "splice", "map_r", "map_scale"):
+        if dest not in reads and getattr(args, dest) is not None:
+            raise UsageError(f"argument --{dest.replace('_', '-')}: "
+                             f"{what} does not read it")
+    for dest, value in _SYNTH_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
+    _synth_settings(args)
     series_path = Path(args.out) / "series.csv"
     truth_path = Path(args.out) / "truth.json"
     _refuse_directories((series_path, truth_path))

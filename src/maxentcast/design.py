@@ -90,15 +90,20 @@ def _prefix_columns(dim: int, degree: int) -> tuple[tuple[int, int], ...]:
 
 
 def feature_matrix(delays: np.ndarray, degree: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Feature rows for a stack of delay vectors (one vector per row).
 
     Each column of degree k >= 2 is its degree-(k-1) prefix column times
     one delay component, so every product runs left to right:
-    v1*v2*v3 = (v1*v2) * v3.  With out, the rows are written into that
-    C-contiguous float64 (n_rows, n_features) array, which is returned.
-    Non-finite features, such as an overflowing product, raise
-    NumericalFailureError.
+    v1*v2*v3 = (v1*v2) * v3.  The columns are built as the contiguous rows
+    of a float64 (n_features, n_rows) scratch, then its transpose is copied
+    into the rows.  With scratch, an array of that shape whose rows are
+    contiguous, the columns are built there; delays may be the transpose of
+    its rows 1..dim, which then need no copy.  With out, the rows are
+    written into that C-contiguous float64 (n_rows, n_features) array,
+    which is returned.  Non-finite features, such as an overflowing
+    product, raise NumericalFailureError.
     """
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 2:
@@ -110,15 +115,23 @@ def feature_matrix(delays: np.ndarray, degree: int,
     elif (out.shape != shape or out.dtype != np.float64
           or not out.flags.c_contiguous):
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    out[:, 0] = 1.0
-    out[:, 1:dim + 1] = delays
+    if scratch is None:
+        scratch = np.empty(shape[::-1])
+    elif (scratch.shape != shape[::-1] or scratch.dtype != np.float64
+          or scratch.strides[1] != scratch.itemsize):
+        raise ValueError("scratch must be a float64 array of shape "
+                         f"{shape[::-1]} with contiguous rows")
+    scratch[0] = 1.0
+    # numpy skips this copy when delays is the transpose of these rows
+    scratch[1:dim + 1] = delays.T
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (prefix, i) in enumerate(_prefix_columns(dim, degree), start=dim + 1):
-            np.multiply(out[:, prefix], delays[:, i], out=out[:, j])
-    if not np.isfinite(out).all():
+            np.multiply(scratch[prefix], scratch[i + 1], out=scratch[j])
+    if not np.isfinite(scratch).all():
         raise NumericalFailureError(
             f"degree-{degree} features of delay vectors up to "
             f"|v| = {np.max(np.abs(delays)):g} are not finite")
+    out[...] = scratch.T
     return out
 
 
@@ -149,16 +162,19 @@ def forecast_block_rows(n_features: int) -> int:
 
 
 # The largest feature matrix embed or forecast_batch builds, in bytes of
-# float64 (rows x N_c x 8).  A fit holds several arrays of its design's
-# size at once (the design and the SVD's factors), so a larger one would
-# exhaust the memory of a typical machine.
+# float64 (rows x N_c x 8).  A build also holds a column scratch of the
+# same size, and a fit holds several arrays of its design's size at once
+# (the design and the SVD's factors), so a larger one would exhaust the
+# memory of a typical machine.
 MAX_DESIGN_BYTES = 1 << 28
 
 
 def check_design_size(config: EmbedConfig) -> None:
     """Refuse an embedding whose fit design (n_fit rows) or forecast block
     (forecast_block_rows + 1 rows) would pass MAX_DESIGN_BYTES, from its
-    sizes alone."""
+    sizes alone.  Building either also takes a column scratch of its size
+    (see feature_matrix), so the memory a build holds is twice the figure
+    checked."""
     n_features = config.n_features
     block = forecast_block_rows(n_features) + 1
     rows = max(config.n_fit, block)
@@ -170,27 +186,35 @@ def check_design_size(config: EmbedConfig) -> None:
             f"{size:,} bytes, over the limit of {MAX_DESIGN_BYTES:,}")
 
 
-def embed(series: TimeSeries, config: EmbedConfig,
-          start: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The constraint system features @ a = targets of n_fit consecutive
-    anchors, as the arrays (features, targets).
-
-    Row n holds the features of the delay vector at t = start + n, and
-    targets[n] is v(start + n + horizon).  start defaults to the earliest
-    feasible index (dim-1)*lag, so the fit consumes the earliest rows.
-    An embedding check_design_size refuses is refused before any is built.
-    """
-    check_design_size(config)
-    values = series.values
-    n_obs = values.size
+def fit_anchors(series: TimeSeries, config: EmbedConfig,
+                start: int | None = None) -> np.ndarray:
+    """The series indices start, start + 1, ... of the n_fit anchors of a
+    constraint system; InfeasibleWindowError unless each has its delay
+    vector and its target, horizon steps on, in the series.  start
+    defaults to the earliest feasible index (dim-1)*lag."""
     if start is None:
         start = config.span
     last_needed = start + config.n_fit - 1 + config.horizon
-    if start < config.span or last_needed > n_obs - 1:
+    if start < config.span or last_needed > len(series) - 1:
         raise InfeasibleWindowError(
             f"window start={start}, n_fit={config.n_fit}, horizon={config.horizon} "
-            f"needs indices up to {last_needed}, series has {n_obs}")
-    times = np.arange(start, start + config.n_fit)
-    features = feature_matrix(delay_matrix(values, times, config.dim, config.lag),
-                              config.degree)
-    return features, values[times + config.horizon]
+            f"needs indices up to {last_needed}, series has {len(series)}")
+    return np.arange(start, start + config.n_fit)
+
+
+def embed(series: TimeSeries, config: EmbedConfig,
+          start: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint system features @ a = targets of the fit_anchors of
+    (series, config, start), as the arrays (features, targets).
+
+    Row n holds the features of the delay vector at t = start + n, and
+    targets[n] is v(start + n + horizon), so by default the fit consumes
+    the earliest rows.  An embedding check_design_size refuses is refused
+    before any is built.
+    """
+    check_design_size(config)
+    times = fit_anchors(series, config, start)
+    features = feature_matrix(
+        delay_matrix(series.values, times, config.dim, config.lag),
+        config.degree)
+    return features, series.values[times + config.horizon]

@@ -21,7 +21,7 @@ from .design import EmbedConfig
 from .errors import DegenerateWindowError, check_int
 from .ingest import TimeSeries
 from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, _sums,
-                    fit, forecast_batch)
+                    fit_batch, forecast_batch)
 
 
 def _scores(actual: np.ndarray, predicted: np.ndarray,
@@ -214,11 +214,11 @@ def run_protocol(series: TimeSeries, protocol: ProtocolConfig,
                  rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
                  standardize: bool = False) -> PredictabilityReport:
     """Fit on the earliest fit_window constraints, separately for each
-    anticipation value, then forecast everything after in one pass over
-    the anchors and score per bucket."""
-    models = [fit(series, protocol.embed_config(horizon),
-                  rank_tolerance=rank_tolerance, standardize=standardize)
-              for horizon in protocol.anticipation]
+    anticipation value but from one factorization, then forecast
+    everything after in one pass over the anchors and score per bucket."""
+    models = fit_batch(series, [protocol.embed_config(horizon)
+                                for horizon in protocol.anticipation],
+                       rank_tolerance=rank_tolerance, standardize=standardize)
     first = models[0].config.span + protocol.fit_window
     frames = forecast_batch(series, models, first)
     tracks: list[ForecastTrack] = []

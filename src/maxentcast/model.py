@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (EmbedConfig, delay_matrix, embed, feature_matrix,
+from .design import (EmbedConfig, embed, feature_matrix, fit_anchors,
                      forecast_block_rows, monomial_labels)
 from .errors import (DegenerateMatrixError, DimensionMismatchError,
                      InfeasibleWindowError, NumericalFailureError, check_int)
@@ -52,6 +52,20 @@ def _svd_cutoff(matrix: np.ndarray, rank_tolerance: float):
     return u, s, vt, s > rank_tolerance * s[0]
 
 
+def _min_norm_solver(matrix: np.ndarray, rank_tolerance: float):
+    """The factorization of matrix as the function that maps a right-hand
+    side to its minimum-norm least-squares solution, plus (rank,
+    singular_values).  Each solution is the same two products, so it has
+    the bits a solve with that right-hand side alone would have."""
+    u, s, vt, keep = _svd_cutoff(matrix, rank_tolerance)
+    u_keep, v_keep, s_keep = u[:, keep], vt[keep].T, s[keep]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return v_keep @ ((u_keep.T @ rhs) / s_keep)
+
+    return solve, int(np.count_nonzero(keep)), s
+
+
 def lstsq_min_norm(matrix, rhs, rank_tolerance: float = DEFAULT_RANK_TOLERANCE):
     """Minimum-norm least-squares solution, plus (rank, singular_values).
 
@@ -62,9 +76,8 @@ def lstsq_min_norm(matrix, rhs, rank_tolerance: float = DEFAULT_RANK_TOLERANCE):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != matrix.shape[:1] or not np.isfinite(rhs).all():
         raise ValueError("need a finite right-hand side, one value per matrix row")
-    u, s, vt, keep = _svd_cutoff(matrix, rank_tolerance)
-    coef = vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
-    return coef, int(np.count_nonzero(keep)), s
+    solve, rank, s = _min_norm_solver(matrix, rank_tolerance)
+    return solve(rhs), rank, s
 
 
 def pinv(matrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
@@ -158,11 +171,19 @@ def _sums(actual: np.ndarray, predicted: np.ndarray):
     return num, denom, e
 
 
-def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
-        rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-        standardize: bool = False) -> FittedModel:
-    """Estimate model coefficients from the constraint system that
-    embed(series, config, start) builds.
+def fit_batch(series: TimeSeries, configs, start: int | None = None,
+              rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+              standardize: bool = False) -> list[FittedModel]:
+    """One fitted model per config, from one factorization.
+
+    The configs share dim, degree, lag and n_fit and may differ in
+    horizon, so every constraint system embed(series, config, start)
+    builds has the same feature matrix and its own targets.  That matrix
+    is built, standardized and decomposed once; each horizon then takes
+    its own projection of its targets, the mapping back to original units
+    and its residual, each in the same operations as alone, so a model has
+    the same bits in any batch.  A horizon whose targets leave the series
+    raises InfeasibleWindowError, the first such in configs order.
 
     With standardize=True the non-constant feature columns are z-scored
     before the solve and the solution is mapped back to original units.
@@ -171,7 +192,14 @@ def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
     control, off by default.  Diagnostics describe the matrix actually
     decomposed; the residual norm is always in original units.
     """
-    W, y = embed(series, config, start)
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    head = configs[0]
+    if any((c.dim, c.degree, c.lag, c.n_fit)
+           != (head.dim, head.degree, head.lag, head.n_fit) for c in configs):
+        raise ValueError("configs in one batch must share dim, degree, lag and n_fit")
+    W, _ = embed(series, head, start)
     if standardize:
         # Each column's moments are taken after scaling it by 2**-e, where
         # 2**e bounds its largest magnitude, so no square overflows; the
@@ -184,20 +212,34 @@ def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
         center = np.where(sd > 0, mean, 0.0)
         scale[0] = 1.0
         center[0] = 0.0
-        b, rank, s = lstsq_min_norm((W - center) / scale, y, rank_tolerance)
-        coef = b / scale
-        coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
+        solve, rank, s = _min_norm_solver((W - center) / scale, rank_tolerance)
     else:
-        coef, rank, s = lstsq_min_norm(W, y, rank_tolerance)
-    num, _, e = _sums(y[None], (W @ coef)[None])
-    return FittedModel(
-        coefficients=coef,
-        config=config,
-        diagnostics=FitDiagnostics(
-            rank=rank, singular_values=s,
-            residual_norm=float(np.ldexp(np.sqrt(num[0]), e[0]))),
-        standardized=standardize,
-    )
+        solve, rank, s = _min_norm_solver(W, rank_tolerance)
+    models = []
+    for config in configs:
+        y = series.values[fit_anchors(series, config, start) + config.horizon]
+        coef = b = solve(y)
+        if standardize:
+            coef = b / scale
+            coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
+        num, _, e = _sums(y[None], (W @ coef)[None])
+        models.append(FittedModel(
+            coefficients=coef,
+            config=config,
+            diagnostics=FitDiagnostics(
+                rank=rank, singular_values=s,
+                residual_norm=float(np.ldexp(np.sqrt(num[0]), e[0]))),
+            standardized=standardize,
+        ))
+    return models
+
+
+def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
+        rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
+        standardize: bool = False) -> FittedModel:
+    """Estimate model coefficients from the constraint system that
+    embed(series, config, start) builds: fit_batch of one config."""
+    return fit_batch(series, [config], start, rank_tolerance, standardize)[0]
 
 
 def predict(model: FittedModel, features) -> np.ndarray:
@@ -256,10 +298,11 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     lies in the series: len(series) - first - horizon of them.  The models
     share one embedding (dim, lag, degree) and may differ in horizon and
     coefficients, so the delay vectors and features of each block of
-    forecast_block_rows anchors are built once, in one reused buffer, and
-    every model applies its own coefficients to them.  Each prediction
-    uses the observed delay vector at its anchor; model output is never
-    fed back.  A model with no anchor raises InfeasibleWindowError.
+    forecast_block_rows anchors are built once, in buffers reused from
+    block to block, and every model applies its own coefficients to them.
+    Each prediction uses the observed delay vector at its anchor; model
+    output is never fed back.  A model with no anchor raises
+    InfeasibleWindowError.
     """
     models = list(models)
     if not models:
@@ -284,14 +327,20 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     predicted = [np.empty(c) for c in counts]
     rows = forecast_block_rows(cfg.n_features)
     block = np.empty((rows + 1, cfg.n_features))
+    columns = np.empty((cfg.n_features, rows + 1))
     stop = max(counts)
     # numpy applies a one-row product as a dot product, whose sum can differ
     # in the last bit from gemv's: a one-row remainder joins the block before.
     for lo in range(0, max(stop - 1, 1), rows):
         hi = min(lo + rows + 1, stop)
-        delays = delay_matrix(values, np.arange(first + lo, first + hi),
-                              cfg.dim, cfg.lag)
-        features = feature_matrix(delays, cfg.degree, out=block[:hi - lo])
+        # the delay components of anchors first + lo .. first + hi - 1, each
+        # a contiguous slice of the series, go straight into the scratch
+        scratch = columns[:, :hi - lo]
+        for i in range(cfg.dim):
+            lead = first - i * cfg.lag
+            scratch[i + 1] = values[lead + lo:lead + hi]
+        features = feature_matrix(scratch[1:cfg.dim + 1].T, cfg.degree,
+                                  out=block[:hi - lo], scratch=scratch)
         for k, c in enumerate(counts):
             if lo < max(c - 1, 1):
                 m = c - lo if c - lo <= rows + 1 else rows

@@ -328,6 +328,68 @@ def test_synth_non_finite_setting_is_a_config_error(argv, message, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+WALK = ["--kind", "walk", "--n", "10"]
+AUTO = SPLICED + ["--map-r", "3.7"]
+WITH_COEFFS = SPLICED + ["--coeffs", "0,1"]
+
+
+@pytest.mark.parametrize("argv, flag, what", [
+    (WALK + ["--dim", "3"], "--dim", "--kind walk"),
+    (WALK + ["--coeffs", "1,2"], "--coeffs", "--kind walk"),
+    (WALK + ["--init", "0.3"], "--init", "--kind walk"),
+    (WALK + ["--noise-sigma", "0.1"], "--noise-sigma", "--kind walk"),
+    (WALK + ["--bound", "1e6"], "--bound", "--kind walk"),
+    (WALK + ["--splice", "5"], "--splice", "--kind walk"),
+    (WALK + ["--map-r", "3.7"], "--map-r", "--kind walk"),
+    (WALK + ["--map-scale", "60"], "--map-scale", "--kind walk"),
+    (MAP + ["--sigma", "1"], "--sigma", "--kind map"),
+    (MAP + ["--x0", "0"], "--x0", "--kind map"),
+    (MAP + ["--splice", "5"], "--splice", "--kind map"),
+    (MAP + ["--map-r", "3.7"], "--map-r", "--kind map"),
+    (MAP + ["--map-scale", "60"], "--map-scale", "--kind map"),
+    (AUTO + ["--init", "0.3"], "--init", "--kind spliced without --coeffs"),
+    (AUTO + ["--dim", "1"], "--dim", "--kind spliced without --coeffs"),
+    (WITH_COEFFS + ["--init", "0.3"], "--init", "--kind spliced with --coeffs"),
+    (WITH_COEFFS + ["--map-r", "3.7"], "--map-r",
+     "--kind spliced with --coeffs"),
+    (WITH_COEFFS + ["--map-scale", "60"], "--map-scale",
+     "--kind spliced with --coeffs"),
+    # the first flag the kind does not read, in the help's order, is named
+    (WALK + ["--splice", "5", "--dim", "3", "--coeffs", "1,2"], "--dim",
+     "--kind walk"),
+])
+def test_synth_flag_the_kind_does_not_read_is_a_usage_error(
+        argv, flag, what, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "synth", *argv, "--seed", "1",
+                             "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert stderr_json(err) == {"category": "config", "error": "UsageError",
+                                "message": f"argument {flag}: {what} does "
+                                           "not read it"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_flags_at_their_defaults_give_the_default_series(tmp_path,
+                                                               capsys):
+    # a flag the kind reads, given at its default, changes nothing
+    given = {"walk": ["--sigma", "1.0", "--x0", "0.0"],
+             "spliced": ["--splice", "300", "--sigma", "1", "--x0", "0",
+                         "--noise-sigma", "0.01", "--bound", "1e6",
+                         "--map-r", str(SPLICE_MAP_R),
+                         "--map-scale", str(SPLICE_MAP_SCALE)]}
+    for kind, flags in given.items():
+        plain = ["--splice", "300"] if kind == "spliced" else []
+        for sub, extra in (("plain", plain), ("given", flags)):
+            code, _, _ = run_cli(capsys, "synth", "--kind", kind, "--n", "400",
+                                 "--seed", "4", *extra,
+                                 "--out", str(tmp_path / kind / sub))
+            assert code == 0
+        for name in ("series.csv", "truth.json"):
+            assert ((tmp_path / kind / "plain" / name).read_bytes()
+                    == (tmp_path / kind / "given" / name).read_bytes())
+
+
 def test_synth_overflowing_map_prints_one_json_line(tmp_path):
     # 1e100 * (1e300)^2 overflows a double at the third step; under -W error
     # a numpy warning would end the run before the orbit's own error
