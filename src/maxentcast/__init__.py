@@ -9,18 +9,17 @@ predictable.
 
 from . import rng
 from ._version import __version__
-from .design import (EmbedConfig, count_coefficients, delay_matrix, embed,
-                     feature_matrix, monomial_labels, monomial_terms)
+from .design import (EmbedConfig, count_coefficients, embed, feature_matrix,
+                     monomial_labels, monomial_terms)
 from .detect import (DetectorConfig, Regime, RegimeLabel, changepoints,
                      classify, detection_outcome)
-from .errors import (DegenerateMatrixError, DegenerateWindowError,
-                     DimensionMismatchError, DivergentOrbitError,
-                     EmptySeriesError, GapError, InfeasibleWindowError,
-                     MaxentcastError, NumericalFailureError, ParseError,
-                     SchemaMismatchError)
+from .errors import (DegenerateMatrixError, DimensionMismatchError,
+                     DivergentOrbitError, EmptySeriesError, GapError,
+                     InfeasibleWindowError, MaxentcastError,
+                     NumericalFailureError, ParseError, SchemaMismatchError)
 from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        ProtocolConfig, WindowBuckets, YearBuckets,
-                       error_by_period, relative_mse, run_protocol)
+                       error_by_period, run_protocol)
 from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
 from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
                     fit_batch, forecast_batch, forecast_series,
@@ -37,17 +36,16 @@ from .synth import (PolyMapSpec, RandomWalkSpec, SplicedSeries, SplicedSpec,
                     rescale_map_coefficients)
 
 __all__ = [
-    "EmbedConfig", "count_coefficients", "delay_matrix", "embed",
-    "feature_matrix", "monomial_labels", "monomial_terms",
+    "EmbedConfig", "count_coefficients", "embed", "feature_matrix",
+    "monomial_labels", "monomial_terms",
     "DetectorConfig", "Regime", "RegimeLabel", "changepoints", "classify",
     "detection_outcome",
-    "DegenerateMatrixError", "DegenerateWindowError", "DimensionMismatchError",
-    "DivergentOrbitError", "EmptySeriesError", "GapError",
-    "InfeasibleWindowError", "MaxentcastError", "NumericalFailureError",
-    "ParseError", "SchemaMismatchError",
+    "DegenerateMatrixError", "DimensionMismatchError", "DivergentOrbitError",
+    "EmptySeriesError", "GapError", "InfeasibleWindowError",
+    "MaxentcastError", "NumericalFailureError", "ParseError",
+    "SchemaMismatchError",
     "ErrorWindow", "ForecastTrack", "PredictabilityReport", "ProtocolConfig",
-    "WindowBuckets", "YearBuckets", "error_by_period",
-    "relative_mse", "run_protocol",
+    "WindowBuckets", "YearBuckets", "error_by_period", "run_protocol",
     "GAP_POLICIES", "TimeSeries", "clean", "load_csv",
     "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "fit_batch",
     "forecast_batch",

@@ -4,11 +4,11 @@ Exit codes map error families to stable categories so callers can branch
 without parsing messages:
 
     0  success, also when the reader of stdout closes it early
-    1  unexpected internal error
+    1  unexpected internal error, a TypeError or KeyError among them
     2  usage or configuration error
     3  ingest error (unreadable file, parse failure, calendar gaps) or any
        other file-system failure, such as an artifact that cannot be written
-    4  window infeasibility or degenerate scoring window
+    4  window infeasibility (a degenerate scoring window scores NaN)
     5  numerical failure (singular fit, overflowing features,
        divergent synthetic orbit)
     6  schema version mismatch
@@ -27,10 +27,9 @@ from pathlib import Path
 
 from ._version import __version__
 from .detect import DetectorConfig
-from .errors import (DegenerateMatrixError, DegenerateWindowError,
-                     DimensionMismatchError, DivergentOrbitError,
-                     EmptySeriesError, GapError, InfeasibleWindowError,
-                     NumericalFailureError, ParseError,
+from .errors import (DegenerateMatrixError, DimensionMismatchError,
+                     DivergentOrbitError, EmptySeriesError, GapError,
+                     InfeasibleWindowError, NumericalFailureError, ParseError,
                      SchemaMismatchError, check_int)
 from .evaluate import ProtocolConfig
 from .ingest import GAP_POLICIES
@@ -60,11 +59,10 @@ _ERROR_MAP: tuple[tuple[type | tuple[type, ...], int, str], ...] = (
     (SchemaMismatchError, EXIT_SCHEMA, "schema"),
     ((DegenerateMatrixError, NumericalFailureError, DivergentOrbitError,
       OverflowError, FloatingPointError), EXIT_NUMERICAL, "numerical"),
-    ((InfeasibleWindowError, DegenerateWindowError), EXIT_WINDOW, "window"),
+    (InfeasibleWindowError, EXIT_WINDOW, "window"),
     ((ParseError, EmptySeriesError, GapError, OSError, UnicodeDecodeError,
       json.JSONDecodeError), EXIT_INGEST, "ingest"),
-    ((DimensionMismatchError, ValueError, TypeError, KeyError),
-     EXIT_USAGE, "config"),
+    ((DimensionMismatchError, ValueError), EXIT_USAGE, "config"),
 )
 
 

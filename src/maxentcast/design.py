@@ -135,11 +135,28 @@ def feature_matrix(delays: np.ndarray, degree: int,
     return out
 
 
-def delay_matrix(values, times, dim: int, lag: int = 1) -> np.ndarray:
-    """Delay vectors for many indices at once, one per row."""
-    values = np.asarray(values, dtype=float)
-    times = np.asarray(times, dtype=int)
-    return np.column_stack([values[times - i * lag] for i in range(dim)])
+def anchor_features(values: np.ndarray, config: EmbedConfig, first: int,
+                    count: int, out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> np.ndarray:
+    """Feature rows of config's delay vectors at the anchors first, ...,
+    first + count - 1 of values.  Component i of the vectors, the slice of
+    values i * lag before them, is copied straight into row i + 1 of the
+    scratch feature_matrix builds on (out and scratch as there).
+    InfeasibleWindowError unless every vector lies in values."""
+    if first < config.span:
+        raise InfeasibleWindowError(
+            f"anchor {first} comes before the embedding span {config.span}")
+    if first + count > len(values):
+        raise InfeasibleWindowError(
+            f"anchors up to {first + count - 1} leave a series of "
+            f"{len(values)} points")
+    if scratch is None:
+        scratch = np.empty((config.n_features, count))
+    for i in range(config.dim):
+        lead = first - i * config.lag
+        scratch[i + 1] = values[lead:lead + count]
+    return feature_matrix(scratch[1:config.dim + 1].T, config.degree,
+                          out=out, scratch=scratch)
 
 
 # Forecast features are built in blocks of anchors, each about this many
@@ -214,7 +231,5 @@ def embed(series: TimeSeries, config: EmbedConfig,
     """
     check_design_size(config)
     times = fit_anchors(series, config, start)
-    features = feature_matrix(
-        delay_matrix(series.values, times, config.dim, config.lag),
-        config.degree)
+    features = anchor_features(series.values, config, int(times[0]), times.size)
     return features, series.values[times + config.horizon]

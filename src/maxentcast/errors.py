@@ -54,10 +54,6 @@ class DimensionMismatchError(MaxentcastError):
     """Operands disagree on feature-vector length."""
 
 
-class DegenerateWindowError(MaxentcastError):
-    """A scoring window has too few points or zero variance."""
-
-
 class DivergentOrbitError(MaxentcastError):
     """A generated orbit left the configured bound."""
 

@@ -1,7 +1,7 @@
 """Forecast scoring: variance-normalized error by calendar or fixed windows.
 
-relative_mse is sum((predicted - actual)^2) / sum((actual - mean)^2), the
-squared error normalized by the window's own variance (equivalently
+A window's rel_mse is sum((predicted - actual)^2) / sum((actual - mean)^2),
+the squared error normalized by the window's own variance (equivalently
 1 - R^2): 0 is perfect, 1 is no better than the window mean, and the
 score is invariant under affine rescaling of the data.  Each window also
 gets a baseline: the same score for the naive carry-forward forecast at
@@ -18,7 +18,7 @@ import numpy as np
 
 from .csvtext import civil_dates
 from .design import EmbedConfig
-from .errors import DegenerateWindowError, check_int
+from .errors import check_int
 from .ingest import TimeSeries
 from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, _sums,
                     fit_batch, forecast_batch)
@@ -26,7 +26,7 @@ from .model import (DEFAULT_RANK_TOLERANCE, FittedModel, ForecastFrame, _sums,
 
 def _scores(actual: np.ndarray, predicted: np.ndarray,
             horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """relative_mse, and that of the carry-forward forecast at horizon, of
+    """rel_mse, and that of the carry-forward forecast at horizon, of
     each row of two (k, w) stacks of windows with finite actual values;
     NaN where a row cannot be scored (non-finite predictions, zero
     variance, or too few points)."""
@@ -38,23 +38,6 @@ def _scores(actual: np.ndarray, predicted: np.ndarray,
             return rel, np.full(actual.shape[0], np.nan)
         num, denom, _ = _sums(actual[:, horizon:], actual[:, :-horizon])
         return rel, np.where(denom > 0.0, num / denom, np.nan)
-
-
-def relative_mse(actual, predicted) -> float:
-    """Squared forecast error over the window, relative to the window's
-    squared deviation from its own mean."""
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
-    if a.ndim != 1 or a.shape != p.shape:
-        raise ValueError("actual and predicted must be 1-d and equally long")
-    if a.size < 2:
-        raise ValueError("need at least two points to score a window")
-    if not (np.isfinite(a).all() and np.isfinite(p).all()):
-        raise ValueError("scores need finite inputs")
-    num, denom, _ = _sums(a[None], p[None])
-    if denom[0] <= 0.0:
-        raise DegenerateWindowError("actual values have zero variance")
-    return float(num[0]) / float(denom[0])
 
 
 @dataclass(frozen=True)

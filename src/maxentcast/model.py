@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import (EmbedConfig, embed, feature_matrix, fit_anchors,
+from .design import (EmbedConfig, anchor_features, embed, fit_anchors,
                      forecast_block_rows, monomial_labels)
 from .errors import (DegenerateMatrixError, DimensionMismatchError,
                      InfeasibleWindowError, NumericalFailureError, check_int)
@@ -301,8 +301,8 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     forecast_block_rows anchors are built once, in buffers reused from
     block to block, and every model applies its own coefficients to them.
     Each prediction uses the observed delay vector at its anchor; model
-    output is never fed back.  A model with no anchor raises
-    InfeasibleWindowError.
+    output is never fed back.  A model with no anchor, or a first before the
+    embedding span, raises InfeasibleWindowError.
     """
     models = list(models)
     if not models:
@@ -311,12 +311,8 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     if any((m.config.dim, m.config.degree, m.config.lag)
            != (cfg.dim, cfg.degree, cfg.lag) for m in models):
         raise ValueError("models in one batch must share dim, degree and lag")
-    values = series.values
     n_obs = len(series)
     first = check_int("first", first, 0)
-    if first < cfg.span:
-        raise InfeasibleWindowError(
-            f"anchor {first} comes before the embedding span {cfg.span}")
     counts = [n_obs - first - m.config.horizon for m in models]
     for model, count in zip(models, counts):
         if count < 1:
@@ -333,14 +329,9 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     # in the last bit from gemv's: a one-row remainder joins the block before.
     for lo in range(0, max(stop - 1, 1), rows):
         hi = min(lo + rows + 1, stop)
-        # the delay components of anchors first + lo .. first + hi - 1, each
-        # a contiguous slice of the series, go straight into the scratch
-        scratch = columns[:, :hi - lo]
-        for i in range(cfg.dim):
-            lead = first - i * cfg.lag
-            scratch[i + 1] = values[lead + lo:lead + hi]
-        features = feature_matrix(scratch[1:cfg.dim + 1].T, cfg.degree,
-                                  out=block[:hi - lo], scratch=scratch)
+        features = anchor_features(series.values, cfg, first + lo, hi - lo,
+                                   out=block[:hi - lo],
+                                   scratch=columns[:, :hi - lo])
         for k, c in enumerate(counts):
             if lo < max(c - 1, 1):
                 m = c - lo if c - lo <= rows + 1 else rows

@@ -25,6 +25,17 @@ from .ingest import TimeSeries
 _EPOCH_DAY = date(2000, 1, 1).toordinal()
 
 
+# The most points generate builds: 256 MiB of values.  Generating peaks at
+# about 41 bytes a point (tracemalloc at 2**20 points, walk and splice).
+MAX_POINTS = 1 << 25
+
+
+def _check_points(n: int) -> None:
+    if n > MAX_POINTS:
+        raise ValueError(
+            f"a series of {n:,} points is over the limit of {MAX_POINTS:,}")
+
+
 def _index_days(n: int) -> np.ndarray:
     return np.arange(_EPOCH_DAY, _EPOCH_DAY + n)
 
@@ -221,10 +232,11 @@ def generate(spec) -> TimeSeries:
     """The series a spec describes, on consecutive days from 2000-01-01.
 
     It is named walk-s<seed> or map-s<seed>, and spliced for a splice.  A
-    spec of fewer than two points is refused: a TimeSeries has at least
-    two rows."""
+    spec of fewer than two points is refused, as a TimeSeries has at least
+    two rows, and so is one of over MAX_POINTS, before any array is made."""
     if isinstance(spec, (RandomWalkSpec, PolyMapSpec, SplicedSpec)):
         check_int("n", spec.n, 2)
+        _check_points(spec.n)
     values = _values(spec)
     name = (spec.kind if isinstance(spec, SplicedSpec)
             else f"{spec.kind}-s{spec.seed}")
@@ -311,6 +323,7 @@ def logistic_splice(walk: RandomWalkSpec, n_map: int, noise_sigma: float,
                          coefficients=logistic_map_coefficients(map_r),
                          noise_sigma=noise_sigma, seed=walk.seed + 1,
                          bound=bound)
+    _check_points(walk.n + n_map)
     walk_end = float(_values(walk)[-1])
     scale = map_scale * walk.sigma
     coeffs = rescale_map_coefficients(second.coefficients, 1,

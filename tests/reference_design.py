@@ -1,35 +1,46 @@
-"""Reference implementations of feature construction, fitting and
-forecasting, kept as test oracles.
+"""Reference implementations of delay vectors, feature construction,
+fitting and forecasting, kept as test oracles.
 
-These are the whole-matrix versions: every feature column is a copy of
+These are the whole-matrix versions: the delay vectors of many anchors
+are one fancy index of the series, every feature column is a copy of
 its first component times the rest, left to right, a forecast builds
 one (anchors, N_c) matrix and applies the coefficients to it in a single
 product, and a fit builds and decomposes its own matrix for its one
-horizon.  The package's column-major feature build, blocked forecast and
-batched fit must give the same bytes.
+horizon and sums its residual with dot products.  The package's feature
+build, blocked forecast and batched fit must give the same bytes.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations_with_replacement
+
 import numpy as np
 
-from maxentcast import monomial_terms
-from maxentcast.design import delay_matrix
-from maxentcast.model import _sums
+# Sums below this, or not finite, are taken again after scaling
+TINY_SUM = 2.0 ** -900
 
 
-def feature_matrix(delays: np.ndarray, degree: int) -> np.ndarray:
-    delays = np.asarray(delays, dtype=float)
-    n, dim = delays.shape
-    terms = monomial_terms(dim, degree)
+def delays(values, times, dim: int, lag: int) -> np.ndarray:
+    """The delay vectors [v(t), v(t - lag), ...] at times, one per row."""
+    times = np.asarray(times, dtype=int)
+    return np.asarray(values, dtype=float)[times[:, None] - lag * np.arange(dim)]
+
+
+def feature_matrix(vectors: np.ndarray, degree: int) -> np.ndarray:
+    vectors = np.asarray(vectors, dtype=float)
+    n, dim = vectors.shape
+    # the documented order: 1, then each degree's non-decreasing index tuples
+    terms = [()] + [term for k in range(1, degree + 1)
+                    for term in combinations_with_replacement(range(dim), k)]
     out = np.empty((n, len(terms)))
     for j, term in enumerate(terms):
         if not term:
             out[:, j] = 1.0
         else:
-            col = delays[:, term[0]].copy()
+            col = vectors[:, term[0]].copy()
             for i in term[1:]:
-                col *= delays[:, i]
+                col *= vectors[:, i]
             out[:, j] = col
     return out
 
@@ -37,8 +48,31 @@ def feature_matrix(delays: np.ndarray, degree: int) -> np.ndarray:
 def forecast_predicted(values, coefficients, times, dim: int, degree: int,
                        lag: int) -> np.ndarray:
     """Predictions at every anchor in times from one whole feature matrix."""
-    delays = delay_matrix(values, np.asarray(times, dtype=int), dim, lag)
-    return feature_matrix(delays, degree) @ np.asarray(coefficients, dtype=float)
+    return (feature_matrix(delays(values, times, dim, lag), degree)
+            @ np.asarray(coefficients, dtype=float))
+
+
+def sums(a: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """sum((p - a)**2) and sum((a - mean(a))**2) of one window, each a dot
+    product."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = a - a.mean()
+        err = p - a
+        return float(err @ err), float(dev @ dev)
+
+
+def scaled_sums(a: np.ndarray, p: np.ndarray,
+                scaled: bool = True) -> tuple[float, float, int]:
+    """sums(a, p) and 0; or, when scaled and either sum overflows,
+    underflows or is 0, the sums of a and p times 2**-e and that e, for the
+    2**e that bounds their largest magnitude.  The true sums are the ones
+    returned times 4**e."""
+    num, denom = sums(a, p)
+    if scaled and not (TINY_SUM <= num < math.inf
+                       and TINY_SUM <= denom < math.inf):
+        e = math.frexp(max(float(np.abs(a).max()), float(np.abs(p).max())))[1]
+        return (*sums(np.ldexp(a, -e), np.ldexp(p, -e)), e)
+    return num, denom, 0
 
 
 def fit(series, config, start=None, rank_tolerance: float = 1e-10,
@@ -49,8 +83,7 @@ def fit(series, config, start=None, rank_tolerance: float = 1e-10,
         start = config.span
     times = np.arange(start, start + config.n_fit)
     features = feature_matrix(
-        delay_matrix(series.values, times, config.dim, config.lag),
-        config.degree)
+        delays(series.values, times, config.dim, config.lag), config.degree)
     targets = series.values[times + config.horizon]
     matrix = features
     if standardize:
@@ -70,6 +103,6 @@ def fit(series, config, start=None, rank_tolerance: float = 1e-10,
         b = coef
         coef = b / scale
         coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
-    num, _, e = _sums(targets[None], (features @ coef)[None])
+    num, _, e = scaled_sums(targets, features @ coef)
     return (coef, int(np.count_nonzero(keep)), s,
-            float(np.ldexp(np.sqrt(num[0]), e[0])))
+            float(np.ldexp(np.sqrt(num), e)))

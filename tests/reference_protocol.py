@@ -2,13 +2,13 @@
 kept as test oracles.
 
 These are the one-horizon-at-a-time versions: each anticipation value
-builds its own anchors, delay vectors and features, block by block, and
-each window is scored on its own with a dot product per sum, taken again
-after the package's exact power-of-two scaling where they overflow or
-underflow.  The
-package's shared forecast pass and stacked window scoring must give the
-same bytes.  Results are plain tuples and arrays, so the oracles do not
-depend on the package's frame and window types.
+gets its own fit from ``reference_design``, and builds its own anchors,
+delay vectors and features, block by block.  Each window is scored on its
+own with a dot product per sum, taken again after the package's exact
+power-of-two scaling where they overflow or underflow.  The package's
+shared forecast pass and stacked window scoring must give the same bytes.
+Results are plain tuples and arrays, so the oracles do not depend on the
+package's frame, window or model types.
 """
 
 from __future__ import annotations
@@ -18,42 +18,33 @@ from datetime import date
 
 import numpy as np
 
-from maxentcast import DegenerateWindowError, WindowBuckets, YearBuckets
-from maxentcast import feature_matrix, fit, predict
-from maxentcast.design import delay_matrix
+from maxentcast import WindowBuckets, YearBuckets
 from maxentcast.model import forecast_block_rows
+from reference_design import delays, feature_matrix, fit, scaled_sums
 
 
-def forecast(series, model, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class DegenerateWindow(Exception):
+    """A window with too few points or zero variance to score."""
+
+
+def forecast(series, cfg, coefficients,
+             times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(target_times, actual, predicted) of one model, one block of anchors
     at a time, with a last block of one row moved 64 rows back."""
-    cfg = model.config
     t = np.asarray(list(times), dtype=int)
     target_times = t + cfg.horizon
     actual = series.values[target_times]
     rows = forecast_block_rows(cfg.n_features)
-    block = np.empty((rows, cfg.n_features))
     predicted = np.empty(t.size)
     starts = list(range(0, t.size, rows))
     if t.size % rows == 1 and t.size > 1:
         starts[-1] -= 64
     for lo in starts:
         anchors = t[lo:lo + rows]
-        delays = delay_matrix(series.values, anchors, cfg.dim, cfg.lag)
-        features = feature_matrix(delays, cfg.degree, out=block[:anchors.size])
-        predicted[lo:lo + anchors.size] = predict(model, features)
+        features = feature_matrix(
+            delays(series.values, anchors, cfg.dim, cfg.lag), cfg.degree)
+        predicted[lo:lo + anchors.size] = features @ coefficients
     return target_times, actual, predicted
-
-
-# Window sums below this, or not finite, are taken again after scaling
-TINY_SUM = 2.0 ** -900
-
-
-def _sums(a: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = a - a.mean()
-        err = p - a
-        return float(err @ err), float(dev @ dev)
 
 
 def relative_mse(a: np.ndarray, p: np.ndarray, scaled: bool = True) -> float:
@@ -64,19 +55,15 @@ def relative_mse(a: np.ndarray, p: np.ndarray, scaled: bool = True) -> float:
         raise ValueError("need at least two points to score a window")
     if not (np.isfinite(a).all() and np.isfinite(p).all()):
         raise ValueError("scores need finite inputs")
-    num, denom = _sums(a, p)
-    if scaled and not (TINY_SUM <= num < math.inf
-                       and TINY_SUM <= denom < math.inf):
-        e = math.frexp(max(float(np.abs(a).max()), float(np.abs(p).max())))[1]
-        num, denom = _sums(np.ldexp(a, -e), np.ldexp(p, -e))
+    num, denom, _ = scaled_sums(a, p, scaled)
     if denom <= 0.0:
-        raise DegenerateWindowError("actual values have zero variance")
+        raise DegenerateWindow("actual values have zero variance")
     return num / denom
 
 
 def baseline_error(a: np.ndarray, horizon: int, scaled: bool = True) -> float:
     if a.size < horizon + 2:
-        raise DegenerateWindowError("window too short for the horizon")
+        raise DegenerateWindow("window too short for the horizon")
     return relative_mse(a[horizon:], a[:-horizon], scaled)
 
 
@@ -85,11 +72,11 @@ def scores(a: np.ndarray, p: np.ndarray, horizon: int,
     """(rel_mse, baseline_rel_mse) of one window, NaN where unusable."""
     try:
         rel = relative_mse(a, p, scaled)
-    except (DegenerateWindowError, ValueError):
+    except (DegenerateWindow, ValueError):
         rel = math.nan
     try:
         base = baseline_error(a, horizon, scaled)
-    except DegenerateWindowError:
+    except DegenerateWindow:
         base = math.nan
     return rel, base
 
@@ -129,13 +116,14 @@ def run_protocol(series, protocol, rank_tolerance=1e-10, standardize=False):
     tracks = []
     for horizon in protocol.anticipation:
         cfg = protocol.embed_config(horizon)
-        model = fit(series, cfg, rank_tolerance=rank_tolerance,
-                    standardize=standardize)
+        coefficients, *_ = fit(series, cfg, rank_tolerance=rank_tolerance,
+                               standardize=standardize)
         first = cfg.span + protocol.fit_window
         times = range(first, len(series) - horizon)
-        target_times, actual, predicted = forecast(series, model, times)
+        target_times, actual, predicted = forecast(series, cfg, coefficients,
+                                                   times)
         target_dates = [date.fromordinal(int(series.days[i])) for i in target_times]
-        tracks.append((model.coefficients, actual, predicted,
+        tracks.append((coefficients, actual, predicted,
                        windows(target_dates, target_times, actual, predicted,
                                protocol.bucketing, horizon),
                        *scores(actual, predicted, horizon)))

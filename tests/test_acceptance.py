@@ -17,11 +17,12 @@ import pytest
 from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
                         ProtocolConfig, classify, changepoints, clean,
                         count_coefficients, fit, generate, load_csv,
-                        lstsq_min_norm, pinv, relative_mse, rng, run_protocol)
+                        lstsq_min_norm, pinv, rng, run_protocol)
 from maxentcast.cli import main as cli_main
 
 import calibrate
 from map_families import chaotic_quad_map_coefficients, henon_map_coefficients
+from test_evaluate import rel_mse
 
 
 def report_line(criterion: str, ok: bool, detail: str) -> None:
@@ -157,7 +158,9 @@ def test_criterion_5_detection_power_and_localization():
 
 
 def test_criterion_6_affine_invariance():
-    """relative_mse is unchanged by common affine maps of both inputs."""
+    """The window rel_mse that run writes, scored here on frames whose
+    records are one window, is unchanged by common affine maps of both
+    inputs."""
     rnd = np.random.default_rng(616)
     worst = 0.0
     for _ in range(200):
@@ -170,8 +173,8 @@ def test_criterion_6_affine_invariance():
         # shift proportional to the scaled data keeps the identity testable
         # at 1e-12 in floating point
         shift = float(rnd.uniform(-100.0, 100.0)) * abs(c)
-        base = relative_mse(a, p)
-        mapped = relative_mse(c * a + shift, c * p + shift)
+        base = rel_mse(a, p)
+        mapped = rel_mse(c * a + shift, c * p + shift)
         worst = max(worst, abs(mapped - base) / max(1.0, base))
     ok = worst < 1e-12
     report_line("criterion 6: affine invariance", ok,

@@ -27,7 +27,6 @@ import reference_design as ref
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel, TimeSeries,
                         count_coefficients, embed, fit, forecast_series,
                         gen_random_walk)
-from maxentcast.design import delay_matrix
 from maxentcast.model import forecast_block_rows
 from maxentcast.report import _model_payload
 
@@ -88,8 +87,8 @@ def test_blocked_forecast_matches_whole_matrix(dim, degree, lag):
 def test_embed_features_match_reference(dim, degree, lag):
     series, cfg, _ = fitted(dim, degree, lag)
     features, _ = embed(series, cfg)
-    delays = delay_matrix(series.values,
-                          np.arange(cfg.span, cfg.span + cfg.n_fit), dim, lag)
+    delays = ref.delays(series.values,
+                        np.arange(cfg.span, cfg.span + cfg.n_fit), dim, lag)
     assert features.tobytes() == ref.feature_matrix(delays, degree).tobytes()
 
 

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from maxentcast import (RandomWalkSpec, RunConfig, clean, dumps_canonical,
-                        generate, load_csv)
+                        generate, load_csv, rng)
 from maxentcast import cli as cli_module
 from maxentcast import design as design_module
-from maxentcast import model as model_module
 from maxentcast.cli import _build_parser, _run_config, main
 from maxentcast.report import write_series_csv
-from maxentcast.synth import (SPLICE_MAP_R, SPLICE_MAP_SCALE,
+from maxentcast.synth import (MAX_POINTS, SPLICE_MAP_R, SPLICE_MAP_SCALE,
                               logistic_splice)
 
 from test_fast_paths import _tokenizers
@@ -279,6 +278,29 @@ def test_synth_of_one_point_is_a_config_error(kind, extra, tmp_path, capsys):
                          "--out", str(tmp_path))
     assert code == 0
     assert len(load_csv(tmp_path / "series.csv")) == 2
+
+
+@pytest.mark.parametrize("n, kind", [
+    (MAX_POINTS + 1, ["walk"]),
+    (MAX_POINTS + 1, ["spliced", "--splice", "1000"]),
+    (2 * MAX_POINTS, ["spliced", "--splice", str(MAX_POINTS)]),
+    (MAX_POINTS + 1, ["map", "--coeffs", "0,0.5", "--init", "0.3",
+                      "--noise-sigma", "1"]),
+])
+def test_synth_over_the_point_limit_is_refused_before_any_array(
+        n, kind, tmp_path, capsys, monkeypatch):
+    def no_outputs(seed, n):
+        raise AssertionError("a random stream was drawn for an oversize series")
+
+    monkeypatch.setattr(rng, "outputs", no_outputs)
+    code, out, err = run_cli(capsys, "synth", "--n", str(n), "--seed", "1",
+                             "--out", str(tmp_path / "data"), "--kind", *kind)
+    assert code == 2 and out == ""
+    assert stderr_json(err) == {
+        "category": "config", "error": "ValueError",
+        "message": f"a series of {n:,} points is over the limit of "
+                   f"{MAX_POINTS:,}"}
+    assert not (tmp_path / "data").exists()
 
 
 MAP = ["--kind", "map", "--n", "10", "--coeffs", "0,3.5,-3.5", "--init", "0.3"]
@@ -866,12 +888,12 @@ def test_crlf_quoted_copy_gives_the_same_artifacts(tmp_path, capsys,
 
 
 def refuse_feature_matrices(monkeypatch):
-    """Make building any feature matrix, for a fit or a forecast, fail."""
+    """Make building any feature matrix, for a fit or a forecast, fail:
+    every build goes through design.feature_matrix."""
     def no_features(*args, **kwargs):
         raise AssertionError("a feature matrix was built")
 
-    for module in (design_module, model_module):
-        monkeypatch.setattr(module, "feature_matrix", no_features)
+    monkeypatch.setattr(design_module, "feature_matrix", no_features)
 
 
 def test_run_refuses_an_oversize_forecast_block(walk_csv_60, tmp_path, capsys,
@@ -916,6 +938,22 @@ def test_unexpected_error_is_internal(walk_csv_60, tmp_path, capsys,
     assert code == 1 and stdout == ""
     assert err == json.dumps({"category": "internal", "error": "RuntimeError",
                               "message": "boom"}) + "\n"
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_type_and_key_errors_are_internal(error, walk_csv_60, tmp_path, capsys,
+                                          monkeypatch):
+    # no user input reaches either, so each is a bug, not a usage error
+    def boom(config):
+        raise error("boom")
+
+    monkeypatch.setattr(cli_module, "run_from_config", boom)
+    code, stdout, err = run_cli(capsys, "run", "--input", str(walk_csv_60),
+                                "--out", str(tmp_path / "run"))
+    assert code == 1 and stdout == ""
+    assert stderr_json(err) == {"category": "internal",
+                                "error": error.__name__,
+                                "message": str(error("boom"))}
 
 
 # ---------------------------------------------------------------- scripts

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxentcast import (EmbedConfig, count_coefficients, delay_matrix, embed,
+from maxentcast import (EmbedConfig, count_coefficients, embed,
                         feature_matrix, monomial_labels, monomial_terms)
 from maxentcast import design as design_module
-from maxentcast.design import (MAX_DESIGN_BYTES, check_design_size,
-                               forecast_block_rows)
+from maxentcast.design import (MAX_DESIGN_BYTES, anchor_features,
+                               check_design_size, forecast_block_rows)
 from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 
 from conftest import daily_series
@@ -108,8 +108,36 @@ def test_feature_overflow_is_numerical_failure():
 
 
 def test_delay_vector_orientation():
+    # the delay vector at anchor t is [v(t), v(t - lag), ...]
     values = np.array([10.0, 20.0, 30.0])
-    assert delay_matrix(values, [2], 2, 1).tolist() == [[30.0, 20.0]]
+    cfg = EmbedConfig(dim=2, degree=1, horizon=1, n_fit=1)
+    assert anchor_features(values, cfg, 2, 1).tolist() == [[1.0, 30.0, 20.0]]
+
+
+def test_anchor_features_of_consecutive_anchors():
+    values = np.arange(10.0) ** 2
+    cfg = EmbedConfig(dim=2, degree=2, horizon=1, n_fit=1, lag=3)
+    out = np.empty((4, 6))
+    scratch = np.empty((6, 4))
+    got = anchor_features(values, cfg, 5, 4, out=out, scratch=scratch)
+    assert got is out
+    assert got.tobytes() == np.stack(
+        [one_row([values[t], values[t - 3]], 2) for t in range(5, 9)]).tobytes()
+    assert anchor_features(values, cfg, 5, 4).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("first, count, message", [
+    (2, 3, "anchor 2 comes before the embedding span 3"),
+    (0, 1, "anchor 0 comes before the embedding span 3"),
+    (3, 8, "anchors up to 10 leave a series of 10 points"),
+    (9, 2, "anchors up to 10 leave a series of 10 points")])
+def test_anchor_features_refuse_a_range_outside_the_series(first, count,
+                                                           message):
+    # a slice start below 0 would wrap to the series end, and one past it
+    # would come up short
+    cfg = EmbedConfig(dim=2, degree=2, horizon=1, n_fit=1, lag=3)
+    with pytest.raises(InfeasibleWindowError, match=f"^{message}$"):
+        anchor_features(np.arange(10.0), cfg, first, count)
 
 
 def test_embed_tiny_worked_example():

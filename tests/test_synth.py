@@ -15,6 +15,7 @@ from maxentcast import (DivergentOrbitError, EmbedConfig, PolyMapSpec,
                         gen_spliced, generate, logistic_map_coefficients,
                         logistic_splice, monomial_terms,
                         rescale_map_coefficients, rng)
+from maxentcast import synth
 
 from map_families import chaotic_quad_map_coefficients, henon_map_coefficients
 
@@ -260,6 +261,29 @@ def test_splice_second_map_without_init_uses_first_tail():
 
 
 # ---------------------------------------------------------------- names
+
+def test_generate_refuses_a_series_over_the_point_limit(monkeypatch):
+    # the limit lowered to 10 points: 10 are built, 11 are refused before
+    # any random stream is drawn
+    monkeypatch.setattr(synth, "MAX_POINTS", 10)
+    walk = RandomWalkSpec(n=10, sigma=1.0, seed=1)
+    assert len(generate(walk)) == 10
+    assert len(generate(logistic_splice(RandomWalkSpec(n=4, sigma=1.0, seed=1),
+                                        6, 0.01))) == 10
+
+    def no_outputs(seed, n):
+        raise AssertionError("a random stream was drawn for an oversize series")
+
+    monkeypatch.setattr(rng, "outputs", no_outputs)
+    message = "^a series of 11 points is over the limit of 10$"
+    with pytest.raises(ValueError, match=message):
+        generate(RandomWalkSpec(n=11, sigma=1.0, seed=1))
+    with pytest.raises(ValueError, match=message):
+        generate(SplicedSpec(RandomWalkSpec(n=5, sigma=1.0, seed=1),
+                             RandomWalkSpec(n=6, sigma=1.0, seed=2)))
+    with pytest.raises(ValueError, match=message):
+        logistic_splice(RandomWalkSpec(n=5, sigma=1.0, seed=1), 6, 0.01)
+
 
 def test_generate_default_names():
     walk_spec = RandomWalkSpec(n=30, sigma=1.0, x0=2.0, seed=8)
