@@ -22,8 +22,7 @@ from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        error_by_period, run_protocol)
 from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
 from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
-                    fit_batch, forecast_batch, forecast_series,
-                    lstsq_min_norm, pinv, predict)
+                    fit_batch, forecast_batch, forecast_series, predict)
 from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      RunResult, build_payload, build_report_doc,
                      dumps_canonical, forecast_csv_text, load_report,
@@ -48,9 +47,7 @@ __all__ = [
     "WindowBuckets", "YearBuckets", "error_by_period", "run_protocol",
     "GAP_POLICIES", "TimeSeries", "clean", "load_csv",
     "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "fit_batch",
-    "forecast_batch",
-    "forecast_series",
-    "lstsq_min_norm", "pinv", "predict",
+    "forecast_batch", "forecast_series", "predict",
     "REPORT_SCHEMA_VERSION", "TRUTH_SCHEMA_VERSION", "RunConfig", "RunResult",
     "build_payload", "build_report_doc", "dumps_canonical",
     "forecast_csv_text", "load_report", "load_truth", "parse_bucket",

@@ -1,14 +1,16 @@
 """Least-squares fitting through the SVD pseudoinverse, and prediction.
 
 The coefficient estimate is the minimum-norm least-squares solution of
-``features @ a = targets``: a = pinv(features) @ targets, with singular
-values below rank_tolerance * s_max treated as zero.  For a system with
-full column rank this is the unique least-squares solution; for an
-underdetermined consistent system it is the interpolant of smallest
-Euclidean norm, which is also the maximum-entropy point estimate of the
-coefficient distribution under the fit constraints.  Intermediate
-quantities of that derivation (multipliers, partition normalization) are
-never materialized; the pseudoinverse is the whole computation.
+``features @ a = targets``, solved through the SVD of the features with
+singular values at or below rank_tolerance * s_max treated as zero: in
+exact arithmetic, the pseudoinverse of the features times the targets.
+For a system with full column rank this is the unique least-squares
+solution; for an underdetermined consistent system it is the interpolant
+of smallest Euclidean norm, which is also the maximum-entropy point
+estimate of the coefficient distribution under the fit constraints.
+Intermediate quantities of that derivation (multipliers, partition
+normalization) are never materialized; the pseudoinverse solve is the
+whole computation.
 
 Predictions are always direct: the fitted map sees observed delay
 vectors only, never its own output.
@@ -37,9 +39,12 @@ def check_rank_tolerance(rank_tolerance: float) -> None:
         raise ValueError(f"rank_tolerance must lie in (0, 1), got {rank_tolerance!r}")
 
 
-def _svd_cutoff(matrix: np.ndarray, rank_tolerance: float):
-    """U, s and Vt of a finite 2-d matrix, and the mask of the singular
-    values above rank_tolerance * max(s): the ones that get inverted."""
+def _min_norm_solver(matrix: np.ndarray, rank_tolerance: float):
+    """The SVD of a finite 2-d matrix as the function that maps a
+    right-hand side to its minimum-norm least-squares solution, plus (rank,
+    singular_values).  Only singular values above rank_tolerance * max(s)
+    are inverted.  Each solution is the same two products, so it has the
+    bits a solve with that right-hand side alone would have."""
     if matrix.ndim != 2 or not np.isfinite(matrix).all():
         raise ValueError("matrix must be 2-d and finite")
     check_rank_tolerance(rank_tolerance)
@@ -49,41 +54,13 @@ def _svd_cutoff(matrix: np.ndarray, rank_tolerance: float):
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
     if s.size == 0 or s[0] <= _ABS_FLOOR:
         raise DegenerateMatrixError("all singular values are numerically zero")
-    return u, s, vt, s > rank_tolerance * s[0]
-
-
-def _min_norm_solver(matrix: np.ndarray, rank_tolerance: float):
-    """The factorization of matrix as the function that maps a right-hand
-    side to its minimum-norm least-squares solution, plus (rank,
-    singular_values).  Each solution is the same two products, so it has
-    the bits a solve with that right-hand side alone would have."""
-    u, s, vt, keep = _svd_cutoff(matrix, rank_tolerance)
+    keep = s > rank_tolerance * s[0]
     u_keep, v_keep, s_keep = u[:, keep], vt[keep].T, s[keep]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         return v_keep @ ((u_keep.T @ rhs) / s_keep)
 
     return solve, int(np.count_nonzero(keep)), s
-
-
-def lstsq_min_norm(matrix, rhs, rank_tolerance: float = DEFAULT_RANK_TOLERANCE):
-    """Minimum-norm least-squares solution, plus (rank, singular_values).
-
-    Factors matrix = U diag(s) Vt and inverts only singular values above
-    rank_tolerance * max(s).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != matrix.shape[:1] or not np.isfinite(rhs).all():
-        raise ValueError("need a finite right-hand side, one value per matrix row")
-    solve, rank, s = _min_norm_solver(matrix, rank_tolerance)
-    return solve(rhs), rank, s
-
-
-def pinv(matrix, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative singular-value cutoff."""
-    u, s, vt, keep = _svd_cutoff(np.asarray(matrix, dtype=float), rank_tolerance)
-    return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from numbers import Integral
@@ -304,16 +304,18 @@ def _model_payload(model: FittedModel) -> dict[str, Any]:
     }
 
 
-def _iso_date(days: np.ndarray, i: int) -> str:
-    """The ISO date of series row i, whose day numbers are days."""
-    return date.fromordinal(int(days[i])).isoformat()
+def _iso_dates(ordinals) -> list[str]:
+    """The ISO dates of day ordinals, in the CSV writers' calendar."""
+    return [text.decode("ascii")
+            for text in date_fields(ordinals).view("S12")[:, 0].tolist()]
 
 
-def _window_payload(window: ErrorWindow, days: np.ndarray) -> dict[str, Any]:
+def _window_payload(window: ErrorWindow, start_date: str,
+                    end_date: str) -> dict[str, Any]:
     return {
         "label": window.label,
-        "start_date": _iso_date(days, window.start_index),
-        "end_date": _iso_date(days, window.end_index),
+        "start_date": start_date,
+        "end_date": end_date,
         "start_index": window.start_index,
         "end_index": window.end_index,
         "n_points": window.n_points,
@@ -325,11 +327,11 @@ def _window_payload(window: ErrorWindow, days: np.ndarray) -> dict[str, Any]:
 
 def _detection_payload(labels: Sequence[RegimeLabel],
                        windows: Sequence[ErrorWindow],
-                       days: np.ndarray) -> dict[str, Any]:
+                       start_dates: Sequence[str]) -> dict[str, Any]:
     cps = [{
         "window_index": i,
         "window": windows[i].label,
-        "date": _iso_date(days, windows[i].start_index),
+        "date": start_dates[i],
         "to_regime": labels[i].regime.value,
     } for i in changepoints(labels)]
     return {"labels": [{
@@ -346,15 +348,20 @@ def build_payload(result: RunResult) -> dict[str, Any]:
     report = result.report
     tracks = []
     for track, labels in zip(report.tracks, result.labels):
+        windows = track.windows
+        dates = _iso_dates(days[[w.start_index for w in windows]
+                                + [w.end_index for w in windows]])
+        starts, ends = dates[:len(windows)], dates[len(windows):]
         tracks.append({
             "horizon": track.horizon,
             "n_forecasts": len(track.frame),
             "rel_mse": track.rel_mse,
             "baseline_rel_mse": track.baseline_rel_mse,
             "model": _model_payload(track.model),
-            "windows": [_window_payload(w, days) for w in track.windows],
-            "detection": _detection_payload(labels, track.windows, days),
+            "windows": list(map(_window_payload, windows, starts, ends)),
+            "detection": _detection_payload(labels, windows, starts),
         })
+    first_date, last_date = _iso_dates(days[[0, -1]])
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "error_formula": ("sum((predicted-actual)^2) / "
@@ -364,8 +371,8 @@ def build_payload(result: RunResult) -> dict[str, Any]:
         "series": {
             "name": series.name,
             "n": int(series.values.size),
-            "first_date": _iso_date(days, 0),
-            "last_date": _iso_date(days, -1),
+            "first_date": first_date,
+            "last_date": last_date,
             "n_interpolated": result.n_interpolated,
         },
         "detector": {"theta": result.config.detector.theta,

@@ -16,9 +16,10 @@ import pytest
 
 from maxentcast import (DetectorConfig, EmbedConfig, PolyMapSpec,
                         ProtocolConfig, classify, changepoints, clean,
-                        count_coefficients, fit, generate, load_csv,
-                        lstsq_min_norm, pinv, rng, run_protocol)
+                        count_coefficients, fit, generate, load_csv, rng,
+                        run_protocol)
 from maxentcast.cli import main as cli_main
+from maxentcast.model import DEFAULT_RANK_TOLERANCE, _min_norm_solver
 
 import calibrate
 from map_families import chaotic_quad_map_coefficients, henon_map_coefficients
@@ -56,7 +57,9 @@ def test_criterion_1_coefficient_round_trip():
 
 
 def test_criterion_2_pseudoinverse_correctness():
-    """Four defining pseudoinverse identities plus a normal-equations match."""
+    """Four defining pseudoinverse identities plus a normal-equations match,
+    of the minimum-norm solver that fit runs: column j of a pseudoinverse
+    is its solution for e_j."""
     budget_s = 10.0
     t0 = time.perf_counter()
     rnd = np.random.default_rng(20260819)
@@ -76,7 +79,8 @@ def test_criterion_2_pseudoinverse_correctness():
         a = rnd.standard_normal((m, n))
         if shape_kind == 3 and n >= 2:  # rank-deficient by construction
             a[:, -1] = a[:, 0] * 2.0 - (a[:, 1] if n > 2 else 0.0)
-        p = pinv(a)
+        solve, _, _ = _min_norm_solver(a, DEFAULT_RANK_TOLERANCE)
+        p = np.column_stack([solve(e) for e in np.eye(m)])
         scale = np.linalg.norm(a)
         checks = (
             np.linalg.norm(a @ p @ a - a) / scale,
@@ -87,7 +91,7 @@ def test_criterion_2_pseudoinverse_correctness():
         worst_mp = max(worst_mp, *checks)
         if shape_kind == 0:
             b = rnd.standard_normal(m)
-            x, _, _ = lstsq_min_norm(a, b)
+            x = solve(b)
             oracle = np.linalg.solve(a.T @ a, a.T @ b)
             denom = max(1.0, float(np.linalg.norm(oracle)))
             worst_ne = max(worst_ne,

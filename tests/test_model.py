@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
-                        ForecastFrame, PolyMapSpec, embed, fit, forecast_batch,
-                        forecast_series, generate, lstsq_min_norm,
-                        monomial_labels, pinv, predict)
+                        ForecastFrame, PolyMapSpec, RandomWalkSpec, embed, fit,
+                        forecast_batch, forecast_series, generate,
+                        monomial_labels, predict)
 from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
                                InfeasibleWindowError)
-from maxentcast.model import _sums
+from maxentcast.model import DEFAULT_RANK_TOLERANCE, _min_norm_solver, _sums
 from maxentcast.report import _model_payload
 
 from conftest import daily_series
@@ -27,6 +27,19 @@ def random_matrix(rng, rows, cols, rank=None):
     rank = min(rank, rows, cols)
     return (rng.standard_normal((rows, rank))
             @ rng.standard_normal((rank, cols)))
+
+
+def lstsq(matrix, rhs, rank_tolerance=DEFAULT_RANK_TOLERANCE):
+    """The solution of one system by the solver fit runs, plus (rank,
+    singular_values)."""
+    solve, rank, s = _min_norm_solver(matrix, rank_tolerance)
+    return solve(rhs), rank, s
+
+
+def pseudoinverse(matrix):
+    """The pseudoinverse as that solver gives it: column j is solve(e_j)."""
+    solve, _, _ = _min_norm_solver(matrix, DEFAULT_RANK_TOLERANCE)
+    return np.column_stack([solve(e) for e in np.eye(matrix.shape[0])])
 
 
 def mp_residuals(a, p):
@@ -46,13 +59,13 @@ def test_identity_system_returns_basis_vector():
     w = np.eye(15)
     target = np.zeros(15)
     target[2] = 1.0
-    coef, rank, _ = lstsq_min_norm(w, target)
+    coef, rank, _ = lstsq(w, target)
     assert np.allclose(coef, target, atol=1e-14)
     assert rank == 15
 
 
 def test_pinv_of_identity():
-    assert np.allclose(pinv(np.eye(6)), np.eye(6), atol=1e-14)
+    assert np.allclose(pseudoinverse(np.eye(6)), np.eye(6), atol=1e-14)
 
 
 def test_moore_penrose_conditions_sampled():
@@ -61,7 +74,7 @@ def test_moore_penrose_conditions_sampled():
     for i, (rows, cols) in enumerate(shapes * 4):
         rank = None if i % 2 else max(1, min(rows, cols) - 2)
         a = random_matrix(rng, rows, cols, rank)
-        p = pinv(a)
+        p = pseudoinverse(a)
         assert max(mp_residuals(a, p)) < 1e-8
 
 
@@ -70,7 +83,7 @@ def test_duplicated_column_residual_matches_dedup_oracle():
     base = np.hstack([np.ones((30, 1)), rng.standard_normal((30, 3))])
     w = np.hstack([base, base[:, 2:3]])  # column 2 appears twice
     target = rng.standard_normal(30)
-    coef, _, _ = lstsq_min_norm(w, target)
+    coef, _, _ = lstsq(w, target)
     residual = np.linalg.norm(w @ coef - target)
     oracle_coef = np.linalg.solve(base.T @ base, base.T @ target)
     oracle_residual = np.linalg.norm(base @ oracle_coef - target)
@@ -83,7 +96,7 @@ def test_minimum_norm_among_exact_solutions():
     rng = np.random.default_rng(3)
     w = rng.standard_normal((6, 15))  # underdetermined, full row rank
     target = rng.standard_normal(6)
-    coef, rank, _ = lstsq_min_norm(w, target)
+    coef, rank, _ = lstsq(w, target)
     assert rank == 6
     assert np.linalg.norm(w @ coef - target) < 1e-10
     null_basis = np.linalg.svd(w)[2][6:]  # rows spanning the null space
@@ -97,39 +110,34 @@ def test_interpolation_when_underdetermined():
     for rows in (3, 8, 15):
         w = rng.standard_normal((rows, 15))
         target = rng.standard_normal(rows)
-        coef, _, _ = lstsq_min_norm(w, target)
+        coef, _, _ = lstsq(w, target)
         assert np.linalg.norm(w @ coef - target) < 1e-8
 
 
 def test_all_zero_matrix_is_degenerate():
     with pytest.raises(DegenerateMatrixError):
-        lstsq_min_norm(np.zeros((4, 3)), np.zeros(4))
+        lstsq(np.zeros((4, 3)), np.zeros(4))
 
 
-RHS_REFUSED = "need a finite right-hand side, one value per matrix row"
-
-
-@pytest.mark.parametrize("matrix, rhs, message", [
-    (np.eye(3), np.ones(2), RHS_REFUSED),
-    (np.eye(3), np.array([1.0, np.nan, 1.0]), RHS_REFUSED),
-    (np.diag([1.0, np.inf, 1.0]), np.ones(3),
-     "matrix must be 2-d and finite")])
-def test_lstsq_refuses_a_bad_system(matrix, rhs, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        lstsq_min_norm(matrix, rhs)
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, np.inf, 1.0]), np.diag([1.0, np.nan, 1.0]), np.ones(3)],
+    ids=["infinite", "nan", "one-d"])
+def test_solver_refuses_a_bad_matrix(matrix):
+    with pytest.raises(ValueError, match="^matrix must be 2-d and finite$"):
+        _min_norm_solver(matrix, DEFAULT_RANK_TOLERANCE)
 
 
 def test_rank_tolerance_bounds():
     w = np.eye(3)
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            lstsq_min_norm(w, np.ones(3), rank_tolerance=bad)
+            lstsq(w, np.ones(3), rank_tolerance=bad)
 
 
 def test_rank_tolerance_truncates_small_directions():
     w = np.diag([1.0, 1e-3, 1e-9])
-    _, rank_tight, _ = lstsq_min_norm(w, np.ones(3), rank_tolerance=1e-12)
-    _, rank_loose, _ = lstsq_min_norm(w, np.ones(3), rank_tolerance=1e-6)
+    _, rank_tight, _ = lstsq(w, np.ones(3), rank_tolerance=1e-12)
+    _, rank_loose, _ = lstsq(w, np.ones(3), rank_tolerance=1e-6)
     assert rank_tight == 3 and rank_loose == 2
 
 
@@ -313,7 +321,7 @@ def test_standardized_fit_keeps_the_bits_of_ordinary_data():
     varies[0] = False
     scale = np.where(varies, sd, 1.0)
     center = np.where(varies, mean, 0.0)
-    b, _, _ = lstsq_min_norm((features - center) / scale, targets)
+    b, _, _ = lstsq((features - center) / scale, targets)
     coef = b / scale
     coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
     model = fit(series, cfg, standardize=True)
@@ -326,12 +334,28 @@ def test_normal_equations_oracle_full_column_rank(seed):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((40, 6))
     target = rng.standard_normal(40)
-    coef, _, _ = lstsq_min_norm(w, target)
+    coef, _, _ = lstsq(w, target)
     oracle = np.linalg.solve(w.T @ w, w.T @ target)
     residual = np.linalg.norm(w @ coef - target)
     oracle_residual = np.linalg.norm(w @ oracle - target)
     assert abs(residual - oracle_residual) < 1e-8
     assert np.allclose(coef, oracle, atol=1e-8)
+
+
+@pytest.mark.parametrize("cfg, rank_tolerance", [
+    (EmbedConfig(dim=4, degree=2, horizon=7, n_fit=300), DEFAULT_RANK_TOLERANCE),
+    (EmbedConfig(dim=2, degree=1, horizon=7, n_fit=300), 0.2),
+    (EmbedConfig(dim=3, degree=2, horizon=3, n_fit=300, lag=2),
+     DEFAULT_RANK_TOLERANCE)], ids=["d4-np2", "d2-np1-tol0.2", "lag2"])
+def test_fit_is_the_solver_on_the_embedded_system(cfg, rank_tolerance):
+    # the solver the Moore-Penrose checks certify is the one a fit runs
+    series = generate(RandomWalkSpec(n=400, sigma=1.0, x0=100.0, seed=3))
+    features, targets = embed(series, cfg)
+    coef, rank, s = lstsq(features, targets, rank_tolerance)
+    model = fit(series, cfg, rank_tolerance=rank_tolerance)
+    assert model.coefficients.tobytes() == coef.tobytes()
+    assert model.diagnostics.rank == rank
+    assert model.diagnostics.singular_values.tobytes() == s.tobytes()
 
 
 def sums_norm(x: np.ndarray) -> float:

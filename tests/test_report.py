@@ -16,8 +16,8 @@ import reference_io
 from maxentcast import (DetectorConfig, ForecastFrame, ProtocolConfig,
                         RunConfig, SchemaMismatchError, WindowBuckets,
                         YearBuckets, build_payload, build_report_doc,
-                        changepoints, dumps_canonical, gen_random_walk,
-                        load_report, load_truth, parse_bucket,
+                        changepoints, clean, dumps_canonical, gen_random_walk,
+                        load_csv, load_report, load_truth, parse_bucket,
                         run_from_config, summary_csv_text, verify_detection,
                         write_forecast_csvs, write_json_atomic,
                         write_run_artifacts, write_text_atomic)
@@ -250,6 +250,52 @@ def test_payload_dates_are_the_input_dates_at_each_index(tmp_path):
                 dates[w["start_index"]], dates[w["end_index"]])
         for cp in track["detection"]["changepoints"]:
             assert cp["date"] == windows[cp["window_index"]]["start_date"]
+            n_changepoints += 1
+    assert n_changepoints
+
+
+def test_payload_dates_are_the_standard_library_iso_dates():
+    # every day of years 1-1000 (the zero-padded years), a seeded sample up
+    # to the last day a series may hold, and that day itself
+    last = date(9999, 12, 31).toordinal()
+    ordinals = np.concatenate([
+        np.arange(1, date(1001, 1, 1).toordinal()),
+        np.random.default_rng(28).integers(1, last, 20_000, endpoint=True),
+        [last]])
+    assert report_module._iso_dates(ordinals) == [
+        date.fromordinal(o).isoformat() for o in ordinals.tolist()]
+
+
+def test_run_before_year_1000_dates_its_payload_by_series_days(tmp_path):
+    # a Sunday row, then business days with three left out and filled,
+    # across the turn of the year 1000
+    days = np.busday_offset("0999-12-02", np.arange(400), roll="forward")
+    dates = ["0999-12-01"] + [d for k, d in enumerate(days.astype(str).tolist())
+                              if k not in (5, 40, 41)]
+    values = gen_random_walk(len(dates), 1.0, seed=5).values.tolist()
+    path = tmp_path / "early.csv"
+    path.write_text("date,value\n" + "".join(
+        f"{d},{v!r}\n" for d, v in zip(dates, values)))
+    out = tmp_path / "run"
+    assert cli_main(["run", "--input", str(path), "--d", "1", "--np", "1",
+                     "--fit-window", "20", "--anticipation", "1",
+                     "--anticipation", "3", "--bucket", "window:25",
+                     "--theta", "0.99", "--min-run", "1",
+                     "--out", str(out)]) == 0
+    iso = [date.fromordinal(d).isoformat()
+           for d in clean(load_csv(path)).days.tolist()]
+    payload = load_report(out / "report.json")
+    series = payload["series"]
+    assert (series["first_date"], series["last_date"]) == (iso[0], iso[-1])
+    assert (series["first_date"], series["n"]) == ("0999-12-01", len(iso))
+    n_changepoints = 0
+    for track in payload["tracks"]:
+        windows = track["windows"]
+        for w in windows:
+            assert (w["start_date"], w["end_date"]) == (
+                iso[w["start_index"]], iso[w["end_index"]])
+        for cp in track["detection"]["changepoints"]:
+            assert cp["date"] == iso[windows[cp["window_index"]]["start_index"]]
             n_changepoints += 1
     assert n_changepoints
 
