@@ -13,16 +13,16 @@ from .design import (EmbedConfig, count_coefficients, embed, feature_matrix,
                      monomial_labels, monomial_terms)
 from .detect import (DetectorConfig, Regime, RegimeLabel, changepoints,
                      classify, detection_outcome)
-from .errors import (DegenerateMatrixError, DimensionMismatchError,
-                     DivergentOrbitError, EmptySeriesError, GapError,
-                     InfeasibleWindowError, MaxentcastError,
-                     NumericalFailureError, ParseError, SchemaMismatchError)
+from .errors import (DegenerateMatrixError, DivergentOrbitError,
+                     EmptySeriesError, GapError, InfeasibleWindowError,
+                     MaxentcastError, NumericalFailureError, ParseError,
+                     SchemaMismatchError)
 from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        ProtocolConfig, WindowBuckets, YearBuckets,
                        error_by_period, run_protocol)
 from .ingest import GAP_POLICIES, TimeSeries, clean, load_csv
 from .model import (FitDiagnostics, FittedModel, ForecastFrame, fit,
-                    fit_batch, forecast_batch, forecast_series, predict)
+                    fit_batch, forecast_batch, forecast_series)
 from .report import (REPORT_SCHEMA_VERSION, TRUTH_SCHEMA_VERSION, RunConfig,
                      RunResult, build_payload, build_report_doc,
                      dumps_canonical, forecast_csv_text, load_report,
@@ -39,15 +39,14 @@ __all__ = [
     "monomial_labels", "monomial_terms",
     "DetectorConfig", "Regime", "RegimeLabel", "changepoints", "classify",
     "detection_outcome",
-    "DegenerateMatrixError", "DimensionMismatchError", "DivergentOrbitError",
-    "EmptySeriesError", "GapError", "InfeasibleWindowError",
-    "MaxentcastError", "NumericalFailureError", "ParseError",
-    "SchemaMismatchError",
+    "DegenerateMatrixError", "DivergentOrbitError", "EmptySeriesError",
+    "GapError", "InfeasibleWindowError", "MaxentcastError",
+    "NumericalFailureError", "ParseError", "SchemaMismatchError",
     "ErrorWindow", "ForecastTrack", "PredictabilityReport", "ProtocolConfig",
     "WindowBuckets", "YearBuckets", "error_by_period", "run_protocol",
     "GAP_POLICIES", "TimeSeries", "clean", "load_csv",
     "FitDiagnostics", "FittedModel", "ForecastFrame", "fit", "fit_batch",
-    "forecast_batch", "forecast_series", "predict",
+    "forecast_batch", "forecast_series",
     "REPORT_SCHEMA_VERSION", "TRUTH_SCHEMA_VERSION", "RunConfig", "RunResult",
     "build_payload", "build_report_doc", "dumps_canonical",
     "forecast_csv_text", "load_report", "load_truth", "parse_bucket",

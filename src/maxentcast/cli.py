@@ -27,10 +27,10 @@ from pathlib import Path
 
 from ._version import __version__
 from .detect import DetectorConfig
-from .errors import (DegenerateMatrixError, DimensionMismatchError,
-                     DivergentOrbitError, EmptySeriesError, GapError,
-                     InfeasibleWindowError, NumericalFailureError, ParseError,
-                     SchemaMismatchError, check_int)
+from .errors import (DegenerateMatrixError, DivergentOrbitError,
+                     EmptySeriesError, GapError, InfeasibleWindowError,
+                     NumericalFailureError, ParseError, SchemaMismatchError,
+                     check_int)
 from .evaluate import ProtocolConfig
 from .ingest import GAP_POLICIES
 from .report import (RunConfig, TRUTH_SCHEMA_VERSION, bucket_text,
@@ -62,7 +62,7 @@ _ERROR_MAP: tuple[tuple[type | tuple[type, ...], int, str], ...] = (
     (InfeasibleWindowError, EXIT_WINDOW, "window"),
     ((ParseError, EmptySeriesError, GapError, OSError, UnicodeDecodeError,
       json.JSONDecodeError), EXIT_INGEST, "ingest"),
-    ((DimensionMismatchError, ValueError), EXIT_USAGE, "config"),
+    (ValueError, EXIT_USAGE, "config"),
 )
 
 

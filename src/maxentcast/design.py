@@ -89,48 +89,39 @@ def _prefix_columns(dim: int, degree: int) -> tuple[tuple[int, int], ...]:
     return tuple((position[term[:-1]], term[-1]) for term in terms[dim + 1:])
 
 
-def feature_matrix(delays: np.ndarray, degree: int,
-                   out: np.ndarray | None = None,
-                   scratch: np.ndarray | None = None) -> np.ndarray:
-    """Feature rows for a stack of delay vectors (one vector per row).
+def feature_matrix(scratch: np.ndarray, dim: int, degree: int,
+                   out: np.ndarray) -> np.ndarray:
+    """Feature rows of the delay vectors whose components are rows 1..dim
+    of scratch, a float64 (n_features, n_rows) array with contiguous rows.
 
-    Each column of degree k >= 2 is its degree-(k-1) prefix column times
-    one delay component, so every product runs left to right:
-    v1*v2*v3 = (v1*v2) * v3.  The columns are built as the contiguous rows
-    of a float64 (n_features, n_rows) scratch, then its transpose is copied
-    into the rows.  With scratch, an array of that shape whose rows are
-    contiguous, the columns are built there; delays may be the transpose of
-    its rows 1..dim, which then need no copy.  With out, the rows are
-    written into that C-contiguous float64 (n_rows, n_features) array,
-    which is returned.  Non-finite features, such as an overflowing
-    product, raise NumericalFailureError.
+    The remaining rows of scratch are built in place: row 0 is 1, and each
+    column of degree k >= 2 is its degree-(k-1) prefix column times one
+    delay component, so every product runs left to right:
+    v1*v2*v3 = (v1*v2) * v3.  The transpose of scratch is then copied into
+    out, a C-contiguous float64 (n_rows, n_features) array, which is
+    returned.  Non-finite features, such as an overflowing product, raise
+    NumericalFailureError.
     """
-    delays = np.asarray(delays, dtype=float)
-    if delays.ndim != 2:
-        raise ValueError("delays must be 2-d (n_rows, dim)")
-    n, dim = delays.shape
-    shape = (n, count_coefficients(dim, degree))
-    if out is None:
-        out = np.empty(shape)
-    elif (out.shape != shape or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    if scratch is None:
-        scratch = np.empty(shape[::-1])
-    elif (scratch.shape != shape[::-1] or scratch.dtype != np.float64
-          or scratch.strides[1] != scratch.itemsize):
-        raise ValueError("scratch must be a float64 array of shape "
-                         f"{shape[::-1]} with contiguous rows")
+    n_features = count_coefficients(dim, degree)
+    if (scratch.ndim != 2 or len(scratch) != n_features
+            or scratch.strides[1] != scratch.itemsize
+            or out.shape != scratch.shape[::-1] or not out.flags.c_contiguous
+            or scratch.dtype != np.float64 or out.dtype != np.float64):
+        raise ValueError(f"scratch and out must be float64 arrays, scratch of "
+                         f"{n_features} contiguous rows and out C-contiguous, "
+                         "of transposed shapes")
     scratch[0] = 1.0
-    # numpy skips this copy when delays is the transpose of these rows
-    scratch[1:dim + 1] = delays.T
+    rows = list(scratch)
     with np.errstate(over="ignore", invalid="ignore"):
         for j, (prefix, i) in enumerate(_prefix_columns(dim, degree), start=dim + 1):
-            np.multiply(scratch[prefix], scratch[i + 1], out=scratch[j])
-    if not np.isfinite(scratch).all():
+            np.multiply(rows[prefix], rows[i + 1], rows[j])
+    # Each lower-degree column is the prefix of a top-degree one (the term
+    # with its last index once more), and a non-finite factor leaves its
+    # product non-finite, so the top-degree rows show every non-finite one.
+    if not np.isfinite(scratch[-comb(dim + degree - 1, degree):]).all():
         raise NumericalFailureError(
             f"degree-{degree} features of delay vectors up to "
-            f"|v| = {np.max(np.abs(delays)):g} are not finite")
+            f"|v| = {np.max(np.abs(scratch[1:dim + 1])):g} are not finite")
     out[...] = scratch.T
     return out
 
@@ -139,10 +130,11 @@ def anchor_features(values: np.ndarray, config: EmbedConfig, first: int,
                     count: int, out: np.ndarray | None = None,
                     scratch: np.ndarray | None = None) -> np.ndarray:
     """Feature rows of config's delay vectors at the anchors first, ...,
-    first + count - 1 of values.  Component i of the vectors, the slice of
-    values i * lag before them, is copied straight into row i + 1 of the
-    scratch feature_matrix builds on (out and scratch as there).
-    InfeasibleWindowError unless every vector lies in values."""
+    first + count - 1 of values, written into out (a new array if None).
+    Component i of the vectors, the slice of values i * lag before them, is
+    copied straight into row i + 1 of scratch (a new array if None), on
+    which feature_matrix builds the rest.  InfeasibleWindowError unless
+    every vector lies in values."""
     if first < config.span:
         raise InfeasibleWindowError(
             f"anchor {first} comes before the embedding span {config.span}")
@@ -152,11 +144,12 @@ def anchor_features(values: np.ndarray, config: EmbedConfig, first: int,
             f"{len(values)} points")
     if scratch is None:
         scratch = np.empty((config.n_features, count))
+    if out is None:
+        out = np.empty((count, config.n_features))
     for i in range(config.dim):
         lead = first - i * config.lag
         scratch[i + 1] = values[lead:lead + count]
-    return feature_matrix(scratch[1:config.dim + 1].T, config.degree,
-                          out=out, scratch=scratch)
+    return feature_matrix(scratch, config.dim, config.degree, out)
 
 
 # Forecast features are built in blocks of anchors, each about this many

@@ -47,11 +47,7 @@ class DegenerateMatrixError(MaxentcastError):
 
 
 class NumericalFailureError(MaxentcastError):
-    """A matrix decomposition failed to converge."""
-
-
-class DimensionMismatchError(MaxentcastError):
-    """Operands disagree on feature-vector length."""
+    """A decomposition failed to converge, or features are not finite."""
 
 
 class DivergentOrbitError(MaxentcastError):

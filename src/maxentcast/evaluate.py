@@ -30,14 +30,18 @@ def _scores(actual: np.ndarray, predicted: np.ndarray,
     each row of two (k, w) stacks of windows with finite actual values;
     NaN where a row cannot be scored (non-finite predictions, zero
     variance, or too few points)."""
-    num, denom, _ = _sums(actual, predicted)
+    num, denom, e_num, e_den = _sums(actual, predicted)
     usable = np.isfinite(predicted).all(axis=1) & (denom > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(usable, num / denom, np.nan)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rel = np.where(usable, np.ldexp(num / denom, 2 * (e_num - e_den)),
+                       np.nan)
         if actual.shape[1] < horizon + 2:
             return rel, np.full(actual.shape[0], np.nan)
-        num, denom, _ = _sums(actual[:, horizon:], actual[:, :-horizon])
-        return rel, np.where(denom > 0.0, num / denom, np.nan)
+        num, denom, e_num, e_den = _sums(actual[:, horizon:],
+                                         actual[:, :-horizon])
+        return rel, np.where(denom > 0.0,
+                             np.ldexp(num / denom, 2 * (e_num - e_den)),
+                             np.nan)
 
 
 @dataclass(frozen=True)

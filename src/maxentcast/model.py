@@ -1,4 +1,4 @@
-"""Least-squares fitting through the SVD pseudoinverse, and prediction.
+"""Least-squares fitting through the SVD pseudoinverse, and forecasting.
 
 The coefficient estimate is the minimum-norm least-squares solution of
 ``features @ a = targets``, solved through the SVD of the features with
@@ -24,8 +24,8 @@ import numpy as np
 
 from .design import (EmbedConfig, anchor_features, embed, fit_anchors,
                      forecast_block_rows, monomial_labels)
-from .errors import (DegenerateMatrixError, DimensionMismatchError,
-                     InfeasibleWindowError, NumericalFailureError, check_int)
+from .errors import (DegenerateMatrixError, InfeasibleWindowError,
+                     NumericalFailureError, check_int)
 from .ingest import TimeSeries
 
 _ABS_FLOOR = 1e-300
@@ -106,46 +106,60 @@ class FittedModel:
 _TINY_SUM = 2.0 ** -900
 
 
-def _raw_sums(actual: np.ndarray, predicted: np.ndarray):
-    with np.errstate(over="ignore", invalid="ignore"):
-        dev = actual - actual.mean(axis=1, keepdims=True)
-        err = predicted - actual
-        return (np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0],
-                np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0])
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """x[i] @ x[i] for each row of a (k, w) stack: a stacked (1, w) @ (w, 1)
+    product is the same dot product as the one-row form."""
+    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+
+
+def _own_scale(diff: np.ndarray, diff_m: np.ndarray, m: np.ndarray):
+    """The sum of squares of each row of a difference at the scale 2**-e,
+    where 2**e bounds the row's largest magnitude, and e.  diff is the
+    difference taken unscaled; a row where it is not finite is taken from
+    diff_m, the same difference at the scale 2**-m."""
+    over = ~np.isfinite(diff).all(axis=1, keepdims=True)
+    diff = np.where(over, diff_m, diff)
+    e = np.frexp(np.abs(diff).max(axis=1, keepdims=True))[1]  # 0 at 0, inf, NaN
+    return _row_dots(np.ldexp(diff, -e)), (e + np.where(over, m, 0))[:, 0]
 
 
 def _sums(actual: np.ndarray, predicted: np.ndarray):
     """sum((predicted - actual)^2) and sum((actual - mean)^2) for each row of
-    two (k, w) stacks, at a scale where they neither overflow nor underflow,
-    and the exponent e of that scale: the true sums are these times 4**e.
+    two (k, w) stacks, each at a scale where it neither overflows nor
+    underflows, and the exponents of those scales: the true sums are
+    num * 4**e_num and denom * 4**e_den.
 
     Each row gets the same bits as the one-row form would: a row-wise mean
     is the same pairwise sum, and a stacked (1, w) @ (w, 1) product is the
     same dot product as dev @ dev.  A row whose sums come out infinite, NaN
-    or below _TINY_SUM is summed again after scaling it by 2**-e, where
-    2**e bounds its largest magnitude; e is 0 for every other row.  Scaling
-    by a power of two is exact, so num / denom keeps the bits the unscaled
-    sums give wherever those neither overflow nor underflow, and rows near
-    the ends of the float range can be scored.
-
-    The scale comes from the row's largest actual or predicted value, so in
-    a rescued row an error or deviation term under 2**(e - 511) squares to a
-    subnormal and loses bits, and one under about 2**(e - 537) squares to 0:
-    ``_sums([[1e10, 1e-300, 2.0]], [[1e10, 0.0, 2.0]])`` gives e = 34 and a
-    residual sum of 0.0, for a true 1e-600.
+    or below _TINY_SUM is summed again, its error and its deviation each
+    scaled by 2**-e, where 2**e bounds that difference's own largest
+    magnitude; both exponents are 0 for every other row.  A difference is
+    taken unscaled where it is finite across the row, and otherwise from
+    the values scaled by their largest magnitude.  Scaling by a power of two is exact,
+    so a rescued sum keeps the bits of the unscaled sum wherever that
+    neither overflows nor underflows, and a term is lost only against its
+    own sum's largest: ``_sums([[1e10, 1e-300, 2.0]], [[1e10, 0.0, 2.0]])``
+    gives a residual of 1e-300.
     """
-    num, denom = _raw_sums(actual, predicted)
-    e = np.zeros(num.shape, dtype=int)
-    redo = ~((num >= _TINY_SUM) & (num < np.inf)
-             & (denom >= _TINY_SUM) & (denom < np.inf))
-    if redo.any():
-        a, p = actual[redo], predicted[redo]
-        mag = np.maximum(np.abs(a).max(axis=1), np.abs(p).max(axis=1))
-        e[redo] = np.frexp(mag)[1]  # 0 where mag is 0, inf or NaN
-        shift = -e[redo][:, None]
-        num[redo], denom[redo] = _raw_sums(np.ldexp(a, shift),
-                                           np.ldexp(p, shift))
-    return num, denom, e
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = predicted - actual  # one (k, w) temporary at a time
+        num = _row_dots(err)
+        del err
+        denom = _row_dots(actual - actual.mean(axis=1, keepdims=True))
+        e_num, e_den = np.zeros((2, *num.shape), dtype=int)
+        redo = ~((num >= _TINY_SUM) & (num < np.inf)
+                 & (denom >= _TINY_SUM) & (denom < np.inf))
+        if redo.any():
+            a, p = actual[redo], predicted[redo]
+            m = np.frexp(np.maximum(np.abs(a).max(axis=1, keepdims=True),
+                                    np.abs(p).max(axis=1, keepdims=True)))[1]
+            a_m, p_m = np.ldexp(a, -m), np.ldexp(p, -m)
+            num[redo], e_num[redo] = _own_scale(p - a, p_m - a_m, m)
+            denom[redo], e_den[redo] = _own_scale(
+                a - a.mean(axis=1, keepdims=True),
+                a_m - a_m.mean(axis=1, keepdims=True), m)
+    return num, denom, e_num, e_den
 
 
 def fit_batch(series: TimeSeries, configs, start: int | None = None,
@@ -199,7 +213,7 @@ def fit_batch(series: TimeSeries, configs, start: int | None = None,
         if standardize:
             coef = b / scale
             coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
-        num, _, e = _sums(y[None], (W @ coef)[None])
+        num, _, e, _ = _sums(y[None], (W @ coef)[None])
         models.append(FittedModel(
             coefficients=coef,
             config=config,
@@ -217,16 +231,6 @@ def fit(series: TimeSeries, config: EmbedConfig, start: int | None = None,
     """Estimate model coefficients from the constraint system that
     embed(series, config, start) builds: fit_batch of one config."""
     return fit_batch(series, [config], start, rank_tolerance, standardize)[0]
-
-
-def predict(model: FittedModel, features) -> np.ndarray:
-    """Apply the fitted map to feature rows; linear in the coefficients."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != model.coefficients.size:
-        raise DimensionMismatchError(
-            f"feature rows of shape {features.shape} do not fit a model of "
-            f"{model.coefficients.size} coefficients")
-    return features @ model.coefficients
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,8 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     share one embedding (dim, lag, degree) and may differ in horizon and
     coefficients, so the delay vectors and features of each block of
     forecast_block_rows anchors are built once, in buffers reused from
-    block to block, and every model applies its own coefficients to them.
+    block to block, and every model applies its own coefficients to them,
+    writing its predictions in place.
     Each prediction uses the observed delay vector at its anchor; model
     output is never fed back.  A model with no anchor, or a first before the
     embedding span, raises InfeasibleWindowError.
@@ -312,7 +317,8 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
         for k, c in enumerate(counts):
             if lo < max(c - 1, 1):
                 m = c - lo if c - lo <= rows + 1 else rows
-                predicted[k][lo:lo + m] = predict(models[k], features[:m])
+                np.matmul(features[:m], models[k].coefficients,
+                          out=predicted[k][lo:lo + m])
     return [ForecastFrame(series=series, first=first, horizon=m.config.horizon,
                           predicted=p)
             for m, p in zip(models, predicted)]

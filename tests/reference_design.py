@@ -61,18 +61,36 @@ def sums(a: np.ndarray, p: np.ndarray) -> tuple[float, float]:
         return float(err @ err), float(dev @ dev)
 
 
+def own_scale(d: np.ndarray, d_m: np.ndarray, m: int) -> tuple[float, int]:
+    """d @ d with d scaled by 2**-e, for the 2**e that bounds its largest
+    magnitude, and e.  Where d is not finite, d_m, the same difference at
+    the scale 2**-m, stands in for it."""
+    shift = 0
+    if not np.isfinite(d).all():
+        d, shift = d_m, m
+    e = math.frexp(float(np.abs(d).max()))[1]
+    x = np.ldexp(d, -e)
+    return float(x @ x), e + shift
+
+
 def scaled_sums(a: np.ndarray, p: np.ndarray,
-                scaled: bool = True) -> tuple[float, float, int]:
-    """sums(a, p) and 0; or, when scaled and either sum overflows,
-    underflows or is 0, the sums of a and p times 2**-e and that e, for the
-    2**e that bounds their largest magnitude.  The true sums are the ones
-    returned times 4**e."""
+                scaled: bool = True) -> tuple[float, float, int, int]:
+    """sums(a, p) and the exponents 0, 0; or, when scaled and either sum
+    overflows, underflows or is 0, the own_scale sums of the error p - a and
+    of the deviation a - mean(a) and their exponents.  Each difference is
+    taken as it is when all finite, and otherwise from a and p scaled by
+    2**-m, for the 2**m that bounds their largest magnitude.  The true sums are the
+    ones returned times 4**e_num and 4**e_den."""
     num, denom = sums(a, p)
     if scaled and not (TINY_SUM <= num < math.inf
                        and TINY_SUM <= denom < math.inf):
-        e = math.frexp(max(float(np.abs(a).max()), float(np.abs(p).max())))[1]
-        return (*sums(np.ldexp(a, -e), np.ldexp(p, -e)), e)
-    return num, denom, 0
+        m = math.frexp(max(float(np.abs(a).max()), float(np.abs(p).max())))[1]
+        a_m, p_m = np.ldexp(a, -m), np.ldexp(p, -m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, e_num = own_scale(p - a, p_m - a_m, m)
+            denom, e_den = own_scale(a - a.mean(), a_m - a_m.mean(), m)
+        return num, denom, e_num, e_den
+    return num, denom, 0, 0
 
 
 def fit(series, config, start=None, rank_tolerance: float = 1e-10,
@@ -103,6 +121,6 @@ def fit(series, config, start=None, rank_tolerance: float = 1e-10,
         b = coef
         coef = b / scale
         coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
-    num, _, e = scaled_sums(targets, features @ coef)
+    num, _, e, _ = scaled_sums(targets, features @ coef)
     return (coef, int(np.count_nonzero(keep)), s,
             float(np.ldexp(np.sqrt(num), e)))

@@ -49,16 +49,17 @@ def forecast(series, cfg, coefficients,
 
 def relative_mse(a: np.ndarray, p: np.ndarray, scaled: bool = True) -> float:
     """The window score.  Sums that overflow, underflow or are 0 are taken
-    again with a and p scaled by 2**-e, for the 2**e that bounds their
-    largest magnitude; with scaled False they are kept as they are."""
+    again as scaled_sums takes them, each at its own power-of-two scale;
+    with scaled False they are kept as they are."""
     if a.size < 2:
         raise ValueError("need at least two points to score a window")
     if not (np.isfinite(a).all() and np.isfinite(p).all()):
         raise ValueError("scores need finite inputs")
-    num, denom, _ = scaled_sums(a, p, scaled)
+    num, denom, e_num, e_den = scaled_sums(a, p, scaled)
     if denom <= 0.0:
         raise DegenerateWindow("actual values have zero variance")
-    return num / denom
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(num / denom, 2 * (e_num - e_den)))
 
 
 def baseline_error(a: np.ndarray, horizon: int, scaled: bool = True) -> float:

@@ -45,9 +45,21 @@ def test_count_validates_inputs():
         count_coefficients(2, 0)
 
 
+def features_of(delays, degree, out=None):
+    """feature_matrix of a stack of delay vectors, one per row, from a
+    scratch whose rows 1..dim hold them; into out, or a new array."""
+    delays = np.asarray(delays, dtype=float)
+    n, dim = delays.shape
+    scratch = np.empty((count_coefficients(dim, degree), n))
+    scratch[1:dim + 1] = delays.T
+    if out is None:
+        out = np.empty(scratch.shape[::-1])
+    return feature_matrix(scratch, dim, degree, out)
+
+
 def one_row(v, degree):
     """Features of a single delay vector, as a one-row stack."""
-    return feature_matrix(np.array([v], dtype=float), degree)[0]
+    return features_of([v], degree)[0]
 
 
 def test_feature_row_two_components():
@@ -89,7 +101,7 @@ def test_degree_blocks_scale_homogeneously(dim, degree, scale, data):
 def test_feature_matrix_fills_out_buffer():
     delays = np.array([[2.0, 3.0], [-1.0, 0.5]])
     out = np.full((2, 6), np.nan)
-    assert feature_matrix(delays, 2, out=out) is out
+    assert features_of(delays, 2, out=out) is out
     assert out.tolist() == [[1, 2, 3, 4, 6, 9], [1, -1, 0.5, 1, -0.5, 0.25]]
 
 
@@ -97,14 +109,14 @@ def test_feature_matrix_rejects_mis_shaped_out():
     delays = np.ones((3, 2))
     for out in (np.empty((3, 5)), np.empty((6, 3)).T, np.empty((3, 6), np.float32)):
         with pytest.raises(ValueError):
-            feature_matrix(delays, 2, out=out)
+            features_of(delays, 2, out=out)
 
 
 def test_feature_overflow_is_numerical_failure():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailureError):
-            feature_matrix(np.array([[1e160, 0.0], [1.0, 2.0]]), 2)
+            features_of([[1e160, 0.0], [1.0, 2.0]], 2)
 
 
 def test_delay_vector_orientation():

@@ -22,6 +22,7 @@ from maxentcast import (EmbedConfig, ProtocolConfig, count_coefficients,
                         feature_matrix, fit, fit_batch, forecast_batch,
                         gen_random_walk, run_protocol)
 from maxentcast import design as design_module
+from maxentcast.design import anchor_features
 from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 
 from conftest import BLAS_PINNED, daily_series
@@ -155,36 +156,42 @@ def test_feature_matrix_matches_reference(geometry, n, spare, data):
     delays = data.draw(arrays(np.float64, (n, dim), elements=st.floats(
         -1e60, 1e60, allow_nan=False, allow_subnormal=True)))
     expected = ref.feature_matrix(delays, degree).tobytes()
-    assert feature_matrix(delays, degree).tobytes() == expected
     # out a row slice of a larger buffer, scratch a column slice of one
+    # whose delay rows hold the delay vectors
     n_features = count_coefficients(dim, degree)
     buffer = np.full((n + spare, n_features), np.nan)
     columns = np.full((n_features, n + spare), np.nan)
-    out = feature_matrix(delays, degree, out=buffer[:n],
-                         scratch=columns[:, :n])
-    assert out.base is buffer and out.tobytes() == expected
-    assert np.isnan(buffer[n:]).all()
-    # delays that are the transpose of the scratch's delay rows
     columns[1:dim + 1, :n] = delays.T
-    out = feature_matrix(columns[1:dim + 1, :n].T, degree,
-                         out=buffer[:n], scratch=columns[:, :n])
-    assert out.tobytes() == expected
+    out = feature_matrix(columns[:, :n], dim, degree, buffer[:n])
+    assert out.base is buffer and out.tobytes() == expected
+    assert np.isnan(buffer[n:]).all() and np.isnan(columns[:, n:]).all()
 
 
 def test_feature_matrix_rejects_a_mis_shaped_scratch():
-    delays = np.ones((3, 2))
-    for scratch in (np.empty((6, 4))[:, :2], np.empty((3, 6)).T,
+    for scratch in (np.empty((5, 3)), np.empty(6), np.empty((3, 6)).T,
                     np.empty((6, 3), np.float32), np.empty((6, 6))[:, ::2]):
         with pytest.raises(ValueError, match="scratch"):
-            feature_matrix(delays, 2, scratch=scratch)
+            feature_matrix(scratch, 2, 2, np.empty((3, 6)))
 
 
 def test_overflowing_product_in_a_scratch_is_numerical_failure():
-    delays = np.array([[1.0, 2.0], [1e160, 0.0]])
     columns = np.empty((6, 3))
+    columns[1:3, :2] = np.array([[1.0, 2.0], [1e160, 0.0]]).T
     with pytest.raises(NumericalFailureError):
-        feature_matrix(delays, 2, out=np.empty((2, 6)),
-                       scratch=columns[:, :2])
+        feature_matrix(columns[:, :2], 2, 2, np.empty((2, 6)))
+
+
+def test_overflowing_lower_degree_column_is_numerical_failure():
+    # the delay vector (1e200, 0): v1*v1 is inf and v1*v1*v2 is NaN
+    cfg = EmbedConfig(dim=2, degree=3, horizon=1, n_fit=100)
+    with pytest.raises(NumericalFailureError, match=r"\|v\| = 1e\+200 "):
+        anchor_features(np.array([0.0, 1e200]), cfg, 1, 1)
+    values = np.ones(2502) + np.arange(2502.0) * 1e-3
+    values[2499:2501] = 0.0, 1e200
+    series = daily_series(values)
+    model = fit(series, cfg)
+    with pytest.raises(NumericalFailureError, match=r"\|v\| = 1e\+200 "):
+        forecast_batch(series, [model], cfg.span + cfg.n_fit)
 
 
 def test_overflowing_forecast_block_is_numerical_failure():

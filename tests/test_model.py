@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_design as ref
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
                         ForecastFrame, PolyMapSpec, RandomWalkSpec, embed, fit,
                         forecast_batch, forecast_series, generate,
-                        monomial_labels, predict)
-from maxentcast.errors import (DegenerateMatrixError, DimensionMismatchError,
-                               InfeasibleWindowError)
+                        monomial_labels)
+from maxentcast.errors import DegenerateMatrixError, InfeasibleWindowError
 from maxentcast.model import DEFAULT_RANK_TOLERANCE, _min_norm_solver, _sums
 from maxentcast.report import _model_payload
 
@@ -183,7 +183,7 @@ def test_recovered_model_predicts_held_out_rows():
     series, _, model = quad_map_fit()
     features, targets = held_out_rows(series, start=102, n_rows=50)
     assert len(targets) >= 50
-    errors = predict(model, features) - targets
+    errors = features @ model.coefficients - targets
     assert np.abs(errors).max() < 1e-6
 
 
@@ -192,13 +192,7 @@ def test_constant_coefficient_model_ignores_features():
     model = hand_model([4.25, 0, 0, 0, 0, 0.0], cfg)
     rows = np.random.default_rng(0).standard_normal((20, 6))
     rows[:, 0] = 1.0
-    assert np.allclose(predict(model, rows), 4.25)
-
-
-def test_predict_rejects_wrong_width():
-    _, _, model = quad_map_fit()
-    with pytest.raises(DimensionMismatchError):
-        predict(model, np.ones((3, 7)))
+    assert np.allclose(rows @ model.coefficients, 4.25)
 
 
 def test_predict_is_linear_in_coefficients():
@@ -207,9 +201,9 @@ def test_predict_is_linear_in_coefficients():
     rows = rng.standard_normal((25, 6))
     rows[:, 0] = 1.0
     a1, a2 = rng.standard_normal(6), rng.standard_normal(6)
-    p1 = predict(hand_model(a1, cfg), rows)
-    p2 = predict(hand_model(a2, cfg), rows)
-    p12 = predict(hand_model(a1 + a2, cfg), rows)
+    p1 = rows @ hand_model(a1, cfg).coefficients
+    p2 = rows @ hand_model(a2, cfg).coefficients
+    p12 = rows @ hand_model(a1 + a2, cfg).coefficients
     assert np.allclose(p12, p1 + p2, atol=1e-10)
 
 
@@ -286,7 +280,7 @@ def test_standardized_fit_matches_raw_when_well_conditioned():
     raw = fit(series, cfg)
     std = fit(series, cfg, standardize=True)
     rows, _ = held_out_rows(series, start=105, n_rows=40)
-    assert np.allclose(predict(raw, rows), predict(std, rows),
+    assert np.allclose(rows @ raw.coefficients, rows @ std.coefficients,
                        rtol=1e-7, atol=1e-9)
     assert std.standardized and not raw.standardized
 
@@ -361,7 +355,7 @@ def test_fit_is_the_solver_on_the_embedded_system(cfg, rank_tolerance):
 def sums_norm(x: np.ndarray) -> float:
     """The Euclidean norm of x as fit takes its residual's: the square root
     of _sums' first sum, at that sum's power-of-two scale."""
-    num, _, e = _sums(x[None], np.zeros((1, x.size)))
+    num, _, e, _ = _sums(x[None], np.zeros((1, x.size)))
     return float(np.ldexp(np.sqrt(num[0]), e[0]))
 
 
@@ -379,6 +373,25 @@ def test_residual_norm_survives_overflow_and_underflow():
                EmbedConfig(dim=2, degree=1, horizon=1, n_fit=40)
                ).diagnostics.residual_norm
     assert math.isfinite(norm) and norm > 1e150
+
+
+def test_rescued_sums_are_each_at_their_own_scale():
+    # the row's error sum, 1e-600, underflows, so the row is rescued; its
+    # one error term lies 1,030 binary orders under the row's largest value
+    a, p = np.array([[1e10, 1e-300, 2.0]]), np.array([[1e10, 0.0, 2.0]])
+    sums = _sums(a, p)
+    num, denom, e_num, e_den = sums
+    assert np.ldexp(np.sqrt(num[0]), e_num[0]) == 1e-300
+    dev = a[0] - a[0].mean()
+    assert np.ldexp(denom[0], 2 * e_den[0]) == dev @ dev
+    assert tuple(s[0] for s in sums) == ref.scaled_sums(a[0], p[0])
+    # an error that overflows is taken from the values at their own scale:
+    # p - a = -2a, so the ratio of the sums is 4
+    a = np.array([[1e308, -1e308, 1e308, -1e308]])
+    sums = _sums(a, -a)
+    num, denom, e_num, e_den = sums
+    assert np.ldexp(num[0] / denom[0], 2 * (e_num[0] - e_den[0])) == 4.0
+    assert tuple(s[0] for s in sums) == ref.scaled_sums(a[0], -a[0])
 
 
 def test_residual_norm_keeps_the_plain_norm_bits():
