@@ -13,10 +13,9 @@ from .design import (EmbedConfig, count_coefficients, embed, feature_matrix,
                      monomial_labels, monomial_terms)
 from .detect import (DetectorConfig, Regime, RegimeLabel, changepoints,
                      classify, detection_outcome)
-from .errors import (DegenerateMatrixError, DivergentOrbitError,
-                     EmptySeriesError, GapError, InfeasibleWindowError,
-                     MaxentcastError, NumericalFailureError, ParseError,
-                     SchemaMismatchError)
+from .errors import (DivergentOrbitError, EmptySeriesError, GapError,
+                     InfeasibleWindowError, MaxentcastError,
+                     NumericalFailureError, ParseError, SchemaMismatchError)
 from .evaluate import (ErrorWindow, ForecastTrack, PredictabilityReport,
                        ProtocolConfig, WindowBuckets, YearBuckets,
                        error_by_period, run_protocol)
@@ -39,9 +38,9 @@ __all__ = [
     "monomial_labels", "monomial_terms",
     "DetectorConfig", "Regime", "RegimeLabel", "changepoints", "classify",
     "detection_outcome",
-    "DegenerateMatrixError", "DivergentOrbitError", "EmptySeriesError",
-    "GapError", "InfeasibleWindowError", "MaxentcastError",
-    "NumericalFailureError", "ParseError", "SchemaMismatchError",
+    "DivergentOrbitError", "EmptySeriesError", "GapError",
+    "InfeasibleWindowError", "MaxentcastError", "NumericalFailureError",
+    "ParseError", "SchemaMismatchError",
     "ErrorWindow", "ForecastTrack", "PredictabilityReport", "ProtocolConfig",
     "WindowBuckets", "YearBuckets", "error_by_period", "run_protocol",
     "GAP_POLICIES", "TimeSeries", "clean", "load_csv",

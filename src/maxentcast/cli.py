@@ -9,8 +9,8 @@ without parsing messages:
     3  ingest error (unreadable file, parse failure, calendar gaps) or any
        other file-system failure, such as an artifact that cannot be written
     4  window infeasibility (a degenerate scoring window scores NaN)
-    5  numerical failure (singular fit, overflowing features,
-       divergent synthetic orbit)
+    5  numerical failure (a fit's design or coefficients that overflow,
+       overflowing features, divergent synthetic orbit)
     6  schema version mismatch
 
 Every failure also writes a single machine-readable JSON line to stderr:
@@ -27,10 +27,9 @@ from pathlib import Path
 
 from ._version import __version__
 from .detect import DetectorConfig
-from .errors import (DegenerateMatrixError, DivergentOrbitError,
-                     EmptySeriesError, GapError, InfeasibleWindowError,
-                     NumericalFailureError, ParseError, SchemaMismatchError,
-                     check_int)
+from .errors import (DivergentOrbitError, EmptySeriesError, GapError,
+                     InfeasibleWindowError, NumericalFailureError, ParseError,
+                     SchemaMismatchError, check_int)
 from .evaluate import ProtocolConfig
 from .ingest import GAP_POLICIES
 from .report import (RunConfig, TRUTH_SCHEMA_VERSION, bucket_text,
@@ -57,8 +56,8 @@ EXIT_SCHEMA = 6
 
 _ERROR_MAP: tuple[tuple[type | tuple[type, ...], int, str], ...] = (
     (SchemaMismatchError, EXIT_SCHEMA, "schema"),
-    ((DegenerateMatrixError, NumericalFailureError, DivergentOrbitError,
-      OverflowError, FloatingPointError), EXIT_NUMERICAL, "numerical"),
+    ((NumericalFailureError, DivergentOrbitError, OverflowError,
+      FloatingPointError), EXIT_NUMERICAL, "numerical"),
     (InfeasibleWindowError, EXIT_WINDOW, "window"),
     ((ParseError, EmptySeriesError, GapError, OSError, UnicodeDecodeError,
       json.JSONDecodeError), EXIT_INGEST, "ingest"),

@@ -197,11 +197,11 @@ def check_design_size(config: EmbedConfig) -> None:
 
 
 def fit_anchors(series: TimeSeries, config: EmbedConfig,
-                start: int | None = None) -> np.ndarray:
-    """The series indices start, start + 1, ... of the n_fit anchors of a
-    constraint system; InfeasibleWindowError unless each has its delay
-    vector and its target, horizon steps on, in the series.  start
-    defaults to the earliest feasible index (dim-1)*lag."""
+                start: int | None = None) -> int:
+    """The first of the n_fit consecutive anchors of a constraint system;
+    InfeasibleWindowError unless each has its delay vector and its target,
+    horizon steps on, in the series.  start defaults to the earliest
+    feasible index (dim-1)*lag."""
     if start is None:
         start = config.span
     last_needed = start + config.n_fit - 1 + config.horizon
@@ -209,7 +209,7 @@ def fit_anchors(series: TimeSeries, config: EmbedConfig,
         raise InfeasibleWindowError(
             f"window start={start}, n_fit={config.n_fit}, horizon={config.horizon} "
             f"needs indices up to {last_needed}, series has {len(series)}")
-    return np.arange(start, start + config.n_fit)
+    return start
 
 
 def embed(series: TimeSeries, config: EmbedConfig,
@@ -219,10 +219,10 @@ def embed(series: TimeSeries, config: EmbedConfig,
 
     Row n holds the features of the delay vector at t = start + n, and
     targets[n] is v(start + n + horizon), so by default the fit consumes
-    the earliest rows.  An embedding check_design_size refuses is refused
-    before any is built.
+    the earliest rows; targets is a read-only view of the series values.
+    An embedding check_design_size refuses is refused before any is built.
     """
     check_design_size(config)
-    times = fit_anchors(series, config, start)
-    features = anchor_features(series.values, config, int(times[0]), times.size)
-    return features, series.values[times + config.horizon]
+    first = fit_anchors(series, config, start)
+    features = anchor_features(series.values, config, first, config.n_fit)
+    return features, series.values[first + config.horizon:][:config.n_fit]

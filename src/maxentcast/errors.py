@@ -42,12 +42,8 @@ class InfeasibleWindowError(MaxentcastError):
     """The requested fit or forecast window does not fit inside the series."""
 
 
-class DegenerateMatrixError(MaxentcastError):
-    """Every singular value of the system matrix is numerically zero."""
-
-
 class NumericalFailureError(MaxentcastError):
-    """A decomposition failed to converge, or features are not finite."""
+    """An SVD did not converge, or features or a fit are not finite."""
 
 
 class DivergentOrbitError(MaxentcastError):

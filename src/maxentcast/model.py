@@ -24,11 +24,8 @@ import numpy as np
 
 from .design import (EmbedConfig, anchor_features, embed, fit_anchors,
                      forecast_block_rows, monomial_labels)
-from .errors import (DegenerateMatrixError, InfeasibleWindowError,
-                     NumericalFailureError, check_int)
+from .errors import InfeasibleWindowError, NumericalFailureError, check_int
 from .ingest import TimeSeries
-
-_ABS_FLOOR = 1e-300
 
 DEFAULT_RANK_TOLERANCE = 1e-10
 
@@ -43,17 +40,15 @@ def _min_norm_solver(matrix: np.ndarray, rank_tolerance: float):
     """The SVD of a finite 2-d matrix as the function that maps a
     right-hand side to its minimum-norm least-squares solution, plus (rank,
     singular_values).  Only singular values above rank_tolerance * max(s)
-    are inverted.  Each solution is the same two products, so it has the
-    bits a solve with that right-hand side alone would have."""
-    if matrix.ndim != 2 or not np.isfinite(matrix).all():
-        raise ValueError("matrix must be 2-d and finite")
-    check_rank_tolerance(rank_tolerance)
+    are inverted, so an all-zero matrix solves to zero at rank 0.  Each
+    solution is the same two products, so it has the bits a solve with
+    that right-hand side alone would have."""
+    if not np.isfinite(matrix).all():
+        raise NumericalFailureError(f"a {matrix.shape} design is not finite")
     try:
         u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD did not converge: {exc}") from exc
-    if s.size == 0 or s[0] <= _ABS_FLOOR:
-        raise DegenerateMatrixError("all singular values are numerically zero")
     keep = s > rank_tolerance * s[0]
     u_keep, v_keep, s_keep = u[:, keep], vt[keep].T, s[keep]
 
@@ -162,6 +157,7 @@ def _sums(actual: np.ndarray, predicted: np.ndarray):
     return num, denom, e_num, e_den
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_batch(series: TimeSeries, configs, start: int | None = None,
               rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
               standardize: bool = False) -> list[FittedModel]:
@@ -174,7 +170,9 @@ def fit_batch(series: TimeSeries, configs, start: int | None = None,
     its own projection of its targets, the mapping back to original units
     and its residual, each in the same operations as alone, so a model has
     the same bits in any batch.  A horizon whose targets leave the series
-    raises InfeasibleWindowError, the first such in configs order.
+    raises InfeasibleWindowError, the first such in configs order.  A
+    design or coefficients that overflow raise NumericalFailureError, with
+    no numpy warning; a residual norm that does is inf.
 
     With standardize=True the non-constant feature columns are z-scored
     before the solve and the solution is mapped back to original units.
@@ -183,6 +181,7 @@ def fit_batch(series: TimeSeries, configs, start: int | None = None,
     control, off by default.  Diagnostics describe the matrix actually
     decomposed; the residual norm is always in original units.
     """
+    check_rank_tolerance(rank_tolerance)
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one config")
@@ -194,25 +193,28 @@ def fit_batch(series: TimeSeries, configs, start: int | None = None,
     if standardize:
         # Each column's moments are taken after scaling it by 2**-e, where
         # 2**e bounds its largest magnitude, so no square overflows; the
-        # scaling is exact, so a column that needs no rescue keeps its bits.
+        # scaling is exact, so a column that needs no rescue keeps its bits
+        # (and the ones column, 0.5 throughout, has sd 0, so it stays).
         shift = np.frexp(np.max(np.abs(W), axis=0))[1]
         scaled = np.ldexp(W, -shift)
         mean = np.ldexp(scaled.mean(axis=0), shift)
         sd = np.ldexp(scaled.std(axis=0), shift)
         scale = np.where(sd > 0, sd, 1.0)
         center = np.where(sd > 0, mean, 0.0)
-        scale[0] = 1.0
-        center[0] = 0.0
         solve, rank, s = _min_norm_solver((W - center) / scale, rank_tolerance)
     else:
         solve, rank, s = _min_norm_solver(W, rank_tolerance)
     models = []
     for config in configs:
-        y = series.values[fit_anchors(series, config, start) + config.horizon]
+        first = fit_anchors(series, config, start)
+        y = series.values[first + config.horizon:][:config.n_fit]
         coef = b = solve(y)
         if standardize:
             coef = b / scale
             coef[0] = b[0] - float(np.sum((b[1:] / scale[1:]) * center[1:]))
+        if not np.isfinite(coef).all():
+            raise NumericalFailureError(
+                f"the coefficients of the horizon-{config.horizon} fit are not finite")
         num, _, e, _ = _sums(y[None], (W @ coef)[None])
         models.append(FittedModel(
             coefficients=coef,
@@ -272,6 +274,7 @@ class ForecastFrame:
         return self.series.values[lo:lo + len(self)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame]:
     """Direct predictions of several models from one pass over the anchors.
 
@@ -283,8 +286,9 @@ def forecast_batch(series: TimeSeries, models, first: int) -> list[ForecastFrame
     block to block, and every model applies its own coefficients to them,
     writing its predictions in place.
     Each prediction uses the observed delay vector at its anchor; model
-    output is never fed back.  A model with no anchor, or a first before the
-    embedding span, raises InfeasibleWindowError.
+    output is never fed back, and one that overflows is inf, with no numpy
+    warning.  A model with no anchor, or a first before the embedding span,
+    raises InfeasibleWindowError.
     """
     models = list(models)
     if not models:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -646,6 +647,98 @@ def test_run_near_overflow_prints_no_numpy_warning(write_csv, tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert not [line for line in proc.stderr.splitlines() if "Warning" in line]
+
+
+def run_cli_strict(capsys, *argv):
+    """run_cli with every warning an error, as under PYTHONWARNINGS=error:
+    a raw numpy warning ends the run with exit 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, *argv)
+
+
+def near_overflow_walk(tmp_path, capsys):
+    """1,200 days of a walk from 1e307 in steps of 1e305: its fit's
+    targets and residual are near the largest double."""
+    data = tmp_path / "data"
+    assert main(["synth", "--kind", "walk", "--n", "1200", "--seed", "1",
+                 "--x0", "1e307", "--sigma", "1e305", "--out", str(data)]) == 0
+    capsys.readouterr()
+    return data / "series.csv"
+
+
+def test_run_overflowing_centering_is_numerical_error(write_csv, tmp_path,
+                                                      capsys):
+    # -1.7e308 with 50 rows at +1.7e308: a standardized column minus its
+    # mean overflows, so the design to decompose is not finite
+    days = np.busday_offset(np.datetime64("2000-01-03"), np.arange(1000),
+                            roll="forward")
+    values = np.full(1000, -1.7e308)
+    values[np.random.default_rng(0).choice(1000, 50, replace=False)] = 1.7e308
+    values[::7] = -1e308
+    path = write_csv([f"{d},{float(v)!r}"
+                      for d, v in zip(np.datetime_as_string(days), values)])
+    out = tmp_path / "run"
+    code, stdout, err = run_cli_strict(
+        capsys, "run", "--input", str(path), "--d", "2", "--np", "1",
+        "--fit-window", "400", "--bucket", "window:100", "--standardize",
+        "--out", str(out))
+    assert (code, stdout) == (5, "")
+    assert stderr_json(err) == {"category": "numerical",
+                                "error": "NumericalFailureError",
+                                "message": "a (400, 3) design is not finite"}
+    assert not out.exists()
+
+
+def test_run_overflowing_coefficients_name_their_horizon(tmp_path, capsys):
+    # the standardized solve projects targets near 1e307 onto the ones
+    # column, which overflows, so the first horizon's coefficients are NaN
+    out = tmp_path / "run"
+    code, stdout, err = run_cli_strict(
+        capsys, "run", "--input", str(near_overflow_walk(tmp_path, capsys)),
+        "--np", "1", "--bucket", "window:250", "--standardize",
+        "--out", str(out))
+    assert (code, stdout) == (5, "")
+    assert stderr_json(err) == {
+        "category": "numerical", "error": "NumericalFailureError",
+        "message": "the coefficients of the horizon-7 fit are not finite"}
+    assert not out.exists()
+
+
+def test_run_overflowing_residual_norm_is_null(tmp_path, capsys):
+    # the raw fit's residual norm is larger than a double can hold
+    out = tmp_path / "run"
+    code, _, err = run_cli_strict(
+        capsys, "run", "--input", str(near_overflow_walk(tmp_path, capsys)),
+        "--np", "1", "--bucket", "window:250", "--out", str(out))
+    assert (code, err) == (0, "")
+    tracks = json.loads((out / "report.json").read_text())["payload"]["tracks"]
+    assert len(tracks) == 4
+    assert all(t["model"]["diagnostics"]["residual_norm"] is None
+               for t in tracks)
+
+
+def test_run_overflowing_predictions_score_as_degenerate(write_csv, tmp_path,
+                                                         capsys):
+    # a walk near 1e300, then 400 days near 1.7e308: the predictions past
+    # the fit window overflow, and the windows they fall in are degenerate
+    rng = np.random.default_rng(1)
+    walk = 1e300 + 1e298 * np.cumsum(rng.standard_normal(1400))[:1000]
+    jump = 1.7e308 * (0.99 + 0.01 * rng.random(400))
+    days = np.datetime64("2000-01-01") + np.arange(1400)
+    path = write_csv([f"{d},{float(v)!r}" for d, v in zip(
+        np.datetime_as_string(days), np.concatenate([walk, jump]))])
+    out = tmp_path / "run"
+    code, _, err = run_cli_strict(capsys, "run", "--input", str(path),
+                                  "--np", "1", "--bucket", "window:100",
+                                  "--out", str(out))
+    assert (code, err) == (0, "")
+    tracks = json.loads((out / "report.json").read_text())["payload"]["tracks"]
+    assert len(tracks) == 4
+    for track in tracks:
+        windows = track["windows"]
+        assert [w["degenerate"] for w in windows] == [False] * 2 + [True] * 5
+        assert [w["rel_mse"] is None for w in windows] == [False] * 2 + [True] * 5
 
 
 def test_run_standardize_near_overflow_matches_unit_scale(write_csv, tmp_path,

@@ -11,6 +11,9 @@ column-by-column copies.  The comparisons hold for one BLAS thread, which
 ``conftest`` pins before numpy is imported.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from maxentcast import (EmbedConfig, ProtocolConfig, count_coefficients,
                         feature_matrix, fit, fit_batch, forecast_batch,
                         gen_random_walk, run_protocol)
 from maxentcast import design as design_module
+from maxentcast import model as model_module
 from maxentcast.design import anchor_features
 from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 
@@ -144,6 +148,40 @@ def test_batch_refuses_an_oversize_design_before_building_it(monkeypatch):
                for h in (1, 2)]
     with pytest.raises(InfeasibleWindowError, match="limit"):
         fit_batch(series, configs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["zero", "constant", "walk"]),
+       level=st.sampled_from([0.0, 1e-300, -1.0, 3.5, 1e100]),
+       step=st.sampled_from([1e-300, 1e-8, 1.0, 1e90]),
+       dim=st.integers(1, 4), degree=st.integers(1, 3), lag=st.integers(1, 2),
+       n_fit=st.integers(1, 60), standardize=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_decomposed_design_has_s_max_at_least_sqrt_n_fit(
+        kind, level, step, dim, degree, lag, n_fit, standardize, seed):
+    # Column 0 of every design fit_batch decomposes, raw or standardized,
+    # is all ones, so s_max >= |column 0| = sqrt(n_fit) >= 1 (the SVD's
+    # rounding can take the last bits off): the solver never meets a matrix
+    # whose singular values are all numerically zero.
+    config = EmbedConfig(dim=dim, degree=degree, horizon=1, n_fit=n_fit,
+                         lag=lag)
+    n = config.span + n_fit + 1
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(n))
+    values = {"zero": np.zeros(n), "constant": np.full(n, level),
+              "walk": level + step * walk}[kind]
+    spectra = []
+
+    def recording(matrix, rank_tolerance):
+        assert (matrix[:, 0] == 1.0).all()
+        solved = solver(matrix, rank_tolerance)
+        spectra.append(solved[2])
+        return solved
+
+    solver = model_module._min_norm_solver
+    with mock.patch.object(model_module, "_min_norm_solver", recording):
+        fit_batch(daily_series(values), [config], standardize=standardize)
+    [s] = spectra
+    assert s[0] >= math.sqrt(n_fit) * (1 - 1e-12)
 
 
 # ------------------------------------------------- column-major features

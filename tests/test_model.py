@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import reference_design as ref
 from maxentcast import (EmbedConfig, FitDiagnostics, FittedModel,
                         ForecastFrame, PolyMapSpec, RandomWalkSpec, embed, fit,
-                        forecast_batch, forecast_series, generate,
+                        fit_batch, forecast_batch, forecast_series, generate,
                         monomial_labels)
-from maxentcast.errors import DegenerateMatrixError, InfeasibleWindowError
+from maxentcast.errors import InfeasibleWindowError, NumericalFailureError
 from maxentcast.model import DEFAULT_RANK_TOLERANCE, _min_norm_solver, _sums
 from maxentcast.report import _model_payload
 
@@ -114,24 +114,32 @@ def test_interpolation_when_underdetermined():
         assert np.linalg.norm(w @ coef - target) < 1e-8
 
 
-def test_all_zero_matrix_is_degenerate():
-    with pytest.raises(DegenerateMatrixError):
-        lstsq(np.zeros((4, 3)), np.zeros(4))
+def test_zero_matrix_solves_to_zero_at_rank_0():
+    # no singular value passes the cutoff, which is the pseudoinverse's
+    # answer for the zero matrix
+    coef, rank, s = lstsq(np.zeros((4, 3)), np.ones(4))
+    assert rank == 0
+    assert coef.tolist() == [0.0, 0.0, 0.0]
+    assert s.tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("matrix", [
-    np.diag([1.0, np.inf, 1.0]), np.diag([1.0, np.nan, 1.0]), np.ones(3)],
-    ids=["infinite", "nan", "one-d"])
+    np.diag([1.0, np.inf, 1.0]), np.diag([1.0, np.nan, 1.0])],
+    ids=["infinite", "nan"])
 def test_solver_refuses_a_bad_matrix(matrix):
-    with pytest.raises(ValueError, match="^matrix must be 2-d and finite$"):
+    with pytest.raises(NumericalFailureError,
+                       match=r"^a \(3, 3\) design is not finite$"):
         _min_norm_solver(matrix, DEFAULT_RANK_TOLERANCE)
 
 
-def test_rank_tolerance_bounds():
-    w = np.eye(3)
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            lstsq(w, np.ones(3), rank_tolerance=bad)
+def test_rank_tolerance_bounds(monkeypatch):
+    # a tolerance outside (0, 1) is refused before any design is built
+    series = daily_series(np.arange(40.0))
+    config = EmbedConfig(dim=2, degree=1, horizon=1, n_fit=20)
+    monkeypatch.setattr("maxentcast.model.embed", None)
+    for bad in (0.0, 1.0, -0.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="^rank_tolerance must lie in"):
+            fit_batch(series, [config], rank_tolerance=bad)
 
 
 def test_rank_tolerance_truncates_small_directions():
